@@ -7,8 +7,8 @@ into --out; rerunning with the same inputs reproduces the data files byte
 for byte (only the manifest timestamp differs).
 
 Exit codes: 0 success, 2 usage or validation problems, 3 numerical failure
-(LP did not reach optimal status, or the Monte Carlo check missed at three
-standard errors).
+(any LP solver error or non-optimal status, or the Monte Carlo check missed
+at three standard errors).
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import sys
 from datetime import datetime, timezone
 from pathlib import Path
 
-from . import __version__
+from . import __version__, lpsolve
 from .detection import SUPPORT_EPS, MixedStrategy, pfa, pm
 from .experiments import (
     beta_sweep,
@@ -125,16 +125,15 @@ def _strategy_rows(strategy: MixedStrategy, joint: bool):
                 yield (float(action), float(prob))
 
 
-def _write_solution(out: _OutDir, scenario, solution):
+def _write_solution(out: _OutDir, payoff, solution):
     out.write_csv("row_strategy.csv", ["power_mw", "jam_mw", "probability"],
                   _strategy_rows(solution.row_strategy, joint=True))
     out.write_csv("col_strategy.csv", ["threshold_mw", "probability"],
                   _strategy_rows(solution.col_strategy, joint=False))
-    pfa_val = pfa(scenario, solution.row_strategy, solution.col_strategy)
-    pm_val = pm(scenario, solution.row_strategy, solution.col_strategy)
+    pfa_val, pm_val = payoff.error_rates(solution.row_strategy, solution.col_strategy)
     summary = {
         "game_value": solution.value,
-        "expected_rate": expected_rate(scenario, solution.row_strategy),
+        "expected_rate": expected_rate(payoff.scenario, solution.row_strategy),
         "pfa": pfa_val,
         "pm": pm_val,
         "dep": pfa_val + pm_val,
@@ -153,8 +152,9 @@ def _write_solution(out: _OutDir, scenario, solution):
 def _cmd_solve(args) -> int:
     scenario, source, overrides = _resolve_scenario(args)
     out = _OutDir(args.out)
-    solution = solve_game(build_payoff(prune_negative_rate(scenario)))
-    _write_solution(out, scenario, solution)
+    payoff = build_payoff(prune_negative_rate(scenario))
+    solution = solve_game(payoff)
+    _write_solution(out, payoff, solution)
     out.write_text("scenario.txt", serialize_scenario(scenario))
     out.finish(_manifest(args, "solve", source, overrides, scenario))
     print(f"value {_fmt(solution.value)}  "
@@ -196,10 +196,11 @@ def _cmd_sweep(args) -> int:
 def _cmd_baseline(args) -> int:
     scenario, source, overrides = _resolve_scenario(args)
     out = _OutDir(args.out)
-    results = [uniform_baseline(scenario, k)
+    payoff = build_payoff(prune_negative_rate(scenario))
+    results = [uniform_baseline(payoff, k)
                for k in range(2, len(scenario.power_grid) + 1)]
-    survivors = [p for p, j in prune_negative_rate(scenario).actions if j == 0.0]
-    results.extend(constant_baseline(scenario, p) for p in survivors)
+    survivors = [p for p, j in payoff.actions if j == 0.0]
+    results.extend(constant_baseline(payoff, p) for p in survivors)
     out.write_csv(
         "baseline.csv",
         ["label", "parameter", "best_threshold_mw", "expected_rate", "pfa", "pm", "dep"],
@@ -256,13 +257,14 @@ def _cmd_simulate(args) -> int:
         joint = _load_strategy_csv(args.row_strategy, scenario, joint=True)
         thr = _load_strategy_csv(args.col_strategy, scenario, joint=False)
         strategy_source = "files"
+        analytic_pfa, analytic_pm = pfa(scenario, joint, thr), pm(scenario, joint, thr)
     else:
-        solution = solve_game(build_payoff(prune_negative_rate(scenario)))
+        payoff = build_payoff(prune_negative_rate(scenario))
+        solution = solve_game(payoff)
         joint, thr = solution.row_strategy, solution.col_strategy
         strategy_source = "solved"
+        analytic_pfa, analytic_pm = payoff.error_rates(joint, thr)
 
-    analytic_pfa = pfa(scenario, joint, thr)
-    analytic_pm = pm(scenario, joint, thr)
     est = estimate_detection(scenario, joint, thr, blocks=args.blocks, seed=args.seed)
     ok = est.consistent_with(analytic_pfa, analytic_pm, n_sigma=3.0)
     z_pfa = (est.pfa_hat - analytic_pfa) / est.pfa_stderr if est.pfa_stderr else 0.0
@@ -342,6 +344,10 @@ def main(argv=None) -> int:
     except (ScenarioError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except GameSolveError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
+    except (GameSolveError, lpsolve.LpError) as exc:
+        print(f"numerical failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
+
+
+if __name__ == "__main__":
+    sys.exit(main())

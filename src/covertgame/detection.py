@@ -106,40 +106,39 @@ def dep_cell(power: float, jam: float, thr: float, n: int, sigma_w_sq: float) ->
     return pfa_cell(jam, thr, n, sigma_w_sq) + pm_cell(power, jam, thr, n, sigma_w_sq)
 
 
-def _strategy_grids(s: "Scenario", joint: "MixedStrategy", thr: "MixedStrategy"):
-    actions = tuple(joint.actions)
-    thresholds = np.asarray(thr.actions, dtype=float)
-    return actions, thresholds
+def _q_cells(s: "Scenario", scales, thresholds) -> np.ndarray:
+    """Q(n, n t / scale) for every (scale, threshold) pair.
+
+    Actions often share the exact same sample power (the grids are decimal),
+    so each distinct scale is evaluated once and broadcast back.  Grouping is
+    on exact float equality, which leaves every cell bit-identical to a
+    direct evaluation.
+    """
+    unique_scale, inverse = np.unique(np.asarray(scales, dtype=float), return_inverse=True)
+    x = s.blocklength_n * np.asarray(thresholds, dtype=float)[None, :] / unique_scale[:, None]
+    return reg_gamma_q_grid(s.blocklength_n, x)[inverse, :]
+
+
+def _h0_scales(s: "Scenario", actions) -> list[float]:
+    return [s.sigma_w_sq_mw + j for _, j in actions]
+
+
+def _h1_scales(s: "Scenario", actions) -> list[float]:
+    return [p + s.sigma_w_sq_mw + j for p, j in actions]
 
 
 def pfa_grid(s: "Scenario", actions) -> np.ndarray:
     """P_FA for every (action, threshold) cell; shape (len(actions), M).
 
     The false-alarm value of a cell depends on the action only through its
-    jamming power, so distinct jam levels are evaluated once and broadcast.
+    jamming power.
     """
-    thresholds = np.asarray(s.threshold_grid, dtype=float)
-    jams = np.asarray([j for _, j in actions], dtype=float)
-    unique_jams, inverse = np.unique(jams, return_inverse=True)
-    x = s.blocklength_n * thresholds[None, :] / (s.sigma_w_sq_mw + unique_jams[:, None])
-    q = reg_gamma_q_grid(s.blocklength_n, x)
-    return q[inverse, :]
+    return _q_cells(s, _h0_scales(s, actions), s.threshold_grid)
 
 
 def pm_grid(s: "Scenario", actions) -> np.ndarray:
-    """P_M for every (action, threshold) cell; shape (len(actions), M).
-
-    Distinct actions often share the exact same H1 sample power
-    P + sigma_w^2 + J (the grids are decimal), so cells are evaluated once
-    per unique scale and broadcast back.  Grouping is on exact float
-    equality, which leaves every cell bit-identical to a direct evaluation.
-    """
-    thresholds = np.asarray(s.threshold_grid, dtype=float)
-    scale = np.asarray([p + s.sigma_w_sq_mw + j for p, j in actions], dtype=float)
-    unique_scale, inverse = np.unique(scale, return_inverse=True)
-    x = s.blocklength_n * thresholds[None, :] / unique_scale[:, None]
-    q = reg_gamma_q_grid(s.blocklength_n, x)
-    return 1.0 - q[inverse, :]
+    """P_M for every (action, threshold) cell; shape (len(actions), M)."""
+    return 1.0 - _q_cells(s, _h1_scales(s, actions), s.threshold_grid)
 
 
 def dep_grid(s: "Scenario", actions) -> np.ndarray:
@@ -150,21 +149,16 @@ def dep_grid(s: "Scenario", actions) -> np.ndarray:
 def pfa(s: "Scenario", joint: "MixedStrategy", thr: "MixedStrategy") -> float:
     """False-alarm probability under mixed transmission and mixed threshold.
 
-    Under the no-transmission hypothesis only the jamming component of the
-    joint strategy matters, so this value is invariant to how probability is
-    split across powers within each jam level.
+    Evaluates only the cells of the two strategies' own actions; a solved
+    game's value is read from its payoff's cell table instead.  Under the
+    no-transmission hypothesis only the jamming component of the joint
+    strategy matters.
     """
-    actions, thresholds = _strategy_grids(s, joint, thr)
-    jams = np.asarray([j for _, j in actions], dtype=float)
-    x = s.blocklength_n * thresholds[None, :] / (s.sigma_w_sq_mw + jams[:, None])
-    cells = reg_gamma_q_grid(s.blocklength_n, x)
+    cells = _q_cells(s, _h0_scales(s, joint.actions), thr.actions)
     return float(joint.prob_array() @ cells @ thr.prob_array())
 
 
 def pm(s: "Scenario", joint: "MixedStrategy", thr: "MixedStrategy") -> float:
     """Miss probability under mixed transmission and mixed threshold."""
-    actions, thresholds = _strategy_grids(s, joint, thr)
-    scale = np.asarray([p + s.sigma_w_sq_mw + j for p, j in actions], dtype=float)
-    x = s.blocklength_n * thresholds[None, :] / scale[:, None]
-    cells = 1.0 - reg_gamma_q_grid(s.blocklength_n, x)
+    cells = 1.0 - _q_cells(s, _h1_scales(s, joint.actions), thr.actions)
     return float(joint.prob_array() @ cells @ thr.prob_array())

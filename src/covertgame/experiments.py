@@ -14,10 +14,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .detection import MixedStrategy, pfa_grid, pm_grid
+from .detection import MixedStrategy
 from .lpsolve import LinearProgram, solve
 from .matrixgame import GameSolveError, PayoffMatrix, build_payoff, solve_game
-from .model import PrunedScenario, Scenario, decimal_range, default_scenario, prune_negative_rate
+from .model import Scenario, decimal_range, default_scenario, prune_negative_rate
 from .rate import expected_rate
 
 __all__ = [
@@ -47,17 +47,10 @@ def desk_scenario(with_jammer: bool = True) -> Scenario:
     Thresholds keep their fine 0.01 step; everything else matches the
     reference configuration.
     """
-    base = default_scenario(with_jammer)
-    return Scenario(
-        blocklength_n=base.blocklength_n,
-        sigma_b_sq_mw=base.sigma_b_sq_mw,
-        sigma_w_sq_mw=base.sigma_w_sq_mw,
-        delta=base.delta,
-        alpha=base.alpha,
-        beta=base.beta,
+    return replace(
+        default_scenario(with_jammer),
         power_grid=decimal_range("0.05", "0.05", "1.00"),
         jam_grid=decimal_range("0", "0.05", "1.00") if with_jammer else (0.0,),
-        threshold_grid=base.threshold_grid,
     )
 
 
@@ -92,16 +85,11 @@ class BaselineResult:
         return self.pfa + self.pm
 
 
-def _point_from_solution(s: Scenario, solution) -> TradeoffPoint:
-    x = solution.row_strategy.prob_array()
-    y = solution.col_strategy.prob_array()
-    pfa_cells = pfa_grid(s, solution.row_strategy.actions)
-    pm_cells = pm_grid(s, solution.row_strategy.actions)
-    pfa_val = float(x @ pfa_cells @ y)
-    pm_val = float(x @ pm_cells @ y)
+def _point_from_solution(payoff: PayoffMatrix, solution) -> TradeoffPoint:
+    pfa_val, pm_val = payoff.error_rates(solution.row_strategy, solution.col_strategy)
     return TradeoffPoint(
-        beta=s.beta,
-        expected_rate=expected_rate(s, solution.row_strategy),
+        beta=payoff.beta,
+        expected_rate=expected_rate(payoff.scenario, solution.row_strategy),
         pfa=pfa_val,
         pm=pm_val,
         dep=pfa_val + pm_val,
@@ -120,27 +108,26 @@ def beta_sweep(s: Scenario, betas=None) -> list[TradeoffPoint]:
     betas = default_beta_grid() if betas is None else tuple(float(b) for b in betas)
     if not betas or any(b <= 0.0 for b in betas):
         raise ValueError("betas must be a nonempty sequence of positive weights")
-    pruned = prune_negative_rate(s)
-    payoff = build_payoff(pruned)
+    payoff = build_payoff(prune_negative_rate(s))
     points = []
     for beta in betas:
-        scenario_b = replace(s, beta=beta)
-        solution = solve_game(payoff.with_beta(beta))
-        points.append(_point_from_solution(scenario_b, solution))
+        payoff_b = payoff.with_beta(beta)
+        points.append(_point_from_solution(payoff_b, solve_game(payoff_b)))
     return points
 
 
-def _survivor_powers(pruned: PrunedScenario) -> list[float]:
-    jam0 = [p for p, j in pruned.actions if j == 0.0]
-    if not jam0:
+def _zero_jam_rows(payoff: PayoffMatrix) -> list[tuple[int, float]]:
+    rows = [(r, p) for r, (p, j) in enumerate(payoff.actions) if j == 0.0]
+    if not rows:
         raise ValueError("baselines need surviving zero-jam actions")
-    return jam0
+    return rows
 
 
-def _best_threshold_result(s: Scenario, label: str, parameter: float,
-                           strategy: MixedStrategy) -> BaselineResult:
-    pfa_cells = pfa_grid(s, strategy.actions)
-    pm_cells = pm_grid(s, strategy.actions)
+def _best_threshold_result(payoff: PayoffMatrix, label: str, parameter: float,
+                           rows: list[int]) -> BaselineResult:
+    """The detector's best single threshold against a uniform mix of table rows."""
+    strategy = MixedStrategy.uniform(payoff.actions[r] for r in rows)
+    pfa_cells, pm_cells = payoff.pfa_terms[rows], payoff.pm_terms[rows]
     x = strategy.prob_array()
     dep_by_thr = x @ (pfa_cells + pm_cells)
     m = int(np.argmin(dep_by_thr))
@@ -148,47 +135,42 @@ def _best_threshold_result(s: Scenario, label: str, parameter: float,
         label=label,
         parameter=parameter,
         row_strategy=strategy,
-        best_threshold=s.threshold_grid[m],
-        expected_rate=expected_rate(s, strategy),
+        best_threshold=payoff.thresholds[m],
+        expected_rate=expected_rate(payoff.scenario, strategy),
         pfa=float(x @ pfa_cells[:, m]),
         pm=float(x @ pm_cells[:, m]),
     )
 
 
-def uniform_baseline(s: Scenario, k: int) -> BaselineResult:
+def uniform_baseline(payoff: PayoffMatrix, k: int) -> BaselineResult:
     """Uniform randomization over the first k grid powers, pruned levels out.
 
     Growing k from 2 toward the full grid traces a curve from the quiet,
     hard-to-detect end down to the rate-favoring end.  With the reference
     grids, k=2 degenerates to the single power 0.02 mW because 0.01 mW is
     pruned.  Jamming stays off and the detector answers with its single
-    best threshold.
+    best threshold.  Cells are read from the payoff's table.
     """
-    if not 2 <= k <= len(s.power_grid):
-        raise ValueError(
-            f"uniform baseline needs 2 <= k <= {len(s.power_grid)}, got {k}"
-        )
-    survivors = _survivor_powers(prune_negative_rate(s))
-    cutoff = s.power_grid[k - 1]
-    chosen = [p for p in survivors if p <= cutoff + 1e-12]
-    if not chosen:
+    grid = payoff.scenario.power_grid
+    if not 2 <= k <= len(grid):
+        raise ValueError(f"uniform baseline needs 2 <= k <= {len(grid)}, got {k}")
+    cutoff = grid[k - 1]
+    rows = [r for r, p in _zero_jam_rows(payoff) if p <= cutoff + 1e-12]
+    if not rows:
         raise ValueError(f"all of the first {k} power levels are pruned")
-    actions = tuple((p, 0.0) for p in chosen)
-    return _best_threshold_result(
-        s, "uniform", float(k), MixedStrategy.uniform(actions)
-    )
+    return _best_threshold_result(payoff, "uniform", float(k), rows)
 
 
-def constant_baseline(s: Scenario, power: float) -> BaselineResult:
+def constant_baseline(payoff: PayoffMatrix, power: float) -> BaselineResult:
     """A single fixed transmit power against the best single threshold."""
-    powers = _survivor_powers(prune_negative_rate(s))
-    matches = [p for p in powers if math.isclose(p, power, rel_tol=0.0, abs_tol=1e-9)]
+    matches = [(r, p) for r, p in _zero_jam_rows(payoff)
+               if math.isclose(p, power, rel_tol=0.0, abs_tol=1e-9)]
     if not matches:
         raise ValueError(
             f"power {power} mW is not a surviving grid level (negative rate or off grid)"
         )
-    strategy = MixedStrategy(((matches[0], 0.0),), (1.0,))
-    return _best_threshold_result(s, "constant", matches[0], strategy)
+    row, level = matches[0]
+    return _best_threshold_result(payoff, "constant", level, [row])
 
 
 @dataclass(frozen=True)

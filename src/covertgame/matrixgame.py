@@ -21,13 +21,13 @@ alone; ``threshold_best_response`` exposes the latter for such checks.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import lpsolve
-from .detection import MixedStrategy, dep_grid
-from .model import PrunedScenario
+from .detection import MixedStrategy, dep_grid, pfa_grid, pm_grid
+from .model import PrunedScenario, Scenario
 from .rate import action_rate
 
 __all__ = [
@@ -71,56 +71,66 @@ def vec_index(y: int, power_count: int) -> tuple[int, int]:
 
 @dataclass(frozen=True)
 class PayoffMatrix:
-    """Payoff entries plus the action labels and the beta-independent parts.
+    """Payoff entries of one scenario plus its beta-independent parts.
 
-    ``entries = rate_terms[:, None] + beta * dep_terms``; the two parts are
-    kept so beta sweeps can reassemble payoffs without recomputing any
-    incomplete-gamma values.
+    ``entries = rate_terms[:, None] + beta * dep_terms`` with
+    ``dep_terms = pfa_terms + pm_terms``.  The P_FA / P_M split is the
+    scenario's one cell table: beta sweeps, baselines and reports read it
+    instead of re-evaluating incomplete-gamma grids.  Rows follow
+    ``actions``, columns the scenario's threshold grid.
     """
 
+    scenario: Scenario
+    actions: tuple[tuple[float, float], ...]
     entries: np.ndarray
     rate_terms: np.ndarray
+    pfa_terms: np.ndarray
+    pm_terms: np.ndarray
     dep_terms: np.ndarray
-    actions: tuple[tuple[float, float], ...]
-    thresholds: tuple[float, ...]
-    beta: float
 
     def __post_init__(self):
-        for name in ("entries", "rate_terms", "dep_terms"):
-            arr = getattr(self, name)
-            arr.flags.writeable = False
+        for name in ("entries", "rate_terms", "pfa_terms", "pm_terms", "dep_terms"):
+            getattr(self, name).flags.writeable = False
+
+    @property
+    def beta(self) -> float:
+        return self.scenario.beta
+
+    @property
+    def thresholds(self) -> tuple[float, ...]:
+        return self.scenario.threshold_grid
 
     def with_beta(self, beta: float) -> "PayoffMatrix":
         """Reassemble the payoff for a different covertness weight."""
-        if not beta > 0.0:
-            raise ValueError(f"beta must be positive, got {beta}")
-        return PayoffMatrix(
-            entries=self.rate_terms[:, None] + beta * self.dep_terms,
-            rate_terms=self.rate_terms,
-            dep_terms=self.dep_terms,
-            actions=self.actions,
-            thresholds=self.thresholds,
-            beta=beta,
-        )
+        return replace(self, scenario=replace(self.scenario, beta=beta),
+                       entries=self.rate_terms[:, None] + beta * self.dep_terms)
+
+    def error_rates(self, row: MixedStrategy, col: MixedStrategy) -> tuple[float, float]:
+        """(P_FA, P_M) of mixed strategies over all of this table's rows and columns."""
+        x, y = row.prob_array(), col.prob_array()
+        return float(x @ self.pfa_terms @ y), float(x @ self.pm_terms @ y)
 
 
 def build_payoff(pruned: PrunedScenario) -> PayoffMatrix:
     """Assemble the payoff matrix for a pruned scenario.
 
-    Every dep cell is evaluated exactly once here; rows follow the pruned
-    action order (power fastest within each jam level), columns follow the
-    threshold grid.
+    Every P_FA and P_M cell is evaluated exactly once here; rows follow the
+    pruned action order (power fastest within each jam level), columns
+    follow the threshold grid.
     """
     s = pruned.scenario
     rates = np.array([action_rate(s, p, j) for p, j in pruned.actions])
-    dep = dep_grid(s, pruned.actions)
+    pfa = pfa_grid(s, pruned.actions)
+    pm = pm_grid(s, pruned.actions)
+    dep = pfa + pm
     return PayoffMatrix(
+        scenario=s,
+        actions=pruned.actions,
         entries=rates[:, None] + s.beta * dep,
         rate_terms=rates,
+        pfa_terms=pfa,
+        pm_terms=pm,
         dep_terms=dep,
-        actions=pruned.actions,
-        thresholds=s.threshold_grid,
-        beta=s.beta,
     )
 
 

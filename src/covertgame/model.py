@@ -65,6 +65,8 @@ def _as_grid(values, name: str, minimum: float, min_exclusive: bool) -> tuple[fl
     if not grid:
         raise ScenarioError(f"{name} must not be empty")
     for v in grid:
+        if not math.isfinite(v):
+            raise ScenarioError(f"{name} entries must be finite, got {v}")
         if min_exclusive and v <= minimum:
             raise ScenarioError(f"{name} entries must be > {minimum}, got {v}")
         if not min_exclusive and v < minimum:
@@ -106,6 +108,9 @@ class Scenario:
     def __post_init__(self):
         if not isinstance(self.blocklength_n, int) or self.blocklength_n < 1:
             raise ScenarioError(f"blocklength_n must be a positive integer, got {self.blocklength_n!r}")
+        for name in ("sigma_b_sq_mw", "sigma_w_sq_mw", "delta", "alpha", "beta"):
+            if not math.isfinite(getattr(self, name)):
+                raise ScenarioError(f"{name} must be finite, got {getattr(self, name)}")
         for name in ("sigma_b_sq_mw", "sigma_w_sq_mw"):
             if not getattr(self, name) > 0.0:
                 raise ScenarioError(f"{name} must be positive, got {getattr(self, name)}")
@@ -225,9 +230,12 @@ _OPTIONAL = {"alpha": 0.0, "jam_grid": (0.0,)}
 
 def _parse_decimal(text: str, key: str) -> float:
     try:
-        return float(Decimal(text))
+        value = Decimal(text)
     except InvalidOperation:
         raise ScenarioError(f"{key}: not a decimal number: {text!r}") from None
+    if not value.is_finite():
+        raise ScenarioError(f"{key}: not a finite number: {text!r}")
+    return float(value)
 
 
 def _parse_grid(text: str, key: str) -> tuple[float, ...]:

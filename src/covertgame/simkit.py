@@ -3,9 +3,8 @@
 Per transmission block the detector's statistic is the average of n squared
 complex-sample magnitudes.  With every signal component Gaussian, the exact
 law is Gamma(shape n, scale s/n) where s is the total per-sample power, so
-the production sampler draws the statistic directly; a per-sample path that
-actually averages n squared complex Gaussians is kept alongside it as a
-distributional fidelity check.
+the sampler draws the statistic directly (the test suite checks it against
+a per-sample path that actually averages n squared complex Gaussians).
 
 Streams are counter-based: block simulation is chunked, and the generator
 for chunk c is Philox keyed by (seed, c).  Results therefore depend only on
@@ -25,7 +24,6 @@ from .model import Scenario
 __all__ = [
     "EmpiricalDetection",
     "sample_statistic",
-    "sample_statistic_per_sample",
     "estimate_detection",
     "CHUNK_BLOCKS",
 ]
@@ -64,19 +62,6 @@ def sample_statistic(power: float, jam: float, n: int, sigma_w_sq: float,
     """
     s = power + sigma_w_sq + jam
     return rng.gamma(shape=n, scale=s / n, size=size)
-
-
-def sample_statistic_per_sample(power: float, jam: float, n: int, sigma_w_sq: float,
-                                rng: np.random.Generator, size: int = 1):
-    """Draw the same statistic the long way: average n squared |CN(0, s)|.
-
-    Each complex sample has independent real and imaginary parts of variance
-    s/2, so the averaged squared magnitude reproduces Gamma(n, s/n).  Kept
-    as the oracle for distributional tests of ``sample_statistic``.
-    """
-    s = power + sigma_w_sq + jam
-    parts = rng.normal(0.0, np.sqrt(s / 2.0), size=(size, n, 2))
-    return (parts * parts).sum(axis=2).mean(axis=1)
 
 
 def estimate_detection(s: Scenario, joint: MixedStrategy, thr: MixedStrategy,

@@ -343,3 +343,16 @@ def ks_two_sample(a, b) -> tuple[float, float]:
     stat = float(np.abs(cdf_a - cdf_b).max())
     critical = 1.628 * math.sqrt((n + m) / (n * m))
     return stat, critical
+
+
+def sample_statistic_per_sample(power: float, jam: float, n: int, sigma_w_sq: float,
+                                rng: np.random.Generator, size: int = 1):
+    """Draw the energy-detector statistic the long way: average n squared |CN(0, s)|.
+
+    Each complex sample has independent real and imaginary parts of variance
+    s/2, so the averaged squared magnitude follows Gamma(n, s/n), the law the
+    package samples directly.
+    """
+    s = power + sigma_w_sq + jam
+    parts = rng.normal(0.0, np.sqrt(s / 2.0), size=(size, n, 2))
+    return (parts * parts).sum(axis=2).mean(axis=1)

@@ -1,9 +1,15 @@
 """End-to-end tests of the command-line interface."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import covertgame
+from covertgame import detection, lpsolve, specfun
 from covertgame.cli import main
 
 SMALL_SCENARIO = """\
@@ -109,6 +115,70 @@ def test_malformed_scenario_exits_2(tmp_path, capsys):
     code = main(["solve", "--scenario", str(path), "--out", str(tmp_path / "x")])
     assert code == 2
     assert "unknown key" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("override, key", [
+    ("beta=inf", "beta"),
+    ("power_grid=0.1,Infinity", "power_grid"),
+    ("alpha=nan", "alpha"),
+    ("sigma_w_sq_mw=inf", "sigma_w_sq_mw"),
+])
+def test_non_finite_override_exits_2(tmp_path, capsys, override, key):
+    code = main(["solve", "--set", override, "--out", str(tmp_path / "x")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and key in err and "finite" in err
+    assert "pruning removed every action" not in err
+
+
+def test_lp_error_exits_3_with_one_line(tmp_path, scenario_file, capsys, monkeypatch):
+    def unbounded(lp, max_iterations=None):
+        raise lpsolve.UnboundedError("no blocking bound or basic variable")
+
+    monkeypatch.setattr(lpsolve, "solve", unbounded)
+    code = main(["solve", "--scenario", str(scenario_file), "--out", str(tmp_path / "x")])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: UnboundedError")
+    assert err.count("\n") == 1
+
+
+def test_python_dash_m_runs_the_cli(tmp_path, scenario_file):
+    out = tmp_path / "run"
+    src = str(Path(covertgame.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    done = subprocess.run(
+        [sys.executable, "-m", "covertgame.cli", "solve", "--scenario", str(scenario_file),
+         "--out", str(out)], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert (out / "manifest.json").is_file()
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve"],
+    ["sweep"],
+    ["sweep", "--betas", "0.5,2.0"],
+    ["baseline"],
+    ["simulate", "--blocks", "100"],
+])
+def test_cell_grids_are_evaluated_once_per_scenario(tmp_path, scenario_file, capsys,
+                                                    monkeypatch, argv):
+    """P_FA and P_M cells come from one table, whatever the number of weights
+    or baselines: at most one gamma-grid evaluation for each."""
+    calls = []
+    real = detection.reg_gamma_q_grid
+
+    def counted(n, x):
+        calls.append(x.shape)
+        return real(n, x)
+
+    for module in (specfun, detection):
+        monkeypatch.setattr(module, "reg_gamma_q_grid", counted)
+    code = main([*argv, "--scenario", str(scenario_file), "--out", str(tmp_path / "x")])
+    assert code == 0
+    capsys.readouterr()
+    assert 1 <= len(calls) <= 2, calls
 
 
 def test_missing_scenario_file_exits_2(tmp_path, capsys):

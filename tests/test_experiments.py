@@ -95,18 +95,16 @@ def test_sweep_rejects_bad_weights():
         beta_sweep(s, betas=())
 
 
-def test_uniform_baseline_k2_degenerates():
-    s = default_scenario()
-    result = uniform_baseline(s, 2)
+def test_uniform_baseline_k2_degenerates(no_jam_payoff):
+    result = uniform_baseline(no_jam_payoff, 2)
     # 0.01 mW is pruned, so "first two grid powers" leaves only 0.02 mW.
     assert result.row_strategy.actions == ((0.02, 0.0),)
     assert result.parameter == 2.0
     assert result.label == "uniform"
 
 
-def test_uniform_baseline_full_grid():
-    s = default_scenario()
-    result = uniform_baseline(s, 100)
+def test_uniform_baseline_full_grid(no_jam_payoff):
+    result = uniform_baseline(no_jam_payoff, 100)
     assert len(result.row_strategy.actions) == 99
     assert result.row_strategy.probs[0] == pytest.approx(1.0 / 99.0)
     powers = [p for p, j in result.row_strategy.actions]
@@ -114,29 +112,27 @@ def test_uniform_baseline_full_grid():
     assert all(j == 0.0 for _, j in result.row_strategy.actions)
 
 
-def test_uniform_baseline_bounds():
-    s = default_scenario()
+def test_uniform_baseline_bounds(no_jam_payoff):
     with pytest.raises(ValueError, match="2 <= k <= 100"):
-        uniform_baseline(s, 1)
+        uniform_baseline(no_jam_payoff, 1)
     with pytest.raises(ValueError, match="2 <= k <= 100"):
-        uniform_baseline(s, 101)
+        uniform_baseline(no_jam_payoff, 101)
 
 
-def test_constant_baseline():
-    s = default_scenario()
-    result = constant_baseline(s, 0.02)
+def test_constant_baseline(no_jam_payoff):
+    result = constant_baseline(no_jam_payoff, 0.02)
     assert result.label == "constant"
     assert result.parameter == 0.02
     assert result.row_strategy.actions == ((0.02, 0.0),)
     with pytest.raises(ValueError, match="not a surviving grid level"):
-        constant_baseline(s, 0.015)
+        constant_baseline(no_jam_payoff, 0.015)
     with pytest.raises(ValueError, match="not a surviving grid level"):
-        constant_baseline(s, 0.01)
+        constant_baseline(no_jam_payoff, 0.01)
 
 
 def test_best_threshold_is_argmin(no_jam_payoff):
     s = default_scenario()
-    result = uniform_baseline(s, 50)
+    result = uniform_baseline(no_jam_payoff, 50)
     x = result.row_strategy.prob_array()
     actions = result.row_strategy.actions
     dep_by_thr = [
@@ -191,9 +187,8 @@ def test_equilibrium_sits_on_frontier(no_jam_payoff):
 
 
 def test_dominance_check_exact(no_jam_payoff, coarse_sweep):
-    s = default_scenario()
-    uniforms = [uniform_baseline(s, k) for k in (2, 10, 50, 100)]
-    constants = [constant_baseline(s, p) for p in (0.02, 0.1, 0.5, 1.0)]
+    uniforms = [uniform_baseline(no_jam_payoff, k) for k in (2, 10, 50, 100)]
+    constants = [constant_baseline(no_jam_payoff, p) for p in (0.02, 0.1, 0.5, 1.0)]
     report = dominance_check(coarse_sweep, uniforms, constants,
                              payoff=no_jam_payoff)
     assert len(report.entries) == 8
@@ -206,15 +201,15 @@ def test_dominance_check_interpolated():
     s = desk_scenario(with_jammer=False)
     # Dense enough sweep that interpolation cannot dip below the baselines.
     points = beta_sweep(s, betas=default_beta_grid(40, 0.3, 6.0))
-    uniforms = [uniform_baseline(s, k) for k in (2, 10, 20)]
-    constants = [constant_baseline(s, p) for p in (0.05, 0.5)]
+    payoff = build_payoff(prune_negative_rate(s))
+    uniforms = [uniform_baseline(payoff, k) for k in (2, 10, 20)]
+    constants = [constant_baseline(payoff, p) for p in (0.05, 0.5)]
     report = dominance_check(points, uniforms, constants)
     assert report.min_advantage() >= -1e-9
 
 
 def test_dominance_check_raises_on_doctored_curve(no_jam_payoff, coarse_sweep):
-    s = default_scenario()
-    baseline = constant_baseline(s, 0.02)
+    baseline = constant_baseline(no_jam_payoff, 0.02)
     doctored = dataclasses.replace(
         baseline, expected_rate=baseline.expected_rate + 0.5)
     with pytest.raises(AssertionError, match="constant"):
@@ -222,9 +217,8 @@ def test_dominance_check_raises_on_doctored_curve(no_jam_payoff, coarse_sweep):
 
 
 def test_dominance_report_ranges(coarse_sweep, no_jam_payoff):
-    s = default_scenario()
-    report = dominance_check(coarse_sweep, [uniform_baseline(s, 100)],
-                             [constant_baseline(s, 1.0)], payoff=no_jam_payoff)
+    report = dominance_check(coarse_sweep, [uniform_baseline(no_jam_payoff, 100)],
+                             [constant_baseline(no_jam_payoff, 1.0)], payoff=no_jam_payoff)
     assert len(report.in_range(0.0, 1.0)) == 2
     with pytest.raises(ValueError, match="no baseline points"):
         report.in_range(1.99, 2.0)

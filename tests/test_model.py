@@ -104,6 +104,14 @@ def test_scenario_validation():
         small_scenario(threshold_grid=(0.0, 1.0, 1.0))
     with pytest.raises(ScenarioError, match="must not be empty"):
         small_scenario(jam_grid=())
+    for name in ("sigma_b_sq_mw", "sigma_w_sq_mw", "delta", "alpha", "beta"):
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ScenarioError, match=f"{name} must be finite"):
+                small_scenario(**{name: bad})
+    with pytest.raises(ScenarioError, match="power_grid entries must be finite"):
+        small_scenario(power_grid=(0.1, math.inf))
+    with pytest.raises(ScenarioError, match="threshold_grid entries must be finite"):
+        small_scenario(threshold_grid=(0.0, math.nan))
 
 
 def test_joint_actions_power_varies_fastest():
@@ -190,6 +198,12 @@ def test_parse_errors_name_the_line():
     bad_n = full.replace("blocklength_n = 200", "blocklength_n = 20.5")
     with pytest.raises(ScenarioError, match="blocklength_n must be an integer"):
         parse_scenario_text(bad_n)
+    for line, bad in [("beta = 1.6", "beta = NaN"),
+                      ("delta = 0.1", "delta = -Infinity"),
+                      # An infinite stop would make the grid builder loop forever.
+                      ("power_grid = 0.01", "power_grid = 0.01:0.01:Infinity\n#")]:
+        with pytest.raises(ScenarioError, match="not a finite number"):
+            parse_scenario_text(full.replace(line, bad, 1))
 
 
 def test_load_scenario(tmp_path):

@@ -7,13 +7,9 @@ import pytest
 
 from covertgame.detection import MixedStrategy, pfa, pfa_cell, pm, pm_cell
 from covertgame.model import Scenario
-from covertgame.simkit import (
-    estimate_detection,
-    sample_statistic,
-    sample_statistic_per_sample,
-)
+from covertgame.simkit import estimate_detection, sample_statistic
 
-from oracles import ks_two_sample
+from oracles import ks_two_sample, sample_statistic_per_sample
 
 
 def sim_scenario():
