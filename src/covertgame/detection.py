@@ -115,7 +115,8 @@ def _q_cells(s: "Scenario", scales, thresholds) -> np.ndarray:
     direct evaluation.
     """
     unique_scale, inverse = np.unique(np.asarray(scales, dtype=float), return_inverse=True)
-    x = s.blocklength_n * np.asarray(thresholds, dtype=float)[None, :] / unique_scale[:, None]
+    with np.errstate(over="ignore"):  # a huge threshold overflows to x = inf, where Q = 0
+        x = s.blocklength_n * np.asarray(thresholds, dtype=float)[None, :] / unique_scale[:, None]
     return reg_gamma_q_grid(s.blocklength_n, x)[inverse, :]
 
 

@@ -5,6 +5,8 @@ A sweep re-solves the game across covertness weights and records one
 built once per scenario so a sweep costs little more than its LP solves.
 Baselines fix the transmitter strategy (uniform over k levels, or constant)
 and let the detector pick the single best threshold by exhaustive scan.
+The exact rate/covertness frontier that they are checked against is also
+traced by re-solving the game, at weights picked by a chord search.
 """
 
 from __future__ import annotations
@@ -15,8 +17,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .detection import MixedStrategy
-from .lpsolve import LinearProgram, solve
-from .matrixgame import GameSolveError, PayoffMatrix, build_payoff, solve_game
+from .lpsolve import InfeasibleError
+from .matrixgame import PayoffMatrix, build_payoff, solve_game
 from .model import Scenario, decimal_range, default_scenario, prune_negative_rate
 from .rate import expected_rate
 
@@ -34,6 +36,14 @@ __all__ = [
     "max_guaranteed_dep",
     "dominance_check",
 ]
+
+# A frontier solve that clears its bracket's chord by no more than this ends
+# the search: the chord is then the frontier.
+_CHORD_TOL = 1e-12
+
+# Largest shortfall of the game's rate below a baseline's that still counts
+# as dominance.
+_DOMINANCE_TOL = 1e-9
 
 
 def default_beta_grid(count: int = 25, low: float = 0.1, high: float = 20.0) -> tuple[float, ...]:
@@ -206,33 +216,42 @@ class DominanceReport:
 def frontier_rate(payoff: PayoffMatrix, dep_level: float) -> float:
     """Best expected rate with detection error guaranteed at least dep_level.
 
-    Solves, over transmitter mixtures x, the program
-
-        max  sum_i x_i rate_i
-        s.t. sum_i x_i dep[i, j] >= dep_level   for every threshold j
-
-    so the guarantee holds no matter which threshold the detector picks.
-    This is the exact rate / covertness frontier: sampling it at a swept
-    weight's equilibrium dep reproduces that equilibrium's rate.  Raises
-    InfeasibleError when dep_level exceeds the largest guaranteeable value
-    (see max_guaranteed_dep).
+    The frontier max { x.rate : min_j (x.dep)_j >= d } is concave, and by LP
+    duality it equals min over beta of V(beta) - beta * d, where V is the
+    value of the beta-weighted game.  It is traced by the dichotomic chord
+    search of Aneja & Nair (1979): starting from the bracket (0, max rate),
+    (max_guaranteed_dep, min rate), solve the game at the bracket's chord
+    slope; the equilibrium mixture x gives the achievable point
+    (min_j (x.dep)_j, x.rate), and the half of the bracket holding
+    dep_level is kept until no solve rises above the chord.  Every value
+    comes from verified game solves, so a vertex that clears its chord by
+    less than the game LP's tolerance (about 1e-9 of the scaled payoff) can
+    go unseen.  Raises InfeasibleError when dep_level exceeds the largest
+    guaranteeable value.
     """
-    k, m = payoff.dep_terms.shape
-    lhs = np.empty((m + 1, k))
-    lhs[:m] = payoff.dep_terms.T
-    lhs[m] = 1.0
-    lp = LinearProgram(
-        sense="max",
-        objective=payoff.rate_terms,
-        lhs=lhs,
-        rhs=[float(dep_level)] * m + [1.0],
-        kinds=[">="] * m + ["="],
-        bounds=[(0.0, 1.0)] * k,
-    )
-    sol = solve(lp)
-    if sol.status != "optimal":
-        raise GameSolveError(f"frontier solve ended with status {sol.status}", lp, sol)
-    return float(sol.objective)
+    level = float(dep_level)
+    top = max_guaranteed_dep(payoff)
+    if level > top:
+        raise InfeasibleError(
+            f"dep level {level!r} exceeds the largest guaranteeable {top!r}")
+    rates, dep = payoff.rate_terms, payoff.dep_terms
+    (d_a, r_a), (d_b, r_b) = (0.0, float(rates.max())), (top, float(rates.min()))
+    if level <= d_a:
+        return r_a
+    while r_a > r_b:  # a flat bracket is already the frontier
+        beta = (r_a - r_b) / (d_b - d_a)
+        # The beta-weighted game scaled by 1 / (1 + beta): same equilibria,
+        # but entries stay O(1) on the steep end, where beta is large.
+        game = (rates[:, None] + beta * dep) / (1.0 + beta)
+        x = solve_game(game).row_strategy.prob_array()
+        d_x, r_x = float((x @ dep).min()), float(x @ rates)
+        if (r_x - r_a) + beta * (d_x - d_a) <= _CHORD_TOL:
+            break
+        if level <= d_x:
+            d_b, r_b = d_x, r_x
+        else:
+            d_a, r_a = d_x, r_x
+    return r_a + (r_b - r_a) * (level - d_a) / (d_b - d_a)
 
 
 def max_guaranteed_dep(payoff: PayoffMatrix) -> float:
@@ -244,44 +263,31 @@ def max_guaranteed_dep(payoff: PayoffMatrix) -> float:
     return solve_game(payoff.dep_terms).value
 
 
-def dominance_check(game_points: list[TradeoffPoint],
+def dominance_check(payoff: PayoffMatrix,
                     uniform_results: list[BaselineResult],
-                    constant_results: list[BaselineResult],
-                    payoff: PayoffMatrix | None = None,
-                    tol: float = 1e-9) -> DominanceReport:
-    """Compare both baseline families against the game curve at matched dep.
+                    constant_results: list[BaselineResult]) -> DominanceReport:
+    """Compare both baseline families against the game's frontier at matched dep.
 
-    Matching pairs each baseline with the game rate at its own dep value:
-    by linear interpolation between the nearest sweep points (clamped at
-    the swept ends), or, when the payoff is supplied, by the exact frontier
-    program, which a coarse sweep cannot understate.  Raises AssertionError
-    if any matched game rate falls more than tol below its baseline;
-    returns the full comparison table.
+    Each baseline is paired with ``frontier_rate`` at its own dep value, the
+    best rate any transmitter mixture can guarantee there.  Raises
+    AssertionError if any baseline earns more than _DOMINANCE_TOL above that
+    rate; returns the full comparison table.
     """
-    if not game_points:
-        raise ValueError("empty game curve")
     baselines = list(uniform_results) + list(constant_results)
     if not baselines:
         raise ValueError("no baseline points to compare")
-    if payoff is None:
-        order = np.argsort([p.dep for p in game_points])
-        deps = np.asarray([game_points[i].dep for i in order])
-        rates = np.asarray([game_points[i].expected_rate for i in order])
-        match = lambda d: float(np.interp(d, deps, rates))
-    else:
-        match = lambda d: frontier_rate(payoff, d)
-    entries = []
-    for b in baselines:
-        entries.append(DominanceEntry(
+    report = DominanceReport(entries=tuple(
+        DominanceEntry(
             label=b.label,
             parameter=b.parameter,
             baseline_dep=b.dep,
             baseline_rate=b.expected_rate,
-            game_rate=match(b.dep),
-        ))
-    report = DominanceReport(entries=tuple(entries))
+            game_rate=frontier_rate(payoff, b.dep),
+        )
+        for b in baselines
+    ))
     worst = min(report.entries, key=lambda e: e.advantage)
-    if worst.advantage < -tol:
+    if worst.advantage < -_DOMINANCE_TOL:
         raise AssertionError(
             f"{worst.label}({worst.parameter:g}) earns "
             f"{-worst.advantage:.6f} bits/use above the game curve "

@@ -240,12 +240,9 @@ def solve_game(entries, row_actions=None, col_actions=None) -> EquilibriumSoluti
         value, col_raw, row_raw, iters = solve_lp_orientation(A, "col")
     else:
         value, row_raw, col_raw, iters = solve_lp_orientation(A, "row")
-    row_strategy = MixedStrategy(tuple(row_actions), tuple(_clean_probs(row_raw, "row")))
-    col_strategy = MixedStrategy(tuple(col_actions), tuple(_clean_probs(col_raw, "col")))
-
     solution = EquilibriumSolution(
-        row_strategy=row_strategy,
-        col_strategy=col_strategy,
+        row_strategy=MixedStrategy(tuple(row_actions), tuple(_clean_probs(row_raw, "row"))),
+        col_strategy=MixedStrategy(tuple(col_actions), tuple(_clean_probs(col_raw, "col"))),
         value=value,
         row_gap=0.0,
         col_gap=0.0,
@@ -257,14 +254,7 @@ def solve_game(entries, row_actions=None, col_actions=None) -> EquilibriumSoluti
             f"equilibrium verification failed: row_gap={report.row_gap:.3e} "
             f"col_gap={report.col_gap:.3e}"
         )
-    return EquilibriumSolution(
-        row_strategy=row_strategy,
-        col_strategy=col_strategy,
-        value=value,
-        row_gap=report.row_gap,
-        col_gap=report.col_gap,
-        iterations=iters,
-    )
+    return replace(solution, row_gap=report.row_gap, col_gap=report.col_gap)
 
 
 def verify_equilibrium(entries, solution: EquilibriumSolution,

@@ -48,7 +48,8 @@ def normal_approx_rate(snr, n: int, delta: float):
         raise ValueError("snr must be nonnegative")
     qinv = gaussian_q_inv(delta)
     one_plus = 1.0 + x
-    dispersion = 1.0 - 1.0 / (one_plus * one_plus)
+    with np.errstate(over="ignore"):  # at huge snr the square overflows and V rounds to 1
+        dispersion = 1.0 - 1.0 / (one_plus * one_plus)
     rate = np.log2(one_plus) - np.sqrt(dispersion / float(n)) * (qinv / math.log(2.0))
     return float(rate) if np.isscalar(snr) or rate.shape == () else rate
 

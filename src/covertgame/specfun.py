@@ -123,14 +123,14 @@ def reg_gamma_q_grid(n: int, x: np.ndarray) -> np.ndarray:
 
     Args:
         n: integer shape, n >= 1.
-        x: array of nonnegative evaluation points (any shape).
+        x: array of nonnegative evaluation points (any shape); +inf gives 0.
 
     Returns:
         Array of Q(n, x) values with the same shape as ``x``.
     """
     n = _validate_shape(n)
     x = np.asarray(x, dtype=float)
-    if x.size and float(np.min(x)) < 0.0:
+    if x.size and not float(np.min(x)) >= 0.0:
         raise ValueError("x must be nonnegative")
     flat = np.atleast_1d(x).ravel()
     out = np.empty_like(flat)
@@ -141,7 +141,7 @@ def reg_gamma_q_grid(n: int, x: np.ndarray) -> np.ndarray:
         if n == 1:
             total = np.exp(-xs)
         else:
-            with np.errstate(divide="ignore"):
+            with np.errstate(divide="ignore", invalid="ignore"):
                 ln_t = (k[:, None] - xs[None, :]) \
                     + k[:, None] * np.log1p((xs[None, :] - k[:, None]) / k[:, None]) \
                     - base[:, None]
@@ -149,6 +149,7 @@ def reg_gamma_q_grid(n: int, x: np.ndarray) -> np.ndarray:
         out[lo:lo + chunk] = total
     np.clip(out, 0.0, 1.0, out=out)
     out[flat == 0.0] = 1.0
+    out[flat == math.inf] = 0.0
     return out.reshape(x.shape) if x.shape else out.reshape(())
 
 

@@ -290,11 +290,10 @@ def test_criterion_08_jammer_advantage(desk_sweeps):
 def test_criterion_09_baseline_dominance(no_jam):
     s = no_jam.scenario
     payoff = no_jam.payoff
-    sweep = beta_sweep(s)
     uniforms = [uniform_baseline(payoff, k) for k in range(2, len(s.power_grid) + 1)]
     survivors = sorted({p for p, _ in payoff.actions})
     constants = [constant_baseline(payoff, p) for p in survivors]
-    report = dominance_check(sweep, uniforms, constants, payoff=payoff)
+    report = dominance_check(payoff, uniforms, constants)
 
     band = [e for e in report.entries if e.baseline_dep <= 0.75]
     min_adv = min(e.advantage for e in band)

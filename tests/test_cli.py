@@ -155,6 +155,16 @@ def test_python_dash_m_runs_the_cli(tmp_path, scenario_file):
     assert (out / "manifest.json").is_file()
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("override", ["threshold_grid=0,1e308", "power_grid=1e300"])
+def test_extreme_grid_values_solve_quietly(tmp_path, capsys, override):
+    # n*t/s overflows to inf (Q = 0) and (1 + snr)^2 overflows (V = 1); both
+    # are exact limits, so the solve succeeds without numpy warnings.
+    code = main(["solve", "--set", override, "--out", str(tmp_path / "x")])
+    assert code == 0
+    assert capsys.readouterr().err == ""
+
+
 @pytest.mark.parametrize("argv", [
     ["solve"],
     ["sweep"],

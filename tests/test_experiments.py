@@ -4,6 +4,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from covertgame.detection import dep_cell, pfa, pm
 from covertgame.experiments import (
@@ -20,6 +21,8 @@ from covertgame.lpsolve import InfeasibleError
 from covertgame.matrixgame import build_payoff, solve_game
 from covertgame.model import default_scenario, prune_negative_rate
 from covertgame.rate import expected_rate
+
+from oracles import exact_lp_value
 
 
 @pytest.fixture(scope="module")
@@ -186,49 +189,55 @@ def test_equilibrium_sits_on_frontier(no_jam_payoff):
         point_rate, abs=1e-9)
 
 
-def test_dominance_check_exact(no_jam_payoff, coarse_sweep):
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(powers=st.lists(st.integers(1, 100), min_size=2, max_size=6, unique=True),
+       thresholds=st.lists(st.integers(0, 300), min_size=7, max_size=7, unique=True),
+       sigma_w_sq=st.floats(0.25, 4.0),
+       fraction=st.floats(0.0, 1.0))
+def test_frontier_matches_exact_lp(powers, thresholds, sigma_w_sq, fraction):
+    # The chord search against the frontier LP solved in exact rationals:
+    # max x.rate s.t. x.dep[:, j] >= level for every threshold j, x on the simplex.
+    s = dataclasses.replace(
+        default_scenario(), sigma_w_sq_mw=sigma_w_sq,
+        power_grid=tuple(sorted(p / 100 for p in powers)),
+        threshold_grid=tuple(sorted(t / 100 for t in thresholds)))
+    payoff = build_payoff(prune_negative_rate(s))
+    level = fraction * max_guaranteed_dep(payoff)
+    k, m = payoff.dep_terms.shape
+    exact = exact_lp_value("max", payoff.rate_terms, [*payoff.dep_terms.T, np.ones(k)],
+                           [level] * m + [1.0], [">="] * m + ["="], [(0.0, 1.0)] * k)
+    assert frontier_rate(payoff, level) == pytest.approx(float(exact), abs=1e-9)
+
+
+def test_dominance_check_exact(no_jam_payoff):
     uniforms = [uniform_baseline(no_jam_payoff, k) for k in (2, 10, 50, 100)]
     constants = [constant_baseline(no_jam_payoff, p) for p in (0.02, 0.1, 0.5, 1.0)]
-    report = dominance_check(coarse_sweep, uniforms, constants,
-                             payoff=no_jam_payoff)
+    report = dominance_check(no_jam_payoff, uniforms, constants)
     assert len(report.entries) == 8
     assert report.min_advantage() >= -1e-9
     labels = {e.label for e in report.entries}
     assert labels == {"uniform", "constant"}
 
 
-def test_dominance_check_interpolated():
-    s = desk_scenario(with_jammer=False)
-    # Dense enough sweep that interpolation cannot dip below the baselines.
-    points = beta_sweep(s, betas=default_beta_grid(40, 0.3, 6.0))
-    payoff = build_payoff(prune_negative_rate(s))
-    uniforms = [uniform_baseline(payoff, k) for k in (2, 10, 20)]
-    constants = [constant_baseline(payoff, p) for p in (0.05, 0.5)]
-    report = dominance_check(points, uniforms, constants)
-    assert report.min_advantage() >= -1e-9
-
-
-def test_dominance_check_raises_on_doctored_curve(no_jam_payoff, coarse_sweep):
+def test_dominance_check_raises_on_doctored_curve(no_jam_payoff):
     baseline = constant_baseline(no_jam_payoff, 0.02)
     doctored = dataclasses.replace(
         baseline, expected_rate=baseline.expected_rate + 0.5)
     with pytest.raises(AssertionError, match="constant"):
-        dominance_check(coarse_sweep, [], [doctored], payoff=no_jam_payoff)
+        dominance_check(no_jam_payoff, [], [doctored])
 
 
-def test_dominance_report_ranges(coarse_sweep, no_jam_payoff):
-    report = dominance_check(coarse_sweep, [uniform_baseline(no_jam_payoff, 100)],
-                             [constant_baseline(no_jam_payoff, 1.0)], payoff=no_jam_payoff)
+def test_dominance_report_ranges(no_jam_payoff):
+    report = dominance_check(no_jam_payoff, [uniform_baseline(no_jam_payoff, 100)],
+                             [constant_baseline(no_jam_payoff, 1.0)])
     assert len(report.in_range(0.0, 1.0)) == 2
     with pytest.raises(ValueError, match="no baseline points"):
         report.in_range(1.99, 2.0)
 
 
-def test_dominance_check_validation(coarse_sweep):
-    with pytest.raises(ValueError, match="empty game curve"):
-        dominance_check([], [], [])
+def test_dominance_check_validation(no_jam_payoff):
     with pytest.raises(ValueError, match="no baseline"):
-        dominance_check(coarse_sweep, [], [])
+        dominance_check(no_jam_payoff, [], [])
 
 
 def test_jammer_pipeline_degenerates_without_jamming():

@@ -92,6 +92,16 @@ def test_shape_validation():
         reg_gamma_q_grid(3, np.array([0.5, -0.5]))
 
 
+@pytest.mark.filterwarnings("error")
+def test_grid_and_scalar_agree_at_infinity():
+    # Q(n, inf) = 0: the tail of a finite Poisson sum at infinite mean.
+    for n in (1, 2, 200):
+        assert reg_gamma_q(n, math.inf) == 0.0
+        assert reg_gamma_q_grid(n, np.array([0.0, 1.0, math.inf]))[[0, 2]].tolist() == [1.0, 0.0]
+    with pytest.raises(ValueError, match="nonnegative"):
+        reg_gamma_q_grid(3, np.array([0.5, math.nan]))
+
+
 def test_gaussian_q_inv_frozen_points():
     assert gaussian_q_inv(0.1) == pytest.approx(1.2815515655446004, abs=1e-9)
     assert gaussian_q_inv(0.05) == pytest.approx(1.6448536269514638, abs=1e-9)
