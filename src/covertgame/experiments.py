@@ -41,6 +41,10 @@ __all__ = [
 # the search: the chord is then the frontier.
 _CHORD_TOL = 1e-12
 
+# Roundoff of a unit-scaled dep guarantee: one this close to the level meets
+# it, and a level this far past the largest guaranteeable one is still met.
+_ROUNDOFF = 1e-14
+
 # Largest shortfall of the game's rate below a baseline's that still counts
 # as dominance.
 _DOMINANCE_TOL = 1e-9
@@ -119,11 +123,7 @@ def beta_sweep(s: Scenario, betas=None) -> list[TradeoffPoint]:
     if not betas or any(b <= 0.0 for b in betas):
         raise ValueError("betas must be a nonempty sequence of positive weights")
     payoff = build_payoff(prune_negative_rate(s))
-    points = []
-    for beta in betas:
-        payoff_b = payoff.with_beta(beta)
-        points.append(_point_from_solution(payoff_b, solve_game(payoff_b)))
-    return points
+    return [_point_from_solution(p, solve_game(p)) for p in map(payoff.with_beta, betas)]
 
 
 def _zero_jam_rows(payoff: PayoffMatrix) -> list[tuple[int, float]]:
@@ -216,42 +216,42 @@ class DominanceReport:
 def frontier_rate(payoff: PayoffMatrix, dep_level: float) -> float:
     """Best expected rate with detection error guaranteed at least dep_level.
 
-    The frontier max { x.rate : min_j (x.dep)_j >= d } is concave, and by LP
-    duality it equals min over beta of V(beta) - beta * d, where V is the
-    value of the beta-weighted game.  It is traced by the dichotomic chord
-    search of Aneja & Nair (1979): starting from the bracket (0, max rate),
-    (max_guaranteed_dep, min rate), solve the game at the bracket's chord
-    slope; the equilibrium mixture x gives the achievable point
-    (min_j (x.dep)_j, x.rate), and the half of the bracket holding
-    dep_level is kept until no solve rises above the chord.  Every value
-    comes from verified game solves, so a vertex that clears its chord by
-    less than the game LP's tolerance (about 1e-9 of the scaled payoff) can
-    go unseen.  Raises InfeasibleError when dep_level exceeds the largest
-    guaranteeable value.
+    That is max { x.rate : min_j (x.h)_j >= 0 } over mixtures x, where
+    h_j = (dep_j - dep_level) / s_j is each threshold's dep column shifted
+    by the level and scaled by its largest magnitude s_j, so that dep
+    values far below the game LP's tolerance still count.  A dichotomic
+    chord search (Aneja & Nair 1979) brackets t = 0 on the concave curve of
+    rate against t = min_j (x.h)_j between the loudest action and the
+    equilibrium on h, solving the game rate + beta * h at each chord slope
+    until no solve rises above the chord.  Raises InfeasibleError when
+    dep_level exceeds the largest guaranteeable value by more than roundoff.
     """
     level = float(dep_level)
-    top = max_guaranteed_dep(payoff)
-    if level > top:
-        raise InfeasibleError(
-            f"dep level {level!r} exceeds the largest guaranteeable {top!r}")
-    rates, dep = payoff.rate_terms, payoff.dep_terms
-    (d_a, r_a), (d_b, r_b) = (0.0, float(rates.max())), (top, float(rates.min()))
-    if level <= d_a:
+    rates, h = payoff.rate_terms, payoff.dep_terms - level
+    span = np.abs(h).max(axis=0)
+    h /= np.where(span > 0, span, 1.0)
+    quiet = solve_game(h)
+    if quiet.value < -_ROUNDOFF:
+        raise InfeasibleError(f"dep level {level!r} exceeds the largest guaranteeable value")
+    loud, x = int(np.argmax(rates)), quiet.row_strategy.prob_array()
+    t_a, r_a = float(h[loud].min()), float(rates[loud])
+    t_b, r_b = float((x @ h).min()), float(x @ rates)  # guarantee and rate of x
+    t = min(0.0, t_b)  # below 0 only by roundoff, as the value passed above
+    if t_a >= t - _ROUNDOFF:
         return r_a
     while r_a > r_b:  # a flat bracket is already the frontier
-        beta = (r_a - r_b) / (d_b - d_a)
-        # The beta-weighted game scaled by 1 / (1 + beta): same equilibria,
-        # but entries stay O(1) on the steep end, where beta is large.
-        game = (rates[:, None] + beta * dep) / (1.0 + beta)
+        beta = (r_a - r_b) / (t_b - t_a)
+        # Scaled by 1 / (1 + beta) so that entries stay O(1) when beta is large.
+        game = (rates[:, None] + beta * h) / (1.0 + beta)
         x = solve_game(game).row_strategy.prob_array()
-        d_x, r_x = float((x @ dep).min()), float(x @ rates)
-        if (r_x - r_a) + beta * (d_x - d_a) <= _CHORD_TOL:
+        t_x, r_x = float((x @ h).min()), float(x @ rates)
+        if (r_x - r_a) + beta * (t_x - t_a) <= _CHORD_TOL:
             break
-        if level <= d_x:
-            d_b, r_b = d_x, r_x
+        if t_x >= t - _ROUNDOFF:
+            t, t_b, r_b = min(t, t_x), t_x, r_x
         else:
-            d_a, r_a = d_x, r_x
-    return r_a + (r_b - r_a) * (level - d_a) / (d_b - d_a)
+            t_a, r_a = t_x, r_x
+    return r_a + (r_b - r_a) * (t - t_a) / (t_b - t_a)
 
 
 def max_guaranteed_dep(payoff: PayoffMatrix) -> float:

@@ -4,7 +4,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from covertgame.detection import dep_cell, pfa, pm
 from covertgame.experiments import (
@@ -190,12 +190,29 @@ def test_equilibrium_sits_on_frontier(no_jam_payoff):
 
 
 @settings(max_examples=25, deadline=None, derandomize=True)
+# Near-perfect detection (dep down to 1e-36) and steep frontier ends, where
+# an earlier search interpolated toward an unachievable end or missed a
+# vertex hidden below the game LP's tolerance.
+@example([99, 85], [288, 276, 139, 57, 292, 253, 280], 0.25, 0.25)
+@example([65, 86], [0, 154, 95, 47, 49, 85, 143], 0.25, 0.25)
+@example([49, 99, 82, 69, 48, 65], [147, 41, 103, 66, 215, 0, 80], 0.25, 0.33524189526837184)
+@example([81, 85, 75], [240, 49, 229, 110, 65, 89, 289], 0.3166111203531383, 0.645813749662807)
+@example([93, 83, 39, 86, 34, 95], [299, 62, 176, 40, 185, 27, 211], 0.25, 0.012818826934265285)
+@example([86, 53], [236, 0, 85, 296, 45, 51, 274], 0.25, 0.6965321668758065)
+# At the largest guaranteeable dep: a chord solve failed verification, a
+# mixture met the level only up to roundoff, and one fell 1.7e-13 short.
+@example([16, 46, 94, 98, 11], [102, 83, 56, 282, 279, 117, 299], 1.4899790829276043, 1.0)
+@example([19, 23, 14, 85], [289, 25, 83, 179, 194, 177, 86], 0.3277673844739826, 1.0)
+@example([19, 39, 42, 80, 23], [97, 300, 223, 77, 200, 0, 11], 0.25, 1.0)
+# Two levels that a floating-point frontier LP got wrong by 0.045 and 0.019.
+@example([54, 49], [187, 188, 217, 207, 122, 136, 100], 3.1738374119072335, 1.0)
+@example([59, 82, 4, 46, 7], [52, 49, 51, 215, 17, 231, 0], 0.25, 0.3858003753161342)
 @given(powers=st.lists(st.integers(1, 100), min_size=2, max_size=6, unique=True),
        thresholds=st.lists(st.integers(0, 300), min_size=7, max_size=7, unique=True),
        sigma_w_sq=st.floats(0.25, 4.0),
        fraction=st.floats(0.0, 1.0))
 def test_frontier_matches_exact_lp(powers, thresholds, sigma_w_sq, fraction):
-    # The chord search against the frontier LP solved in exact rationals:
+    # The frontier against its LP solved in exact rationals:
     # max x.rate s.t. x.dep[:, j] >= level for every threshold j, x on the simplex.
     s = dataclasses.replace(
         default_scenario(), sigma_w_sq_mw=sigma_w_sq,
@@ -207,6 +224,18 @@ def test_frontier_matches_exact_lp(powers, thresholds, sigma_w_sq, fraction):
     exact = exact_lp_value("max", payoff.rate_terms, [*payoff.dep_terms.T, np.ones(k)],
                            [level] * m + [1.0], [">="] * m + ["="], [(0.0, 1.0)] * k)
     assert frontier_rate(payoff, level) == pytest.approx(float(exact), abs=1e-9)
+
+
+def test_dominance_check_at_the_largest_guaranteeable_dep(no_jam_payoff):
+    # The quietest constant baseline's dep is the maximum itself, computed
+    # apart from the game LP; one ulp past it is still that point.
+    quiet = constant_baseline(no_jam_payoff, 0.02)
+    top = max_guaranteed_dep(no_jam_payoff)
+    assert quiet.dep == top
+    report = dominance_check(no_jam_payoff, [], [quiet])
+    assert report.entries[0].advantage == pytest.approx(0.0, abs=1e-9)
+    past = float(np.nextafter(top, 1.0))
+    assert frontier_rate(no_jam_payoff, past) == pytest.approx(quiet.expected_rate, abs=1e-9)
 
 
 def test_dominance_check_exact(no_jam_payoff):
