@@ -26,7 +26,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import lpsolve
-from .detection import MixedStrategy, dep_grid, pfa_grid, pm_grid
+# dep_grid stays bound here although unused: perfbench's tracer test checks
+# that the tracer rewraps this binding.
+from .detection import MixedStrategy, dep_grid, pfa_grid, pm_grid  # noqa: F401
 from .model import PrunedScenario, Scenario
 from .rate import action_rate
 
@@ -283,16 +285,18 @@ def verify_equilibrium(entries, solution: EquilibriumSolution,
     return VerificationReport(row_gap=row_gap, col_gap=col_gap, ok=ok)
 
 
-def threshold_best_response(s, joint: MixedStrategy, tie_tol: float = 1e-12) -> tuple[int, ...]:
+def threshold_best_response(payoff: PayoffMatrix, joint: MixedStrategy,
+                            tie_tol: float = 1e-12) -> tuple[int, ...]:
     """Detector's pure best responses against a mixed transmission strategy.
 
     Minimizes the expected detection-error probability alone over the
     threshold grid and returns every index within ``tie_tol`` of the
     minimum.  Because the full game payoff only adds a threshold-independent
     rate term and scales dep by beta > 0, this is also the best-response set
-    under the zero-sum payoff.
+    under the zero-sum payoff.  ``joint`` must mix over ``payoff.actions``.
     """
-    cells = dep_grid(s, tuple(joint.actions))
-    expected = joint.prob_array() @ cells
+    if tuple(joint.actions) != payoff.actions:
+        raise ValueError("joint strategy actions do not match the payoff rows")
+    expected = joint.prob_array() @ payoff.dep_terms
     best = float(expected.min())
     return tuple(int(i) for i in np.flatnonzero(expected <= best + tie_tol))

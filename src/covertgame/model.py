@@ -22,6 +22,7 @@ from dataclasses import dataclass, field, fields, replace
 from decimal import Decimal, InvalidOperation
 
 from .rate import action_rate
+from .specfun import MAX_SHAPE
 
 __all__ = [
     "Scenario",
@@ -81,7 +82,8 @@ class Scenario:
     """Immutable problem instance for the covert-communication games.
 
     Attributes:
-        blocklength_n: channel uses per transmission block.
+        blocklength_n: channel uses per transmission block, 1 to
+            ``specfun.MAX_SHAPE`` (the accuracy domain of the detector model).
         sigma_b_sq_mw: noise power at the intended receiver, mW.
         sigma_w_sq_mw: noise power at the detector, mW.
         delta: decoding error probability target, in (0, 1).
@@ -108,6 +110,9 @@ class Scenario:
     def __post_init__(self):
         if not isinstance(self.blocklength_n, int) or self.blocklength_n < 1:
             raise ScenarioError(f"blocklength_n must be a positive integer, got {self.blocklength_n!r}")
+        if self.blocklength_n > MAX_SHAPE:
+            raise ScenarioError(f"blocklength_n must be at most {MAX_SHAPE}, where the detection "
+                                f"probabilities are accurate, got {self.blocklength_n}")
         for name in ("sigma_b_sq_mw", "sigma_w_sq_mw", "delta", "alpha", "beta"):
             if not math.isfinite(getattr(self, name)):
                 raise ScenarioError(f"{name} must be finite, got {getattr(self, name)}")

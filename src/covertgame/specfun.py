@@ -21,11 +21,16 @@ which is evaluated term by term in log space.  Writing the log term as
 
     ln t_k = (k - x) + k*log1p((x - k)/k) - (0.5*ln(2*pi*k) + tail(k))
 
-keeps every contributing piece small near the dominant terms (k close to x),
-so the result carries absolute error well under 1e-12 for n <= 2000 and
-x <= 10n.  The scalar path accumulates with ``math.fsum`` (compensated
-summation); the grid path uses numpy's pairwise sum, which is cross-checked
-against the scalar path in the test suite.
+keeps every contributing piece small near the dominant terms (k close to x).
+The scalar path adds all n terms with ``math.fsum`` (compensated summation);
+the grid path adds, in increasing k, only the O(sqrt(x)) terms in each
+point's window, and is cross-checked against the scalar path and the full
+sum in the test suite.
+
+Accuracy domain: 1 <= n <= MAX_SHAPE and x >= 0.  There both paths stay
+within 1e-10 absolute error, and 1e-12 relative error wherever Q > 1e-300,
+of a 60-digit oracle (measured: about 1e-13), tested at x < 1, near n - 1,
+n +- 9 sqrt(n) and out to 5n.  Scenarios with a longer block are rejected.
 """
 
 from __future__ import annotations
@@ -39,9 +44,23 @@ __all__ = ["reg_gamma_q", "reg_gamma_q_grid", "gaussian_q", "gaussian_q_inv"]
 
 _LN_2PI = math.log(2.0 * math.pi)
 
+# Largest shape n inside the tested accuracy domain (module docstring).
+MAX_SHAPE = 100_000
+
 # Index below which ln k! is taken from math.lgamma instead of the Stirling
 # series; at k >= 15 the truncated series is accurate to well under 1e-13.
 _STIRLING_MIN_K = 15
+
+# Poisson-term window of reg_gamma_q_grid: half-width in units of sqrt(x),
+# extra reach above the mode, and the e-folds of decay below k = n-1 < x
+# past which terms are dropped (see _windows).
+_WINDOW_SIGMAS = 9.0
+_WINDOW_PAD = 27.0
+_WINDOW_DECAY = 39.0
+
+# Cells (rows x points) of one chunk's term table: 256 KiB of float64, so
+# the temporaries stay in cache.
+_CHUNK_CELLS = 32 * 1024
 
 
 def _stirling_tail(k: float) -> float:
@@ -109,7 +128,9 @@ def reg_gamma_q(n: int, x: float) -> float:
             base = math.lgamma(k + 1.0) - (k * math.log(k) - k)
         else:
             base = 0.5 * (_LN_2PI + math.log(k)) + _stirling_tail(k)
-        terms.append((k - x) + k * math.log1p((x - k) / k) - base)
+        ratio = (x - k) / k
+        if ratio > -1.0:  # else x is so far below k that the term is 0
+            terms.append((k - x) + k * math.log1p(ratio) - base)
     total = math.fsum(math.exp(t) for t in terms)
     return min(1.0, max(0.0, total))
 
@@ -118,8 +139,9 @@ def reg_gamma_q_grid(n: int, x: np.ndarray) -> np.ndarray:
     """Vectorized Q(n, x) over an array of evaluation points.
 
     Same quantity as ``reg_gamma_q`` but evaluated for many x at once, which
-    is what payoff-matrix assembly needs.  Work is chunked so the (n, chunk)
-    intermediate never grows past roughly 100 MB.
+    is what payoff-matrix assembly needs.  Each point sums only the Poisson
+    terms inside its own window (see ``_windows``), O(sqrt(x)) of them, in
+    increasing k; each cell depends on (n, x) alone, not on the other points.
 
     Args:
         n: integer shape, n >= 1.
@@ -133,24 +155,62 @@ def reg_gamma_q_grid(n: int, x: np.ndarray) -> np.ndarray:
     if x.size and not float(np.min(x)) >= 0.0:
         raise ValueError("x must be nonnegative")
     flat = np.atleast_1d(x).ravel()
-    out = np.empty_like(flat)
+    out = np.where(flat == 0.0, 1.0, 0.0)  # Q(n, 0) = 1 and Q(n, inf) = 0
+    inner = (flat > 0.0) & (flat < math.inf)
+    xs, inverse = np.unique(flat[inner], return_inverse=True)
+    out[inner] = _q_sorted(n, xs)[inverse]
+    return out.reshape(x.shape)
+
+
+def _windows(n: int, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """First and last k of the Poisson terms that Q(n, x) must sum.
+
+    Above the mode, ln(t_k / t_x) <= -a^2 / (2(x + a/3)) at k = x + a
+    (Bennett), which is below -40.5 at a = 9 sqrt(x) + 27.  Below it the
+    terms fall at least as fast as a Gaussian of variance x, and below
+    k = n-1 < x each step down shrinks a term by k/x <= (n-1)/x.  Every
+    dropped term is under about e^-39 of the largest kept one, so the
+    window keeps relative accuracy even where Q is far below 1e-300.
+    """
+    root = np.sqrt(xs)
+    hi = np.minimum(np.ceil(xs + _WINDOW_SIGMAS * root + _WINDOW_PAD), n - 1)
+    lo = np.floor(np.minimum(xs, n - 1) - _WINDOW_SIGMAS * root)
+    past = xs > n - 1
+    with np.errstate(divide="ignore"):  # x/(n-1) may round to 1: no cap
+        steps = np.ceil(_WINDOW_DECAY / np.log(xs[past] / (n - 1)))
+    lo[past] = np.maximum(lo[past], n - 1 - steps)
+    return np.maximum(lo, 1.0), hi
+
+
+def _q_sorted(n: int, xs: np.ndarray) -> np.ndarray:
+    """Q(n, x) at sorted, finite, positive points, one cache-sized chunk at a time."""
+    if n == 1:
+        return np.exp(-xs)
     k, base = _poisson_tables(n)
-    chunk = max(1, (64 * 1024 * 1024) // (8 * max(1, n)))
-    for lo in range(0, flat.size, chunk):
-        xs = flat[lo:lo + chunk]
-        if n == 1:
-            total = np.exp(-xs)
-        else:
-            with np.errstate(divide="ignore", invalid="ignore"):
-                ln_t = (k[:, None] - xs[None, :]) \
-                    + k[:, None] * np.log1p((xs[None, :] - k[:, None]) / k[:, None]) \
-                    - base[:, None]
-            total = np.exp(-xs) + np.exp(ln_t).sum(axis=0)
-        out[lo:lo + chunk] = total
-    np.clip(out, 0.0, 1.0, out=out)
-    out[flat == 0.0] = 1.0
-    out[flat == math.inf] = 0.0
-    return out.reshape(x.shape) if x.shape else out.reshape(())
+    lo, hi = _windows(n, xs)
+    out = np.empty_like(xs)
+    start = 0
+    while start < xs.size:
+        # hi rises with x, so a chunk's row count (max hi - min lo + 1) only
+        # grows as points join it; take the most points within budget.
+        cap = start + max(1, _CHUNK_CELLS // int(hi[start] - lo[start] + 1))
+        rows = hi[start:cap] - np.minimum.accumulate(lo[start:cap]) + 1
+        cells = rows * np.arange(1, rows.size + 1)
+        stop = start + max(1, int(np.searchsorted(cells, _CHUNK_CELLS, side="right")))
+        first, last = int(lo[start:stop].min()), int(hi[stop - 1])
+        kk = k[first - 1:last, None]
+        xc = xs[None, start:stop]
+        with np.errstate(divide="ignore"):  # tiny x rounds (x - k)/k to -1: t_k = 0
+            ln_t = (kk - xc) + kk * np.log1p((xc - kk) / kk) - base[first - 1:last, None]
+        ln_t[(kk < lo[None, start:stop]) | (kk > hi[None, start:stop])] = -math.inf
+        terms = np.exp(ln_t, out=ln_t)
+        # Sum in increasing k so the zeros outside a point's window are exact
+        # no-ops.  numpy reduces axis 0 row by row, except a lone column,
+        # which it sums pairwise; cumsum is sequential for that one.
+        total = terms.sum(axis=0) if terms.shape[1] > 1 else np.cumsum(terms[:, 0])[-1:]
+        out[start:stop] = np.exp(-xs[start:stop]) + total
+        start = stop
+    return np.clip(out, 0.0, 1.0, out=out)
 
 
 def gaussian_q(x: float) -> float:

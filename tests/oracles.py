@@ -68,6 +68,30 @@ def gamma_q_reference(n: int, x) -> mp.mpf:
     raise RuntimeError(f"series stalled at n={n}, x={x}")
 
 
+def gamma_q_full_sum(x, k: np.ndarray, base: np.ndarray) -> np.ndarray:
+    """Q(n, x) summing all n Poisson terms of every point, in increasing k.
+
+    The full-width sum that the package's windowed grid path replaced, kept
+    as its reference.  ``k`` = 1..n-1 and ``base`` = ln k! - (k ln k - k)
+    are the caller's tables, so the two paths share every term bit for bit
+    and differ only in which terms they add.
+    """
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    out = np.exp(-x)
+    if k.size:
+        chunk = max(1, (16 * 1024 * 1024) // (8 * k.size))
+        for lo in range(0, x.size, chunk):
+            xs = x[None, lo:lo + chunk]
+            with np.errstate(divide="ignore", invalid="ignore"):
+                ln_t = (k[:, None] - xs) + k[:, None] * np.log1p((xs - k[:, None]) / k[:, None]) \
+                    - base[:, None]
+            out[lo:lo + chunk] += np.cumsum(np.exp(ln_t), axis=0)[-1]
+    np.clip(out, 0.0, 1.0, out=out)
+    out[x == 0.0] = 1.0
+    out[x == math.inf] = 0.0
+    return out
+
+
 def gaussian_quantile_reference(p) -> mp.mpf:
     """x with erfc(x / sqrt 2) / 2 = p, by plain bisection on [-40, 40]."""
     p = mp.mpf(p)

@@ -137,7 +137,7 @@ def test_criterion_03_best_response_sets_match(no_jam):
         assert dep_set == total_set
         joint = dataclasses.replace(no_jam.solution.row_strategy,
                                     probs=tuple(x))
-        assert set(threshold_best_response(s, joint)) == dep_set
+        assert set(threshold_best_response(payoff, joint)) == dep_set
         checked += 1
     _verdict(3, True, (
         f"detection-error and negated-total-payoff best-response sets "

@@ -131,6 +131,13 @@ def test_non_finite_override_exits_2(tmp_path, capsys, override, key):
     assert "pruning removed every action" not in err
 
 
+def test_blocklength_beyond_accuracy_domain_exits_2(tmp_path, capsys):
+    code = main(["solve", "--set", "blocklength_n=1000001", "--out", str(tmp_path / "x")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "blocklength_n must be at most 100000" in err
+
+
 def test_lp_error_exits_3_with_one_line(tmp_path, scenario_file, capsys, monkeypatch):
     def unbounded(lp, max_iterations=None):
         raise lpsolve.UnboundedError("no blocking bound or basic variable")

@@ -198,7 +198,7 @@ def test_threshold_best_response_matches_dep_minimum():
     payoff = build_payoff(pruned)
     sol = solve_game(payoff)
     joint = sol.row_strategy
-    best = threshold_best_response(s, joint)
+    best = threshold_best_response(payoff, joint)
     cells = dep_grid(s, tuple(joint.actions))
     expected = joint.prob_array() @ cells
     assert set(best) == set(np.flatnonzero(expected <= expected.min() + 1e-12))
@@ -206,3 +206,10 @@ def test_threshold_best_response_matches_dep_minimum():
     support_thresholds = {sol.col_strategy.actions[i] for i in sol.col_strategy.support()}
     best_thresholds = {s.threshold_grid[i] for i in best}
     assert support_thresholds <= best_thresholds
+
+
+def test_threshold_best_response_rejects_foreign_actions():
+    payoff = build_payoff(prune_negative_rate(default_scenario()))
+    foreign = MixedStrategy.uniform(payoff.actions[1:])
+    with pytest.raises(ValueError, match="do not match the payoff rows"):
+        threshold_best_response(payoff, foreign)

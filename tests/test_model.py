@@ -92,6 +92,9 @@ def test_db_conversions():
 def test_scenario_validation():
     with pytest.raises(ScenarioError, match="blocklength_n"):
         small_scenario(blocklength_n=0)
+    with pytest.raises(ScenarioError, match="blocklength_n must be at most 100000"):
+        small_scenario(blocklength_n=100_001)
+    assert small_scenario(blocklength_n=100_000).blocklength_n == 100_000
     with pytest.raises(ScenarioError, match="delta"):
         small_scenario(delta=1.0)
     with pytest.raises(ScenarioError, match="alpha"):
