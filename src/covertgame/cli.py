@@ -38,7 +38,6 @@ from .model import (
     prune_negative_rate,
     serialize_scenario,
 )
-from .rate import expected_rate
 from .simkit import estimate_detection
 
 __all__ = ["main"]
@@ -133,7 +132,7 @@ def _write_solution(out: _OutDir, payoff, solution):
     pfa_val, pm_val = payoff.error_rates(solution.row_strategy, solution.col_strategy)
     summary = {
         "game_value": solution.value,
-        "expected_rate": expected_rate(payoff.scenario, solution.row_strategy),
+        "expected_rate": payoff.expected_rate(solution.row_strategy),
         "pfa": pfa_val,
         "pm": pm_val,
         "dep": pfa_val + pm_val,

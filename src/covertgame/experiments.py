@@ -20,7 +20,6 @@ from .detection import MixedStrategy
 from .lpsolve import InfeasibleError
 from .matrixgame import PayoffMatrix, build_payoff, solve_game
 from .model import Scenario, decimal_range, default_scenario, prune_negative_rate
-from .rate import expected_rate
 
 __all__ = [
     "TradeoffPoint",
@@ -103,7 +102,7 @@ def _point_from_solution(payoff: PayoffMatrix, solution) -> TradeoffPoint:
     pfa_val, pm_val = payoff.error_rates(solution.row_strategy, solution.col_strategy)
     return TradeoffPoint(
         beta=payoff.beta,
-        expected_rate=expected_rate(payoff.scenario, solution.row_strategy),
+        expected_rate=payoff.expected_rate(solution.row_strategy),
         pfa=pfa_val,
         pm=pm_val,
         dep=pfa_val + pm_val,
@@ -146,7 +145,7 @@ def _best_threshold_result(payoff: PayoffMatrix, label: str, parameter: float,
         parameter=parameter,
         row_strategy=strategy,
         best_threshold=payoff.thresholds[m],
-        expected_rate=expected_rate(payoff.scenario, strategy),
+        expected_rate=payoff.expected_rate(strategy, rows),
         pfa=float(x @ pfa_cells[:, m]),
         pm=float(x @ pm_cells[:, m]),
     )

@@ -139,27 +139,23 @@ class _Simplex:
         sign = 1.0 if lp.sense == "min" else -1.0
         self.obj_sign = sign
 
-        n_slack = sum(1 for k in lp.kinds if k != "=")
-        ncols = n + n_slack
+        kinds = np.array(lp.kinds, dtype="U2")
+        slack_rows = np.flatnonzero(kinds != "=")
+        ncols = n + slack_rows.size
         cols = np.zeros((m, ncols))
         cols[:, :n] = scaled
         self.slack_of_row = np.full(m, -1, dtype=int)
-        j = n
-        for i, kind in enumerate(lp.kinds):
-            if kind == "<=":
-                cols[i, j] = 1.0
-                self.slack_of_row[i] = j
-                j += 1
-            elif kind == ">=":
-                cols[i, j] = -1.0
-                self.slack_of_row[i] = j
-                j += 1
+        self.slack_of_row[slack_rows] = np.arange(n, ncols)
+        cols[slack_rows, self.slack_of_row[slack_rows]] = np.where(
+            kinds[slack_rows] == "<=", 1.0, -1.0)
 
-        lo = np.full(ncols, 0.0)
+        # Slacks are nonnegative; a None bound is infinite.
+        lo = np.zeros(ncols)
         hi = np.full(ncols, np.inf)
-        for jj, (l, h) in enumerate(lp.bounds):
-            lo[jj] = -np.inf if l is None else l / col_scale[jj]
-            hi[jj] = np.inf if h is None else h / col_scale[jj]
+        lo[:n] = [-np.inf if l is None else l for l, _ in lp.bounds]
+        hi[:n] = [np.inf if h is None else h for _, h in lp.bounds]
+        lo[:n] /= col_scale
+        hi[:n] /= col_scale
 
         self.cols, self.lo, self.hi = cols, lo, hi
         self.b = lp.rhs * row_scale
@@ -171,58 +167,37 @@ class _Simplex:
         self.iterations = 0
         self.n_real = ncols
 
-    # -- state helpers ------------------------------------------------------
-
-    def _start_value(self, j: int) -> float:
-        if np.isfinite(self.lo[j]):
-            return self.lo[j]
-        if np.isfinite(self.hi[j]):
-            return self.hi[j]
-        return 0.0
-
-    def _start_status(self, j: int) -> int:
-        if np.isfinite(self.lo[j]):
-            return _AT_LO
-        if np.isfinite(self.hi[j]):
-            return _AT_UP
-        return _AT_FREE
-
     def setup(self):
-        ncols = self.cols.shape[1]
-        self.status = np.array([self._start_status(j) for j in range(ncols)], dtype=int)
-        self.xval = np.array([self._start_value(j) for j in range(ncols)])
+        # Each variable starts at its lower bound if finite, else at its
+        # upper bound if finite, else free at zero.
+        lo_set, hi_set = np.isfinite(self.lo), np.isfinite(self.hi)
+        self.status = np.where(lo_set, _AT_LO, np.where(hi_set, _AT_UP, _AT_FREE))
+        self.xval = np.where(lo_set, self.lo, np.where(hi_set, self.hi, 0.0))
         resid = self.b - self.cols @ self.xval
 
+        # A row's slack starts basic when that puts it at a nonnegative value;
+        # every other row gets an artificial column signed to match resid.
         basis = np.full(self.m, -1, dtype=int)
-        art_cols, art_rows = [], []
-        for i in range(self.m):
-            s = self.slack_of_row[i]
-            if s >= 0:
-                coef = self.cols[i, s]
-                val = resid[i] / coef
-                if val >= 0.0:
-                    basis[i] = s
-                    self.xval[s] = val
-                    self.status[s] = _BASIC
-                    continue
-            col = np.zeros(self.m)
-            col[i] = 1.0 if resid[i] >= 0.0 else -1.0
-            art_cols.append(col)
-            art_rows.append(i)
+        rows = np.flatnonzero(self.slack_of_row >= 0)
+        slacks = self.slack_of_row[rows]
+        vals = resid[rows] / self.cols[rows, slacks]
+        ok = vals >= 0.0
+        basis[rows[ok]] = slacks[ok]
+        self.xval[slacks[ok]] = vals[ok]
+        self.status[slacks[ok]] = _BASIC
+        art_rows = np.flatnonzero(basis < 0)
 
-        if art_cols:
-            art = np.column_stack(art_cols)
+        if art_rows.size:
+            k = art_rows.size
+            art = np.zeros((self.m, k))
+            art[art_rows, np.arange(k)] = np.where(resid[art_rows] >= 0.0, 1.0, -1.0)
             self.cols = np.hstack([self.cols, art])
-            self.lo = np.concatenate([self.lo, np.zeros(len(art_rows))])
-            self.hi = np.concatenate([self.hi, np.full(len(art_rows), np.inf)])
-            self.cost = np.concatenate([self.cost, np.zeros(len(art_rows))])
-            base = self.n_real
-            for k, i in enumerate(art_rows):
-                basis[i] = base + k
+            self.lo = np.concatenate([self.lo, np.zeros(k)])
+            self.hi = np.concatenate([self.hi, np.full(k, np.inf)])
+            self.cost = np.concatenate([self.cost, np.zeros(k)])
+            basis[art_rows] = self.n_real + np.arange(k)
             self.xval = np.concatenate([self.xval, np.abs(resid[art_rows])])
-            self.status = np.concatenate(
-                [self.status, np.full(len(art_rows), _BASIC, dtype=int)]
-            )
+            self.status = np.concatenate([self.status, np.full(k, _BASIC, dtype=int)])
         self.basis = basis
         self.refresh_inverse()
 

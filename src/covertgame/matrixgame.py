@@ -30,7 +30,6 @@ from . import lpsolve
 # that the tracer rewraps this binding.
 from .detection import MixedStrategy, dep_grid, pfa_grid, pm_grid  # noqa: F401
 from .model import PrunedScenario, Scenario
-from .rate import action_rate
 
 __all__ = [
     "PayoffMatrix",
@@ -112,16 +111,29 @@ class PayoffMatrix:
         x, y = row.prob_array(), col.prob_array()
         return float(x @ self.pfa_terms @ y), float(x @ self.pm_terms @ y)
 
+    def expected_rate(self, row: MixedStrategy, rows=None) -> float:
+        """Expected rate of a mixed strategy over all of this table's rows, or
+        over the listed ``rows`` in order.
+
+        Read from ``rate_terms`` and summed as ``rate.expected_rate`` sums,
+        so the two agree bit for bit.
+        """
+        rates = self.rate_terms if rows is None else self.rate_terms[rows]
+        if len(rates) != len(row.probs):
+            raise ValueError(f"{len(row.probs)} probabilities for {len(rates)} table rows")
+        return float(math.fsum(prob * rate for prob, rate in zip(row.probs, rates.tolist())))
+
 
 def build_payoff(pruned: PrunedScenario) -> PayoffMatrix:
     """Assemble the payoff matrix for a pruned scenario.
 
-    Every P_FA and P_M cell is evaluated exactly once here; rows follow the
-    pruned action order (power fastest within each jam level), columns
-    follow the threshold grid.
+    Every P_FA and P_M cell is evaluated exactly once here and the rates
+    are the ones pruning computed; rows follow the pruned action order
+    (power fastest within each jam level), columns follow the threshold
+    grid.
     """
     s = pruned.scenario
-    rates = np.array([action_rate(s, p, j) for p, j in pruned.actions])
+    rates = pruned.rates
     pfa = pfa_grid(s, pruned.actions)
     pm = pm_grid(s, pruned.actions)
     dep = pfa + pm
@@ -230,6 +242,8 @@ def solve_game(entries, row_actions=None, col_actions=None) -> EquilibriumSoluti
     A = np.asarray(entries, dtype=float)
     if A.ndim != 2 or 0 in A.shape:
         raise ValueError(f"payoff matrix must be 2-d and nonempty, got shape {A.shape}")
+    if not np.isfinite(A).all():  # e.g. an infinite rate where the SNR overflows
+        raise GameSolveError("payoff matrix has non-finite entries")
     rows, cols = A.shape
     if row_actions is None:
         row_actions = tuple(range(rows))

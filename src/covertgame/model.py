@@ -21,7 +21,9 @@ import math
 from dataclasses import dataclass, field, fields, replace
 from decimal import Decimal, InvalidOperation
 
-from .rate import action_rate
+import numpy as np
+
+from .rate import action_snr, normal_approx_rate
 from .specfun import MAX_SHAPE
 
 __all__ = [
@@ -190,16 +192,17 @@ def joint_actions(s: Scenario) -> tuple[tuple[float, float], ...]:
 
 @dataclass(frozen=True)
 class PrunedScenario:
-    """A scenario together with its surviving joint actions.
+    """A scenario together with its surviving joint actions and their rates.
 
     Pairs whose achievable rate is strictly negative are dropped; zero-rate
     actions stay.  In the jammer game the survivors are generally not a
     product grid (high jamming kills low powers first), which is why the
-    action list is explicit.
+    action list is explicit.  ``rates`` (read-only) follows ``actions``.
     """
 
     scenario: Scenario
     actions: tuple[tuple[float, float], ...]
+    rates: np.ndarray = field(repr=False, compare=False)
 
     @property
     def thresholds(self) -> tuple[float, ...]:
@@ -212,15 +215,24 @@ class PrunedScenario:
 
 
 def prune_negative_rate(s: Scenario) -> PrunedScenario:
-    """Drop every (power, jam) action whose rate is strictly negative."""
-    survivors = tuple(
-        (p, j) for (p, j) in joint_actions(s) if action_rate(s, p, j) >= 0.0
-    )
-    if not survivors:
+    """Drop every (power, jam) action whose rate is strictly negative.
+
+    The rates of all joint actions come from one array evaluation, in the
+    order of ``joint_actions``, and equal ``rate.action_rate`` bit for bit.
+    """
+    powers = np.tile(s.power_grid, len(s.jam_grid))
+    jams = np.repeat(s.jam_grid, len(s.power_grid))
+    rates = normal_approx_rate(action_snr(s, powers, jams), s.blocklength_n, s.delta)
+    keep = np.flatnonzero(rates >= 0.0)
+    if not keep.size:
         raise ScenarioError(
             "pruning removed every action; all configured powers give negative rate"
         )
-    return PrunedScenario(scenario=s, actions=survivors)
+    actions = joint_actions(s)
+    rates = rates[keep]
+    rates.flags.writeable = False
+    return PrunedScenario(scenario=s, actions=tuple(actions[i] for i in keep.tolist()),
+                          rates=rates)
 
 
 # ---------------------------------------------------------------------------

@@ -54,9 +54,15 @@ def normal_approx_rate(snr, n: int, delta: float):
     return float(rate) if np.isscalar(snr) or rate.shape == () else rate
 
 
-def action_snr(s: "Scenario", power: float, jam: float) -> float:
-    """SNR at the intended receiver for transmit power P and jamming power J."""
-    return power / (s.sigma_b_sq_mw + s.alpha * s.alpha * jam)
+def action_snr(s: "Scenario", power, jam):
+    """SNR at the intended receiver for transmit power P and jamming power J.
+
+    Scalars or equal-shape arrays; each element is computed as the scalar,
+    and arrays stay as quiet as Python floats where the SNR overflows or a
+    huge alpha meets zero jamming (NaN, pruned).
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        return power / (s.sigma_b_sq_mw + s.alpha * s.alpha * jam)
 
 
 def action_rate(s: "Scenario", power: float, jam: float) -> float:

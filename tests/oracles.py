@@ -92,6 +92,37 @@ def gamma_q_full_sum(x, k: np.ndarray, base: np.ndarray) -> np.ndarray:
     return out
 
 
+def gamma_q_windowed_reference(xs: np.ndarray, k: np.ndarray, base: np.ndarray,
+                               lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Q(n, x) at sorted positive points, summing each point's window [lo, hi].
+
+    The package's windowed kernel as it was before its scratch tables and
+    edge-row masks, kept as the bit-for-bit reference for them: a fresh
+    term table per 32 Ki-cell chunk, every cell masked, the same summation
+    order.  ``k``, ``base`` and the windows are the caller's, as for
+    ``gamma_q_full_sum``.
+    """
+    chunk_cells = 32 * 1024
+    out = np.empty_like(xs)
+    start = 0
+    while start < xs.size:
+        cap = start + max(1, chunk_cells // int(hi[start] - lo[start] + 1))
+        rows = hi[start:cap] - np.minimum.accumulate(lo[start:cap]) + 1
+        cells = rows * np.arange(1, rows.size + 1)
+        stop = start + max(1, int(np.searchsorted(cells, chunk_cells, side="right")))
+        first, last = int(lo[start:stop].min()), int(hi[stop - 1])
+        kk = k[first - 1:last, None]
+        xc = xs[None, start:stop]
+        with np.errstate(divide="ignore"):
+            ln_t = (kk - xc) + kk * np.log1p((xc - kk) / kk) - base[first - 1:last, None]
+        ln_t[(kk < lo[None, start:stop]) | (kk > hi[None, start:stop])] = -math.inf
+        terms = np.exp(ln_t, out=ln_t)
+        total = terms.sum(axis=0) if terms.shape[1] > 1 else np.cumsum(terms[:, 0])[-1:]
+        out[start:stop] = np.exp(-xs[start:stop]) + total
+        start = stop
+    return np.clip(out, 0.0, 1.0, out=out)
+
+
 def gaussian_quantile_reference(p) -> mp.mpf:
     """x with erfc(x / sqrt 2) / 2 = p, by plain bisection on [-40, 40]."""
     p = mp.mpf(p)

@@ -1,5 +1,7 @@
 """End-to-end tests of the command-line interface."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -7,10 +9,14 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import covertgame
-from covertgame import detection, lpsolve, specfun
+from covertgame import cli, detection, lpsolve, specfun
 from covertgame.cli import main
+from covertgame.matrixgame import build_payoff, solve_game
+from covertgame.model import default_scenario, prune_negative_rate
+from covertgame.rate import expected_rate
 
 SMALL_SCENARIO = """\
 blocklength_n = 200
@@ -147,6 +153,17 @@ def test_lp_error_exits_3_with_one_line(tmp_path, scenario_file, capsys, monkeyp
     assert code == 3
     err = capsys.readouterr().err
     assert err.startswith("numerical failure: UnboundedError")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_infinite_rates_exit_3_quietly(tmp_path, capsys):
+    # A subnormal receiver noise overflows every SNR, so every rate is
+    # infinite: a reported numerical failure, not numpy warnings.
+    code = main(["solve", "--set", "sigma_b_sq_mw=1e-320", "--out", str(tmp_path / "x")])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: GameSolveError: payoff matrix has non-finite")
     assert err.count("\n") == 1
 
 
@@ -322,3 +339,57 @@ def test_argparse_usage_errors(tmp_path, scenario_file, capsys):
         main(["--version"])
     assert info.value.code == 0
     assert "covertgame" in capsys.readouterr().out
+
+
+def test_summary_rate_is_read_from_the_table(tmp_path):
+    payoff = build_payoff(prune_negative_rate(default_scenario()))
+    solution = solve_game(payoff)
+    summary = cli._write_solution(cli._OutDir(str(tmp_path)), payoff, solution)
+    assert summary["expected_rate"] == expected_rate(payoff.scenario, solution.row_strategy)
+
+
+# Override values: numbers, limits, non-finite and malformed text.  Grids stay
+# small: a triple's stop is at most 10 and its step at least 0.25.
+_NUMBER = st.one_of(
+    st.sampled_from(["0", "-0", "1", "-1", "0.5", "1.6", "3", "200", "1e-320", "1e308",
+                     "nan", "inf", "-Infinity", "abc", "", "0x10", "1_0"]),
+    st.floats(0.0, 10.0).map(repr),
+    st.floats().map(repr),
+    st.integers(1, 3000).map(str),
+)
+_GRID = st.one_of(
+    st.lists(_NUMBER, min_size=1, max_size=4).map(", ".join),
+    st.tuples(st.sampled_from(["0", "0.5", "-1", "abc", "1e308"]),
+              st.sampled_from(["0.25", "1", "0", "-1", "x"]),
+              st.sampled_from(["0", "3", "10", "-2", "nan"])).map(":".join),
+)
+_SETTING = st.one_of(
+    st.tuples(st.sampled_from(["blocklength_n", "sigma_b_sq_mw", "sigma_w_sq_mw", "delta",
+                               "alpha", "beta", "bogus"]), _NUMBER).map("=".join),
+    st.tuples(st.sampled_from(["power_grid", "jam_grid", "threshold_grid"]), _GRID).map("=".join),
+    st.text(alphabet="ab=_ ", max_size=6),
+)
+
+
+@pytest.fixture(scope="module")
+def small_scenario_dir(tmp_path_factory):
+    root = tmp_path_factory.mktemp("set-property")
+    (root / "small.scenario").write_text(SMALL_SCENARIO, encoding="utf-8")
+    return root
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(command=st.sampled_from(["solve", "baseline"]),
+       settings_=st.lists(_SETTING, min_size=1, max_size=2))
+def test_random_overrides_exit_0_2_or_3(small_scenario_dir, command, settings_):
+    argv = [command, "--scenario", str(small_scenario_dir / "small.scenario"),
+            "--out", str(small_scenario_dir / "out")]
+    for item in settings_:
+        argv += ["--set", item]
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects an option-like value
+            code = exc.code
+    assert code in (0, 2, 3), argv

@@ -75,6 +75,18 @@ def test_sweep_points_satisfy_invariants(coarse_sweep):
             point.game_value, abs=1e-9)
 
 
+def test_table_read_expected_rates_equal_scalar_rates(no_jam_payoff):
+    # Sweep points and baselines read their rates from the payoff's table;
+    # the sums must match the scalar rate path bit for bit.
+    s = no_jam_payoff.scenario
+    for point in beta_sweep(s):
+        assert point.expected_rate == expected_rate(s, point.row_strategy)
+    baselines = [uniform_baseline(no_jam_payoff, k) for k in range(2, len(s.power_grid) + 1)]
+    baselines += [constant_baseline(no_jam_payoff, p) for p, _ in no_jam_payoff.actions]
+    for b in baselines:
+        assert b.expected_rate == expected_rate(s, b.row_strategy)
+
+
 def test_sweep_dep_rises_rate_falls(coarse_sweep):
     deps = [p.dep for p in coarse_sweep]
     rates = [p.expected_rate for p in coarse_sweep]

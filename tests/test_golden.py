@@ -1,7 +1,8 @@
 """Byte-identity pins: the default CLI commands against recorded hashes.
 
-Each command runs on a default preset and every data file it writes must
-hash to the recorded sha256 prefix (first 12 hex digits, the table in
+Each command runs on a default preset (``solve-n2000`` with a 2000-use
+block, where the long-block windows matter) and every data file it writes
+must hash to the recorded sha256 prefix (first 12 hex digits, the table in
 ROADMAP.md).  Refactors of the cell table, the solver or the CLI must keep
 these bytes unless a change says otherwise and re-pins them.
 
@@ -34,6 +35,11 @@ GOLDEN = {
     "baseline": (("baseline",), {"baseline.csv": "e38aa4757b16"}),
     "simulate": (("simulate", "--blocks", "100000", "--seed", "0"), {
         "simulate.txt": "738b61c74886",
+    }),
+    "solve-n2000": (("solve", "--set", "blocklength_n=2000"), {
+        "row_strategy.csv": "984670858a0a",
+        "col_strategy.csv": "3af9b86edc6d",
+        "summary.txt": "3bf3c0d3f8e6",
     }),
 }
 

@@ -64,6 +64,22 @@ def test_negative_lower_bounds():
     assert sol.objective == pytest.approx(-3.0, abs=1e-10)
 
 
+@pytest.mark.parametrize("sense, objective, lhs, rhs, kinds, bounds, x", [
+    # max 2x + y, x + y <= 5, x - y >= -2: x starts at its upper bound 3.
+    ("max", [2.0, 1.0], [[1.0, 1.0], [1.0, -1.0]], [5.0, -2.0], ["<=", ">="],
+     [(None, 3.0), (None, 4.0)], [3.0, 2.0]),
+    # min x, x + y >= -3, 0 <= y <= 2: x must leave its upper bound 1.
+    ("min", [1.0, 0.0], [[1.0, 1.0]], [-3.0], [">="],
+     [(None, 1.0), (0.0, 2.0)], [-5.0, 2.0]),
+])
+def test_upper_only_bounds(sense, objective, lhs, rhs, kinds, bounds, x):
+    sol = solve(lp(sense, objective, lhs, rhs, kinds, bounds))
+    assert sol.status == OPTIMAL
+    assert sol.objective == pytest.approx(
+        float(exact_lp_value(sense, objective, lhs, rhs, kinds, bounds)), abs=1e-10)
+    assert sol.x == pytest.approx(x, abs=1e-10)
+
+
 def test_infeasible_raises():
     problem = lp("min", [1.0], [[1.0], [1.0]], [2.0, 1.0],
                  [">=", "<="], [(0.0, None)])

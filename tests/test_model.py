@@ -3,7 +3,9 @@
 import dataclasses
 import math
 
+import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from covertgame.model import (
     Scenario,
@@ -19,6 +21,8 @@ from covertgame.model import (
     prune_negative_rate,
     serialize_scenario,
 )
+from covertgame.rate import action_rate
+from covertgame.specfun import MAX_SHAPE
 
 
 def small_scenario(**over):
@@ -143,6 +147,20 @@ def test_prune_is_idempotent():
     assert again.actions == pruned.actions
 
 
+@pytest.mark.parametrize("with_jammer", [False, True])
+def test_prune_rates_equal_scalar_action_rate(with_jammer):
+    # One array evaluation over every joint action (10,100 with the jammer)
+    # gives the scalar rates bit for bit, and the same survivors.
+    s = default_scenario(with_jammer)
+    scalar = [(a, action_rate(s, *a)) for a in joint_actions(s)]
+    kept = [(a, r) for a, r in scalar if r >= 0.0]
+    pruned = prune_negative_rate(s)
+    assert pruned.actions == tuple(a for a, _ in kept)
+    assert np.array_equal(pruned.rates.view(np.int64),
+                          np.array([r for _, r in kept]).view(np.int64))
+    assert not pruned.rates.flags.writeable
+
+
 def test_prune_all_negative_raises():
     s = small_scenario(power_grid=(0.001, 0.002))
     with pytest.raises(ScenarioError, match="pruning removed every action"):
@@ -154,6 +172,36 @@ def test_parse_round_trip():
         s = default_scenario(with_jammer)
         back = parse_scenario_text(serialize_scenario(s))
         assert back == s
+
+
+def _grid(draw, exclusive: bool) -> tuple[float, ...]:
+    values = draw(st.lists(st.floats(min_value=0.0, max_value=1e12, exclude_min=exclusive),
+                           min_size=1, max_size=5))
+    grid = sorted({round(v, 12) for v in values} - ({0.0} if exclusive else set()))
+    assume(grid)
+    return tuple(grid)
+
+
+@st.composite
+def scenarios(draw) -> Scenario:
+    positive = st.floats(min_value=0.0, max_value=1e300, exclude_min=True)
+    return Scenario(
+        blocklength_n=draw(st.integers(1, MAX_SHAPE)),
+        sigma_b_sq_mw=draw(positive),
+        sigma_w_sq_mw=draw(positive),
+        delta=draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)),
+        alpha=draw(st.floats(0.0, 1e300)),
+        beta=draw(positive),
+        power_grid=_grid(draw, exclusive=True),
+        jam_grid=_grid(draw, exclusive=False),
+        threshold_grid=_grid(draw, exclusive=False),
+    )
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(s=scenarios())
+def test_parse_serialize_round_trip_property(s):
+    assert parse_scenario_text(serialize_scenario(s)) == s
 
 
 def test_parse_grid_triples_match_code_grids():

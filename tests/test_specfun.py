@@ -10,13 +10,19 @@ from covertgame.model import default_scenario
 from covertgame.specfun import (
     MAX_SHAPE,
     _poisson_tables,
+    _windows,
     gaussian_q,
     gaussian_q_inv,
     reg_gamma_q,
     reg_gamma_q_grid,
 )
 
-from oracles import gamma_q_full_sum, gamma_q_reference, gaussian_quantile_reference
+from oracles import (
+    gamma_q_full_sum,
+    gamma_q_reference,
+    gamma_q_windowed_reference,
+    gaussian_quantile_reference,
+)
 
 # Shapes and x/n ratios that bracket everything the detection model asks for.
 SHAPES = [1, 2, 10, 200, 1000]
@@ -143,6 +149,24 @@ def test_grid_matches_full_sum_oracle():
         x = _scenario_points(default_scenario(), n)[::stride]
         full = gamma_q_full_sum(x, *_poisson_tables(n))
         assert np.all(np.abs(reg_gamma_q_grid(n, x) - full) <= 1e-15 * full)
+
+
+@pytest.mark.parametrize("n", [2, 15, 200, 2000, 10_000, MAX_SHAPE])
+def test_grid_matches_windowed_reference_bit_for_bit(n):
+    # The same floating-point operations as the reference kernel: no cell
+    # may move by even one ulp, which the relative full-sum bound above
+    # could not see.  Large shapes sample every 16th scenario point.
+    stride = 1 if n <= 2000 else 16
+    rng = np.random.default_rng(n)
+    x = np.concatenate([
+        _scenario_points(default_scenario(False), n)[::stride],
+        _scenario_points(default_scenario(True), n)[::stride],
+        rng.uniform(0.0, 3.0 * n, 2000),
+        [1e-17, 0.5, n - 1, n, 5 * n, 20 * n],
+    ])
+    xs = np.unique(x[x > 0.0])
+    want = gamma_q_windowed_reference(xs, *_poisson_tables(n), *_windows(n, xs))
+    assert np.array_equal(reg_gamma_q_grid(n, xs).view(np.int64), want.view(np.int64))
 
 
 @pytest.mark.parametrize("n", [1000, 10_000, MAX_SHAPE])
