@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields, replace
-from decimal import Decimal, InvalidOperation
+from decimal import Decimal, InvalidOperation, Overflow, localcontext
 
 import numpy as np
 
@@ -45,6 +45,9 @@ __all__ = [
 # Grid coordinates are snapped to this many decimal places at construction so
 # that arithmetic noise cannot make equal grids compare unequal.
 _GRID_DECIMALS = 12
+
+# Largest number of points in one decimal_range grid.
+MAX_GRID_POINTS = 100_000
 
 
 class ScenarioError(ValueError):
@@ -142,11 +145,17 @@ def decimal_range(start: str, step: str, stop: str) -> tuple[float, ...]:
 
     Endpoints and step are decimal strings, so e.g. ("0", "0.01", "3.00")
     yields exactly 301 points with no binary drift deciding inclusion of the
-    last one.
+    last one.  A grid of more than MAX_GRID_POINTS points is an input error,
+    raised before any point is built.
     """
     d_start, d_step, d_stop = Decimal(start), Decimal(step), Decimal(stop)
     if d_step <= 0:
         raise ScenarioError(f"grid step must be positive, got {step}")
+    with localcontext() as ctx:
+        ctx.traps[Overflow] = False  # an overflowing span of steps is infinite
+        steps = (d_stop - d_start) / d_step
+    if steps >= MAX_GRID_POINTS:
+        raise ScenarioError(f"grid {start}:{step}:{stop} has more than {MAX_GRID_POINTS} points")
     values = []
     k = 0
     while True:

@@ -58,11 +58,11 @@ def action_snr(s: "Scenario", power, jam):
     """SNR at the intended receiver for transmit power P and jamming power J.
 
     Scalars or equal-shape arrays; each element is computed as the scalar,
-    and arrays stay as quiet as Python floats where the SNR overflows or a
-    huge alpha meets zero jamming (NaN, pruned).
+    and arrays stay as quiet as Python floats where the SNR overflows.  Zero
+    jamming adds no noise at any finite alpha, even where alpha^2 overflows.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        return power / (s.sigma_b_sq_mw + s.alpha * s.alpha * jam)
+        return power / (s.sigma_b_sq_mw + np.where(jam == 0, 0.0, s.alpha * s.alpha * jam))
 
 
 def action_rate(s: "Scenario", power: float, jam: float) -> float:

@@ -27,14 +27,23 @@ the grid path adds, in increasing k, only the O(sqrt(x)) terms in each
 point's window, and is cross-checked against the scalar path and the full
 sum in the test suite.
 
-The grid path sorts the points and evaluates them in chunks whose
-(rows x points) term table fits in cache.  A chunk's rows run from the
-lowest window start to the highest window end of its points, and a term
-outside its own point's window is zeroed before the sum, so every cell
-depends on (n, x) alone.  Only the edge rows need that mask: rows from the
-chunk's largest window start to its smallest window end lie inside every
-point's window.  The log terms are built in place in two scratch tables
-reused by all chunks of a call.
+The grid path adds the terms row by row: for each k it computes t_k once,
+over the sorted points whose window holds k, and adds it to their running
+sums.  So each point still adds its own window's terms one k at a time, in
+increasing k, from 0.0, and then adds that sum to e^-x once; a term outside
+its window never enters, and every cell depends on (n, x) alone.  Ordered
+by window end, then window start, the points holding k are one contiguous
+slice, because neither bound falls in that order.  Near points (x <= n-1)
+have both bounds rising with x.  Far-tail points (x > n-1) all end at
+k = n-1, but their starts do not rise with x, hence the second key.  Were
+a start ever to fall by rounding, the points would split there into groups
+with a slice each.  A row holding many points is one 1-D pass.
+Consecutive rows holding few points share a small (rows x points) table
+whose first row carries the running sums and whose terms outside their
+windows are zeroed.  Its axis-0 sum then adds the same terms in the same
+order: numpy sums a row-major table row by row, and a table narrower than
+8 points is stored by column and summed with ``accumulate``, since numpy
+sums contiguous memory pairwise.
 
 Accuracy domain: 1 <= n <= MAX_SHAPE and x >= 0.  There both paths stay
 within 1e-10 absolute error, and 1e-12 relative error wherever Q > 1e-300,
@@ -67,9 +76,12 @@ _WINDOW_SIGMAS = 9.0
 _WINDOW_PAD = 27.0
 _WINDOW_DECAY = 39.0
 
-# Cells (rows x points) of one chunk's term table: 512 KiB of float64, so
-# the two scratch tables stay in cache.
-_CHUNK_CELLS = 64 * 1024
+# A row of the sum (one k) that holds at least this many points is summed
+# in one pass of its own: the pass's fixed cost, about ten numpy calls, is
+# then a small share of its work.  Narrower consecutive rows share a
+# (rows x points) table of at most _TABLE_CELLS cells, 128 KiB of float64.
+_WIDE_ROW = 1024
+_TABLE_CELLS = 16 * 1024
 
 
 def _stirling_tail(k: float) -> float:
@@ -191,50 +203,113 @@ def _windows(n: int, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.maximum(lo, 1.0), hi
 
 
+def _blocks(lo: np.ndarray, hi: np.ndarray, start: int, stop: int) -> list[tuple[int, int, int, int]]:
+    """Row blocks (first k, rows, first point, end point) for points start:stop.
+
+    Neither lo nor hi may fall over start:stop, so the points whose window
+    holds k are the slice [#(hi < k), #(lo <= k)), which changes only where a
+    window starts or ends.  The blocks cover each k held by some window
+    once, in increasing k.  A row of at least _WIDE_ROW points is a block of
+    its own; consecutive narrower rows share one, while the table of their
+    points, with its running-sum row, keeps within _TABLE_CELLS.
+    """
+    lo, hi = lo[start:stop], hi[start:stop]
+    bounds = np.sort(np.concatenate((lo, hi + 1)), kind="stable")  # two sorted runs
+    bounds = bounds[np.r_[True, bounds[1:] != bounds[:-1]]]
+    a = (start + np.searchsorted(hi, bounds[:-1], side="left")).tolist()
+    b = (start + np.searchsorted(lo, bounds[:-1], side="right")).tolist()
+    bounds = bounds.astype(int).tolist()
+    blocks = []
+    j, k = 0, bounds[0]  # k runs over bounds[j] <= k < bounds[j + 1]
+    while j < len(a):
+        if a[j] == b[j]:  # no window holds these k
+            j, k = j + 1, bounds[j + 1]
+            continue
+        first, c0, c1, rows = k, a[j], b[j], 1
+        if b[j] - a[j] >= _WIDE_ROW:
+            k += 1
+            if k == bounds[j + 1]:
+                j += 1
+        else:
+            rows = 0
+            while j < len(a) and 0 < b[j] - a[j] < _WIDE_ROW:
+                take = min(_TABLE_CELLS // (b[j] - c0) - 1 - rows, bounds[j + 1] - k)
+                if take <= 0:
+                    break
+                rows, k, c1 = rows + take, k + take, b[j]
+                if k < bounds[j + 1]:
+                    break
+                j += 1
+        blocks.append((first, rows, c0, c1))
+    return blocks
+
+
+def _table(buf: np.ndarray, rows: int, cols: int, by_column: bool) -> np.ndarray:
+    """A (rows x cols) view of the head of buf, stored by column or by row."""
+    if by_column:
+        return buf[:rows * cols].reshape(cols, rows).T
+    return buf[:rows * cols].reshape(rows, cols)
+
+
 def _q_sorted(n: int, xs: np.ndarray) -> np.ndarray:
-    """Q(n, x) at sorted, finite, positive points, one cache-sized chunk at a time."""
-    out = np.exp(-xs)
+    """Q(n, x) at sorted, finite, positive points, adding their terms one k at a time."""
     if n == 1 or not xs.size:
-        return out
+        return np.exp(-xs)
     k, base = _poisson_tables(n)
     lo, hi = _windows(n, xs)
-    # No chunk holds more cells than the budget or one point's window, nor
-    # more than every row times every point of the call.
-    size = min(max(_CHUNK_CELLS, int((hi - lo).max()) + 1),
-               int(hi[-1] - lo.min() + 1) * xs.size)
+    # Ordered by (hi, lo), the points whose window holds k are one slice
+    # while lo does not fall; a cut starts a new group where it does.
+    order = np.lexsort((lo, hi))
+    lo = lo[order]
+    hi = hi[order]
+    x = xs[order]
+    cuts = [0, *(np.flatnonzero(lo[1:] < lo[:-1]) + 1).tolist(), xs.size]
+    blocks = [block for start, stop in zip(cuts, cuts[1:])
+              for block in _blocks(lo, hi, start, stop)]
+    # A 1-D pass needs one cell per point, a table one more row than it has.
+    size = max((rows + 1 if rows > 1 else 1) * (c1 - c0) for _, rows, c0, c1 in blocks)
     diff_buf, term_buf = np.empty(size), np.empty(size)
-    start = 0
-    while start < xs.size:
-        # hi rises with x, so a chunk's row count (max hi - min lo + 1) only
-        # grows as points join it; take the most points within budget.
-        cap = start + max(1, _CHUNK_CELLS // int(hi[start] - lo[start] + 1))
-        rows = hi[start:cap] - np.minimum.accumulate(lo[start:cap]) + 1
-        cells = rows * np.arange(1, rows.size + 1)
-        stop = start + max(1, int(np.searchsorted(cells, _CHUNK_CELLS, side="right")))
-        lo_c, hi_c = lo[start:stop], hi[start:stop]
-        first, last = int(lo_c.min()), int(hi_c[-1])
-        shape = (last - first + 1, stop - start)
-        used = shape[0] * shape[1]
-        kk = k[first - 1:last, None]
-        diff = np.subtract(xs[None, start:stop], kk, out=diff_buf[:used].reshape(shape))
-        terms = np.divide(diff, kk, out=term_buf[:used].reshape(shape))
-        with np.errstate(divide="ignore"):  # tiny x rounds (x - k)/k to -1: t_k = 0
+    sums = np.zeros(xs.size)
+    with np.errstate(divide="ignore"):  # tiny x rounds (x - k)/k to -1: t_k = 0
+        for first, rows, c0, c1 in blocks:
+            m = c1 - c0
+            if rows == 1:
+                kf = float(first)
+                diff = np.subtract(x[c0:c1], kf, out=diff_buf[:m])
+                terms = np.divide(diff, kf, out=term_buf[:m])
+                np.log1p(terms, out=terms)
+                terms *= kf
+                terms -= diff  # (k - x) + m equals m - (x - k) exactly
+                terms -= base[first - 1]
+                np.exp(terms, out=terms)
+                sums[c0:c1] += terms
+                continue
+            # A table of narrow rows whose first row holds the running sums.
+            # One narrower than a 64-byte line of float64 is stored by
+            # column, so that numpy's inner loops run along k; accumulate
+            # then adds each column in order, where sum would add pairwise.
+            by_column = m < 8
+            kk = k[first - 1:first - 1 + rows, None]
+            table = _table(term_buf, rows + 1, m, by_column)
+            table[0] = sums[c0:c1]
+            terms = table[1:]
+            diff = np.subtract(x[c0:c1], kk, out=_table(diff_buf, rows, m, by_column))
+            np.divide(diff, kk, out=terms)
             np.log1p(terms, out=terms)
-        terms *= kk
-        terms -= diff  # (k - x) + m equals m - (x - k) exactly
-        terms -= base[first - 1:last, None]
-        np.exp(terms, out=terms)
-        # Zero the terms outside their own point's window.  Rows from the
-        # largest lo to the smallest hi (hi[start]) are inside every window.
-        top, bottom = int(lo_c.max()) - first, int(hi_c[0]) - first + 1
-        terms[:top][kk[:top] < lo_c] = 0.0
-        terms[bottom:][kk[bottom:] > hi_c] = 0.0
-        # Sum in increasing k so the zeros outside a point's window are exact
-        # no-ops.  numpy reduces axis 0 row by row, except a lone column,
-        # which it sums pairwise; cumsum is sequential for that one.
-        out[start:stop] += terms.sum(axis=0) if shape[1] > 1 else np.cumsum(terms[:, 0])[-1:]
-        start = stop
-    return np.clip(out, 0.0, 1.0, out=out)
+            terms *= kk
+            terms -= diff
+            terms -= base[first - 1:first - 1 + rows, None]
+            np.exp(terms, out=terms)
+            if by_column:
+                terms[((kk.T < lo[c0:c1, None]) | (kk.T > hi[c0:c1, None])).T] = 0.0
+                sums[c0:c1] = np.add.accumulate(table, axis=0)[-1]
+            else:  # numpy sums axis 0 of a row-major table row by row
+                terms[(kk < lo[c0:c1]) | (kk > hi[c0:c1])] = 0.0
+                sums[c0:c1] = table.sum(axis=0)
+    sums += np.exp(-x, out=x)
+    out = np.empty_like(sums)
+    out[order] = np.clip(sums, 0.0, 1.0, out=sums)
+    return out
 
 
 def gaussian_q(x: float) -> float:

@@ -178,6 +178,7 @@ def test_criterion_04_permutation_invariance(no_jam):
     assert ok
 
 
+@pytest.mark.slow
 def test_criterion_05_lp_oracle_equivalence():
     rng = np.random.default_rng(0)
     matrices = []
@@ -259,6 +260,7 @@ def test_criterion_07_monte_carlo(no_jam, jam_desk):
     assert ok
 
 
+@pytest.mark.slow
 def test_criterion_08_jammer_advantage(desk_sweeps):
     quiet, jammed, sweep_seconds = desk_sweeps
     start = time.perf_counter()
@@ -287,6 +289,7 @@ def test_criterion_08_jammer_advantage(desk_sweeps):
     assert elapsed <= 600.0
 
 
+@pytest.mark.slow
 def test_criterion_09_baseline_dominance(no_jam):
     s = no_jam.scenario
     payoff = no_jam.payoff

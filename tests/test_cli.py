@@ -144,6 +144,13 @@ def test_blocklength_beyond_accuracy_domain_exits_2(tmp_path, capsys):
     assert err.startswith("error: ") and "blocklength_n must be at most 100000" in err
 
 
+def test_oversized_grid_exits_2(tmp_path, capsys):
+    code = main(["solve", "--set", "threshold_grid=0:0.25:1e308", "--out", str(tmp_path / "x")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "more than 100000 points" in err
+
+
 def test_lp_error_exits_3_with_one_line(tmp_path, scenario_file, capsys, monkeypatch):
     def unbounded(lp, max_iterations=None):
         raise lpsolve.UnboundedError("no blocking bound or basic variable")
@@ -348,8 +355,9 @@ def test_summary_rate_is_read_from_the_table(tmp_path):
     assert summary["expected_rate"] == expected_rate(payoff.scenario, solution.row_strategy)
 
 
-# Override values: numbers, limits, non-finite and malformed text.  Grids stay
-# small: a triple's stop is at most 10 and its step at least 0.25.
+# Override values: numbers, limits, non-finite and malformed text.  A grid
+# triple either stays small (stop at most 10, step at least 0.25) or passes
+# the point cap of decimal_range.
 _NUMBER = st.one_of(
     st.sampled_from(["0", "-0", "1", "-1", "0.5", "1.6", "3", "200", "1e-320", "1e308",
                      "nan", "inf", "-Infinity", "abc", "", "0x10", "1_0"]),
@@ -360,8 +368,8 @@ _NUMBER = st.one_of(
 _GRID = st.one_of(
     st.lists(_NUMBER, min_size=1, max_size=4).map(", ".join),
     st.tuples(st.sampled_from(["0", "0.5", "-1", "abc", "1e308"]),
-              st.sampled_from(["0.25", "1", "0", "-1", "x"]),
-              st.sampled_from(["0", "3", "10", "-2", "nan"])).map(":".join),
+              st.sampled_from(["0.25", "1", "0", "-1", "x", "1e-300"]),
+              st.sampled_from(["0", "3", "10", "-2", "nan", "1e6", "1e308"])).map(":".join),
 )
 _SETTING = st.one_of(
     st.tuples(st.sampled_from(["blocklength_n", "sigma_b_sq_mw", "sigma_w_sq_mw", "delta",

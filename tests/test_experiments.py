@@ -145,6 +145,7 @@ def test_constant_baseline(no_jam_payoff):
         constant_baseline(no_jam_payoff, 0.01)
 
 
+@pytest.mark.slow
 def test_best_threshold_is_argmin(no_jam_payoff):
     s = default_scenario()
     result = uniform_baseline(no_jam_payoff, 50)

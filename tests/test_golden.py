@@ -26,6 +26,12 @@ GOLDEN = {
         "col_strategy.csv": "5bd20d53b7c0",
         "summary.txt": "d7f14fbe0c2c",
     }),
+    # Zero jamming leaves the SNR at P/sigma_b^2 even where alpha^2 overflows.
+    "solve-alpha-1e200": (("solve", "--set", "alpha=1e200"), {
+        "row_strategy.csv": "17d180d24615",
+        "col_strategy.csv": "5bd20d53b7c0",
+        "summary.txt": "d7f14fbe0c2c",
+    }),
     "solve-jammer": (("solve", "--jammer"), {
         "row_strategy.csv": "eb43f117a0ca",
         "col_strategy.csv": "ba1c67dd12a8",

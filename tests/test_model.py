@@ -12,6 +12,7 @@ from covertgame.model import (
     ScenarioError,
     apply_overrides,
     db_to_mw,
+    MAX_GRID_POINTS,
     decimal_range,
     default_scenario,
     joint_actions,
@@ -83,6 +84,11 @@ def test_decimal_range_errors():
         decimal_range("0", "0", "1")
     with pytest.raises(ScenarioError, match="empty grid"):
         decimal_range("2", "1", "1")
+    # The point count is checked in decimal before any point is built.
+    assert len(decimal_range("0", "1", "99999")) == MAX_GRID_POINTS
+    for triple in [("0", "1", "100000"), ("0", "0.25", "1e308"), ("0", "1e-999999", "1e999999")]:
+        with pytest.raises(ScenarioError, match=f"more than {MAX_GRID_POINTS} points"):
+            decimal_range(*triple)
 
 
 def test_db_conversions():

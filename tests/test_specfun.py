@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from covertgame import specfun
 from covertgame.model import default_scenario
 from covertgame.specfun import (
     MAX_SHAPE,
@@ -130,7 +131,7 @@ def _scenario_points(s, n):
 @pytest.mark.parametrize("n", [200, 2000])
 def test_grid_cells_depend_on_their_point_alone(n):
     # A cell must not change with the other points of the call: alone, next
-    # to a far point (which widens the chunk's rows) or in the full grid.
+    # to a far point (which shares its tables) or in the full grid.
     x = _scenario_points(default_scenario(), n)
     full = reg_gamma_q_grid(n, x)
     picked = np.arange(0, x.size, 29)
@@ -155,7 +156,10 @@ def test_grid_matches_full_sum_oracle():
 def test_grid_matches_windowed_reference_bit_for_bit(n):
     # The same floating-point operations as the reference kernel: no cell
     # may move by even one ulp, which the relative full-sum bound above
-    # could not see.  Large shapes sample every 16th scenario point.
+    # could not see.  Large shapes sample every 16th scenario point; up to
+    # n = 2000 the full jammer grid's 81k points give the widest rows.  Far
+    # points x in (n-1, 20(n-1)], whose window starts do not rise with x,
+    # mix with the near ones, and calls of 1, 2 and 3 points run alone.
     stride = 1 if n <= 2000 else 16
     rng = np.random.default_rng(n)
     x = np.concatenate([
@@ -163,9 +167,28 @@ def test_grid_matches_windowed_reference_bit_for_bit(n):
         _scenario_points(default_scenario(True), n)[::stride],
         rng.uniform(0.0, 3.0 * n, 2000),
         [1e-17, 0.5, n - 1, n, 5 * n, 20 * n],
+        np.nextafter(n - 1, math.inf) + rng.uniform(0.0, 19.0 * (n - 1), 500),
     ])
     xs = np.unique(x[x > 0.0])
     want = gamma_q_windowed_reference(xs, *_poisson_tables(n), *_windows(n, xs))
+    assert np.array_equal(reg_gamma_q_grid(n, xs).view(np.int64), want.view(np.int64))
+    for size in (1, 2, 3):
+        for _ in range(20):
+            pick = np.sort(rng.choice(xs.size, size, replace=False))
+            got = reg_gamma_q_grid(n, xs[pick])
+            assert np.array_equal(got.view(np.int64), want[pick].view(np.int64))
+
+
+def test_grid_splits_points_where_window_starts_fall(monkeypatch):
+    # No x is known to make a window start fall in window-end order, but the
+    # kernel must still sum each point's own window if one does, in the
+    # wide rows' 1-D passes as in the narrow rows' tables.
+    n = 2000
+    xs = np.linspace(100.0, 3000.0, 5000)
+    lo, hi = _windows(n, xs)
+    lo[2000] = np.floor(xs[2000])
+    monkeypatch.setattr(specfun, "_windows", lambda *_: (lo.copy(), hi.copy()))
+    want = gamma_q_windowed_reference(xs, *_poisson_tables(n), lo, hi)
     assert np.array_equal(reg_gamma_q_grid(n, xs).view(np.int64), want.view(np.int64))
 
 
