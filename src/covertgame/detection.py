@@ -59,7 +59,7 @@ class MixedStrategy:
 
     def __post_init__(self):
         object.__setattr__(self, "actions", tuple(self.actions))
-        object.__setattr__(self, "probs", tuple(float(p) for p in self.probs))
+        object.__setattr__(self, "probs", tuple(map(float, self.probs)))
         if len(self.actions) != len(self.probs):
             raise ValueError(
                 f"{len(self.actions)} actions but {len(self.probs)} probabilities"

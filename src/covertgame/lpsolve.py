@@ -13,6 +13,20 @@ degenerate pivots passes 10 * rows, which rules out cycling.  Rows and
 columns are equilibrated to unit max-norm with powers of two before solving
 (lossless in binary floating point) and the solution is unscaled on exit.
 
+The basis inverse is kept as a dense matrix.  The start basis holds one
+slack or artificial column per row, a diagonal of +-1, so it is its own
+inverse and is set directly.  Each pivot updates the inverse in place with
+a rank-one step, and LAPACK re-inverts the basis every 128 iterations and
+once more when a solve ends optimal.  Pricing keeps its candidate sets
+between iterations: a direction per variable (-1 for a movable one at its
+lower bound, +1 at its upper bound, 0 otherwise) and the list of free
+nonbasic variables, changed only for the variables that enter, leave or
+flip.  The ratio test and the update write into buffers allocated once per
+phase.  Every entry is computed by the same floating-point operations, in
+the same order, as a textbook loop that rebuilds all of this each
+iteration; the test suite keeps that loop and holds the solver to it bit
+for bit.
+
 Dual multipliers are recomputed from the final basis by a direct solve, one
 real per constraint row.  Sign convention follows the natural Lagrangian of
 the stated sense: for a maximization, a binding "<=" row carries a
@@ -21,7 +35,10 @@ nonnegative multiplier; for a minimization it carries a nonpositive one.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from functools import partial
+from itertools import chain
 
 import numpy as np
 
@@ -65,7 +82,7 @@ class UnboundedError(LpError):
     """The objective improves without limit over the feasible set."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class LinearProgram:
     """min or max of objective @ x subject to lhs @ x (<=, >=, =) rhs and bounds.
 
@@ -76,6 +93,9 @@ class LinearProgram:
         rhs: length-m right-hand side.
         kinds: per-row relation, each "<=", ">=" or "=".
         bounds: per-variable (lo, hi); None means unbounded on that side.
+
+    The data is checked once, here: every number must be finite, except a
+    bound on its open side (-inf below, +inf above, the same as None).
     """
 
     sense: str
@@ -86,11 +106,12 @@ class LinearProgram:
     bounds: tuple[tuple[float | None, float | None], ...]
 
     def __post_init__(self):
-        self.objective = np.asarray(self.objective, dtype=float)
-        self.lhs = np.asarray(self.lhs, dtype=float)
-        self.rhs = np.asarray(self.rhs, dtype=float)
-        self.kinds = tuple(self.kinds)
-        self.bounds = tuple((lo, hi) for lo, hi in self.bounds)
+        normalize = partial(object.__setattr__, self)
+        normalize("objective", np.asarray(self.objective, dtype=float))
+        normalize("lhs", np.asarray(self.lhs, dtype=float))
+        normalize("rhs", np.asarray(self.rhs, dtype=float))
+        normalize("kinds", tuple(self.kinds))
+        normalize("bounds", tuple(map(tuple, self.bounds)))
         if self.sense not in ("min", "max"):
             raise ValueError(f"sense must be 'min' or 'max', got {self.sense!r}")
         m, n = self.lhs.shape
@@ -98,15 +119,51 @@ class LinearProgram:
             raise ValueError("objective/rhs shapes do not match lhs")
         if len(self.kinds) != m or any(k not in ("<=", ">=", "=") for k in self.kinds):
             raise ValueError("kinds must give '<=', '>=' or '=' per row")
-        if len(self.bounds) != n:
+        if len(self.bounds) != n or set(map(len, self.bounds)) - {2}:
             raise ValueError("one (lo, hi) bound pair per variable required")
-        for lo, hi in self.bounds:
-            if lo is not None and hi is not None and lo > hi:
-                raise ValueError(f"empty bound interval ({lo}, {hi})")
+        for name in ("objective", "lhs", "rhs"):
+            if not np.isfinite(getattr(self, name)).all():
+                raise ValueError(f"{name} has non-finite entries")
+        normalize("_lo_hi", _bound_arrays(self.bounds))
+
+
+def _bound_arrays(bounds) -> tuple[np.ndarray, np.ndarray]:
+    """Lower and upper bounds as float arrays, None read as -inf / +inf.
+
+    Raises ValueError on a NaN bound, a lower bound of +inf, an upper bound
+    of -inf or an empty interval.
+    """
+    flat = list(chain.from_iterable(bounds))
+    pairs = np.array(flat, dtype=float).reshape(len(bounds), 2)  # None -> NaN
+    unset = np.isnan(pairs)
+    if any(flat[i] is not None for i in np.flatnonzero(unset).tolist()):
+        raise ValueError("bounds must not be NaN")
+    lo = np.where(unset[:, 0], -np.inf, pairs[:, 0])
+    hi = np.where(unset[:, 1], np.inf, pairs[:, 1])
+    if (lo == np.inf).any():
+        raise ValueError("a lower bound of +inf admits no value")
+    if (hi == -np.inf).any():
+        raise ValueError("an upper bound of -inf admits no value")
+    empty = lo > hi
+    if empty.any():
+        lo_j, hi_j = bounds[int(np.argmax(empty))]
+        raise ValueError(f"empty bound interval ({lo_j}, {hi_j})")
+    return lo, hi
 
 
 @dataclass
 class LpSolution:
+    """Result of ``solve``; ``status`` says whether x is an optimum.
+
+    Besides the total ``iterations`` (pivots plus bound flips) it counts
+    ``phase1_iterations``, the part spent finding a feasible basis;
+    ``degenerate_pivots``, steps of length at most 1e-12; ``bland``, whether
+    that count passed 10 * rows in a phase and switched pricing to Bland's
+    rule; and ``refactorizations``, LAPACK re-inversions of the basis (after
+    each pivot that brings ``iterations`` to a multiple of 128, and once at
+    the end of an optimal solve).
+    """
+
     status: str
     x: np.ndarray
     objective: float
@@ -114,6 +171,10 @@ class LpSolution:
     iterations: int
     message: str = ""
     basis: tuple[int, ...] = field(default=(), repr=False)
+    phase1_iterations: int = 0
+    degenerate_pivots: int = 0
+    bland: bool = False
+    refactorizations: int = 0
 
 
 def _pow2_scale(v: np.ndarray) -> np.ndarray:
@@ -133,7 +194,6 @@ class _Simplex:
         row_scale = _pow2_scale(np.abs(lp.lhs).max(axis=1) if n else np.zeros(m))
         scaled = lp.lhs * row_scale[:, None]
         col_scale = _pow2_scale(np.abs(scaled).max(axis=0) if m else np.zeros(n))
-        scaled = scaled * col_scale[None, :]
         self.row_scale, self.col_scale = row_scale, col_scale
 
         sign = 1.0 if lp.sense == "min" else -1.0
@@ -143,7 +203,7 @@ class _Simplex:
         slack_rows = np.flatnonzero(kinds != "=")
         ncols = n + slack_rows.size
         cols = np.zeros((m, ncols))
-        cols[:, :n] = scaled
+        np.multiply(scaled, col_scale, out=cols[:, :n])
         self.slack_of_row = np.full(m, -1, dtype=int)
         self.slack_of_row[slack_rows] = np.arange(n, ncols)
         cols[slack_rows, self.slack_of_row[slack_rows]] = np.where(
@@ -152,8 +212,7 @@ class _Simplex:
         # Slacks are nonnegative; a None bound is infinite.
         lo = np.zeros(ncols)
         hi = np.full(ncols, np.inf)
-        lo[:n] = [-np.inf if l is None else l for l, _ in lp.bounds]
-        hi[:n] = [np.inf if h is None else h for _, h in lp.bounds]
+        lo[:n], hi[:n] = lp._lo_hi
         lo[:n] /= col_scale
         hi[:n] /= col_scale
 
@@ -166,6 +225,10 @@ class _Simplex:
         )
         self.iterations = 0
         self.n_real = ncols
+        self.phase1_iterations = None
+        self.degenerate_pivots = 0
+        self.bland = False
+        self.refactorizations = 0
 
     def setup(self):
         # Each variable starts at its lower bound if finite, else at its
@@ -199,7 +262,26 @@ class _Simplex:
             self.xval = np.concatenate([self.xval, np.abs(resid[art_rows])])
             self.status = np.concatenate([self.status, np.full(k, _BASIC, dtype=int)])
         self.basis = basis
-        self.refresh_inverse()
+
+        # The start basis is a +-1 diagonal, so it is its own inverse.  These
+        # are LAPACK's bits: the zeros of a -1 row come out as -0.0, and the
+        # product with a diagonal turns a -0.0 value into 0.0.
+        m = self.m
+        diag = self.cols[np.arange(m), basis]
+        self.binv = np.eye(m)
+        self.binv[diag < 0.0] *= -1.0
+        self.xval[basis] = diag * self._nonbasic_residual() + 0.0
+
+        # Buffers the pivots write into.
+        self._step = np.empty(m)
+        self._row = np.empty(m)
+        self._outer = np.empty((m, m))
+
+    def _nonbasic_residual(self) -> np.ndarray:
+        """b minus the columns of the nonbasic variables at their values."""
+        nb_mask = np.ones(self.cols.shape[1], dtype=bool)
+        nb_mask[self.basis] = False
+        return self.b - self.cols[:, nb_mask] @ self.xval[nb_mask]
 
     def refresh_inverse(self):
         B = self.cols[:, self.basis]
@@ -207,110 +289,156 @@ class _Simplex:
             self.binv = np.linalg.inv(B)
         except np.linalg.LinAlgError as exc:
             raise _NumericalFailure(f"basis matrix singular: {exc}") from exc
-        nb_mask = np.ones(self.cols.shape[1], dtype=bool)
-        nb_mask[self.basis] = False
-        contrib = self.cols[:, nb_mask] @ self.xval[nb_mask]
-        xb = self.binv @ (self.b - contrib)
-        self.xval[self.basis] = xb
+        self.refactorizations += 1
+        self.xval[self.basis] = self.binv @ self._nonbasic_residual()
 
     # -- core loop ----------------------------------------------------------
 
     def optimize(self, phase_cost: np.ndarray) -> None:
         """Run simplex iterations under ``phase_cost`` until optimal."""
-        m = self.m
+        m, width = self.cols.shape
+        lo, hi, status, xval, basis = self.lo, self.hi, self.status, self.xval, self.basis
+        # Pricing candidates: a movable variable at its lower bound enters
+        # when its reduced cost d is below -_DUAL_TOL, one at its upper bound
+        # when d is above _DUAL_TOL, a free one either way.  ``direction``
+        # turns that into score = direction * d > _DUAL_TOL, and a free
+        # variable scores |d|.  _pivot keeps both up to date.
+        self.phase_cost = phase_cost
+        self.movable = lo < hi
+        self.direction = np.where(self.movable & (status == _AT_LO), -1.0,
+                                  np.where(self.movable & (status == _AT_UP), 1.0, 0.0))
+        self.free = np.flatnonzero(status == _AT_FREE).tolist()
+        # Bounds, values and costs of the basic variables, row by row.
+        self.lo_b, self.hi_b, self.cost_b = lo[basis], hi[basis], phase_cost[basis]
+        xb = xval[basis]
+        y, u, au = np.empty(m), np.empty(m), np.empty(m)
+        num, limits, rowscore = np.empty(m), np.empty(m), np.empty(m)
+        piv, neg, tie = np.empty(m, bool), np.empty(m, bool), np.empty(m, bool)
+        d, score = np.empty(width), np.empty(width)
         bland = False
         degenerate = 0
-        movable = self.lo < self.hi
         while True:
             if self.iterations >= self.max_iterations:
                 raise _IterationCap(
                     f"iteration cap {self.max_iterations} reached "
                     f"(degenerate pivots: {degenerate})"
                 )
-            y = phase_cost[self.basis] @ self.binv
-            d = phase_cost - y @ self.cols
-            nonbasic = self.status != _BASIC
-            cand_lo = nonbasic & (self.status == _AT_LO) & (d < -_DUAL_TOL) & movable
-            cand_up = nonbasic & (self.status == _AT_UP) & (d > _DUAL_TOL) & movable
-            cand_fr = nonbasic & (self.status == _AT_FREE) & (np.abs(d) > _DUAL_TOL)
-            candidates = cand_lo | cand_up | cand_fr
-            if not candidates.any():
-                return
+            np.matmul(self.cost_b, self.binv, out=y)
+            np.matmul(y, self.cols, out=d)
+            np.subtract(phase_cost, d, out=d)
+            np.multiply(self.direction, d, out=score)
+            for f in self.free:
+                score[f] = abs(d[f])
             if bland:
-                j = int(np.flatnonzero(candidates)[0])
+                j = int((score > _DUAL_TOL).argmax())
             else:
-                score = np.where(candidates, np.abs(d), -1.0)
-                j = int(np.argmax(score))
-            sigma = 1.0 if (self.status[j] == _AT_LO or d[j] < 0.0) else -1.0
+                j = int(score.argmax())
+                if score[j] != score[j]:  # argmax stops at a NaN; it is no candidate
+                    score[np.isnan(score)] = -1.0
+                    j = int(score.argmax())
+            if not score[j] > _DUAL_TOL:
+                return
+            sigma = 1.0 if d[j] < 0.0 else -1.0
 
-            u = self.binv @ self.cols[:, j]
-            coef = sigma * u
-            lob = self.lo[self.basis]
-            hib = self.hi[self.basis]
-            xb = self.xval[self.basis]
-            limits = np.full(m, np.inf)
-            pos = coef > _PIVOT_TOL
-            neg = coef < -_PIVOT_TOL
-            limits[pos] = (xb[pos] - lob[pos]) / coef[pos]
-            limits[neg] = (hib[neg] - xb[neg]) / (-coef[neg])
+            # Ratio test on coef = sigma * u: rows with coef > _PIVOT_TOL
+            # block at (xb - lo) / coef, rows with coef < -_PIVOT_TOL at
+            # (hi - xb) / -coef, and either denominator is |u|.
+            np.matmul(self.binv, self.cols[:, j], out=u)
+            np.abs(u, out=au)
+            np.greater(au, _PIVOT_TOL, out=piv)
+            if sigma > 0.0:
+                np.less(u, -_PIVOT_TOL, out=neg)
+            else:
+                np.greater(u, _PIVOT_TOL, out=neg)
+            np.subtract(xb, self.lo_b, out=num)
+            np.subtract(self.hi_b, xb, out=num, where=neg)
+            limits.fill(np.inf)
+            np.divide(num, au, out=limits, where=piv)
             np.maximum(limits, 0.0, out=limits)
             t_basic = float(limits.min()) if m else np.inf
-            t_own = self.hi[j] - self.lo[j] if self.status[j] != _AT_FREE else np.inf
+            t_own = hi[j] - lo[j]  # inf for a free variable
             t = min(t_own, t_basic)
 
             self.iterations += 1
-            if not np.isfinite(t):
+            if not math.isfinite(t):
                 raise _Unbounded("no blocking bound or basic variable")
             if t <= _DEGEN_TOL:
                 degenerate += 1
+                self.degenerate_pivots += 1
                 if degenerate > 10 * m:
-                    bland = True
+                    bland = self.bland = True
 
-            if t_own <= t_basic and np.isfinite(t_own):
+            if t_own <= t_basic and math.isfinite(t_own):
                 # Bound flip: j crosses to its other bound, basis unchanged.
-                self.xval[j] = self.hi[j] if self.status[j] == _AT_LO else self.lo[j]
-                self.status[j] = _AT_UP if self.status[j] == _AT_LO else _AT_LO
-                self.xval[self.basis] = xb - t_own * coef
+                if status[j] == _AT_LO:
+                    xval[j], status[j] = hi[j], _AT_UP
+                else:
+                    xval[j], status[j] = lo[j], _AT_LO
+                self.direction[j] = -self.direction[j]
+                np.multiply(u, t_own * sigma, out=num)
+                np.subtract(xb, num, out=xb)
+                xval[basis] = xb
                 continue
 
-            tie = limits <= t + 1e-10
+            np.less_equal(limits, t + 1e-10, out=tie)
             if bland:
                 rows = np.flatnonzero(tie)
-                r = int(rows[np.argmin(self.basis[rows])])
+                r = int(rows[np.argmin(basis[rows])])
             else:
-                score = np.where(tie, np.abs(u), -1.0)
-                r = int(np.argmax(score))
-            if abs(u[r]) < _PIVOT_TOL:
+                rowscore.fill(-1.0)
+                np.copyto(rowscore, au, where=tie)
+                r = int(rowscore.argmax())
+            if au[r] < _PIVOT_TOL:
                 raise _NumericalFailure(
-                    f"pivot magnitude {abs(u[r]):.3e} below {_PIVOT_TOL}"
+                    f"pivot magnitude {au[r]:.3e} below {_PIVOT_TOL}"
                 )
-            self._pivot(j, r, u, t, sigma)
+            self._pivot(j, r, u, t, sigma, xb)
             if self.iterations % 128 == 0:
                 self.refresh_inverse()
+                xb[:] = xval[basis]
 
-    def _pivot(self, j: int, r: int, u: np.ndarray, t: float, sigma: float):
-        leaving = self.basis[r]
-        enter_val = self.xval[j] + sigma * t
-        self.xval[self.basis] = self.xval[self.basis] - t * sigma * u
+    def _pivot(self, j: int, r: int, u: np.ndarray, t: float, sigma: float,
+               xb: np.ndarray):
+        """Swap j into the basis at row r, updating ``xb``, the basic values
+        row by row, along with ``xval``."""
+        basis, xval, status = self.basis, self.xval, self.status
+        leaving = int(basis[r])
+        enter_val = xval[j] + sigma * t
+        np.multiply(u, t * sigma, out=self._step)
+        np.subtract(xb, self._step, out=xb)
+        xval[basis] = xb
         # The leaving variable snaps to the bound it reached.  In a forced
         # degenerate pivot (artificial drive-out) the ratio test did not pick
         # r, so fall back to whichever bound is finite.
+        lo_l, hi_l = self.lo[leaving], self.hi[leaving]
         if sigma * u[r] > 0.0:
-            bound, st = ((self.lo[leaving], _AT_LO) if np.isfinite(self.lo[leaving])
-                         else (self.hi[leaving], _AT_UP))
+            bound, st = (lo_l, _AT_LO) if math.isfinite(lo_l) else (hi_l, _AT_UP)
         else:
-            bound, st = ((self.hi[leaving], _AT_UP) if np.isfinite(self.hi[leaving])
-                         else (self.lo[leaving], _AT_LO))
-        if not np.isfinite(bound):
+            bound, st = (hi_l, _AT_UP) if math.isfinite(hi_l) else (lo_l, _AT_LO)
+        if not math.isfinite(bound):
             bound, st = 0.0, _AT_FREE
-        self.status[leaving] = st
-        self.xval[leaving] = bound
-        row = self.binv[r] / u[r]
-        self.binv = self.binv - np.outer(u, row)
+        status[leaving] = st
+        xval[leaving] = bound
+        row = np.divide(self.binv[r], u[r], out=self._row)
+        # The products u[i] * row[j] of np.outer: numpy's broadcast multiply
+        # by a column runs row by row, so spread u first.
+        np.copyto(self._outer, u[:, None])
+        np.multiply(self._outer, row, out=self._outer)
+        np.subtract(self.binv, self._outer, out=self.binv)
         self.binv[r] = row
-        self.basis[r] = j
-        self.status[j] = _BASIC
-        self.xval[j] = enter_val
+        basis[r] = j
+        status[j] = _BASIC
+        xval[j] = xb[r] = enter_val
+
+        self.direction[j] = 0.0
+        if j in self.free:
+            self.free.remove(j)
+        if st == _AT_FREE:
+            self.free.append(leaving)
+        elif self.movable[leaving]:
+            self.direction[leaving] = -1.0 if st == _AT_LO else 1.0
+        self.lo_b[r], self.hi_b[r] = self.lo[j], self.hi[j]
+        self.cost_b[r] = self.phase_cost[j]
 
     def drive_out_artificials(self):
         for r in range(self.m):
@@ -324,7 +452,7 @@ class _Simplex:
             j = int(np.argmax(candidates))
             if candidates[j] > 1e-9:
                 u = self.binv @ self.cols[:, j]
-                self._pivot(j, r, u, 0.0, 1.0)
+                self._pivot(j, r, u, 0.0, 1.0, self.xval[self.basis])
             else:
                 # Redundant row: pin the artificial at zero forever.
                 self.lo[k] = self.hi[k] = 0.0
@@ -349,6 +477,11 @@ class _Simplex:
             iterations=self.iterations,
             message=message,
             basis=tuple(int(v) for v in self.basis),
+            phase1_iterations=(self.iterations if self.phase1_iterations is None
+                               else self.phase1_iterations),
+            degenerate_pivots=self.degenerate_pivots,
+            bland=self.bland,
+            refactorizations=self.refactorizations,
         )
 
 
@@ -387,6 +520,7 @@ def solve(lp: LinearProgram, max_iterations: int | None = None) -> LpSolution:
             sx.drive_out_artificials()
             sx.hi[sx.n_real:] = 0.0
             sx.xval[sx.n_real:] = 0.0
+        sx.phase1_iterations = sx.iterations
         sx.optimize(sx.cost)
         return sx.finish(OPTIMAL, "")
     except _IterationCap as exc:

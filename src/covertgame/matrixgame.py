@@ -183,17 +183,18 @@ def _game_lp(entries: np.ndarray, orientation: str) -> lpsolve.LinearProgram:
     every row r.  Either way the last variable is U and the probability
     simplex closes the constraint list.
     """
-    rows, cols = entries.shape
     if orientation == "row":
-        k, body = rows, np.hstack([entries.T, -np.ones((cols, 1))])
-        kinds = (">=",) * cols + ("=",)
-        sense = "max"
+        body, kind, sense = entries.T, ">=", "max"
     else:
-        k, body = cols, np.hstack([entries, -np.ones((rows, 1))])
-        kinds = ("<=",) * rows + ("=",)
-        sense = "min"
-    lhs = np.vstack([body, np.concatenate([np.ones(k), [0.0]])])
-    rhs = np.zeros(lhs.shape[0])
+        body, kind, sense = entries, "<=", "min"
+    covering, k = body.shape
+    lhs = np.empty((covering + 1, k + 1))
+    lhs[:covering, :k] = body
+    lhs[:covering, k] = -1.0
+    lhs[covering, :k] = 1.0
+    lhs[covering, k] = 0.0
+    kinds = (kind,) * covering + ("=",)
+    rhs = np.zeros(covering + 1)
     rhs[-1] = 1.0
     objective = np.zeros(k + 1)
     objective[-1] = 1.0
@@ -257,8 +258,8 @@ def solve_game(entries, row_actions=None, col_actions=None) -> EquilibriumSoluti
     else:
         value, row_raw, col_raw, iters = solve_lp_orientation(A, "row")
     solution = EquilibriumSolution(
-        row_strategy=MixedStrategy(tuple(row_actions), tuple(_clean_probs(row_raw, "row"))),
-        col_strategy=MixedStrategy(tuple(col_actions), tuple(_clean_probs(col_raw, "col"))),
+        row_strategy=MixedStrategy(tuple(row_actions), _clean_probs(row_raw, "row").tolist()),
+        col_strategy=MixedStrategy(tuple(col_actions), _clean_probs(col_raw, "col").tolist()),
         value=value,
         row_gap=0.0,
         col_gap=0.0,

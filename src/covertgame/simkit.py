@@ -64,6 +64,20 @@ def sample_statistic(power: float, jam: float, n: int, sigma_w_sq: float,
     return rng.gamma(shape=n, scale=s / n, size=size)
 
 
+def _rising_cdf(strategy: MixedStrategy) -> tuple[np.ndarray, np.ndarray]:
+    """A strategy's cdf at the actions where it rises, and those actions.
+
+    Generator.choice(k, size, p=p) draws cdf.searchsorted(random(size),
+    side="right") with cdf = cumsum(p) / its last entry: the first action
+    whose cdf exceeds the uniform draw.  The cdf rises at that action, so a
+    search of the rising entries alone lands on the same action.
+    """
+    cdf = strategy.prob_array().cumsum()
+    cdf /= cdf[-1]
+    rising = np.flatnonzero(np.diff(cdf, prepend=0.0) > 0.0)
+    return cdf[rising], rising
+
+
 def estimate_detection(s: Scenario, joint: MixedStrategy, thr: MixedStrategy,
                        blocks: int, seed: int) -> EmpiricalDetection:
     """Simulate ``blocks`` blocks under each hypothesis and tally errors.
@@ -85,8 +99,14 @@ def estimate_detection(s: Scenario, joint: MixedStrategy, thr: MixedStrategy,
     scale_h0 = (s.sigma_w_sq_mw + jam_by_action) / n
     scale_h1 = (np.asarray([p + j for p, j in joint.actions]) + s.sigma_w_sq_mw) / n
     thr_values = np.asarray(thr.actions, dtype=float)
-    joint_p = joint.prob_array()
-    thr_p = thr.prob_array()
+    # The draws of Generator.choice(p=...) and Generator.gamma, made without
+    # validating p on every call: gamma(n, scale) is scale * standard_gamma(n),
+    # and choice is a search of the cdf (see _rising_cdf), here restricted to
+    # the actions where the cdf rises, so the actions' values are too.
+    joint_cdf, rising = _rising_cdf(joint)
+    scale_h0, scale_h1 = scale_h0[rising], scale_h1[rising]
+    thr_cdf, rising = _rising_cdf(thr)
+    thr_values = thr_values[rising]
 
     false_alarms = 0
     misses = 0
@@ -95,13 +115,13 @@ def estimate_detection(s: Scenario, joint: MixedStrategy, thr: MixedStrategy,
     while done < blocks:
         count = min(CHUNK_BLOCKS, blocks - done)
         rng = _chunk_rng(int(seed), chunk_index)
-        a0 = rng.choice(len(joint_p), size=count, p=joint_p)
-        t0 = rng.choice(len(thr_p), size=count, p=thr_p)
-        stat0 = rng.gamma(shape=n, scale=scale_h0[a0])
+        a0 = joint_cdf.searchsorted(rng.random(count), side="right")
+        t0 = thr_cdf.searchsorted(rng.random(count), side="right")
+        stat0 = rng.standard_gamma(n, size=count) * scale_h0[a0]
         false_alarms += int((stat0 > thr_values[t0]).sum())
-        a1 = rng.choice(len(joint_p), size=count, p=joint_p)
-        t1 = rng.choice(len(thr_p), size=count, p=thr_p)
-        stat1 = rng.gamma(shape=n, scale=scale_h1[a1])
+        a1 = joint_cdf.searchsorted(rng.random(count), side="right")
+        t1 = thr_cdf.searchsorted(rng.random(count), side="right")
+        stat1 = rng.standard_gamma(n, size=count) * scale_h1[a1]
         misses += int((stat1 < thr_values[t1]).sum())
         done += count
         chunk_index += 1

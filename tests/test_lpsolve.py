@@ -3,16 +3,27 @@
 import numpy as np
 import pytest
 
+from covertgame.experiments import default_beta_grid, desk_scenario
 from covertgame.lpsolve import (
     ITERATION_CAP,
     OPTIMAL,
     InfeasibleError,
     LinearProgram,
     UnboundedError,
+    _Simplex,
     solve,
 )
+from covertgame.matrixgame import _game_lp, build_payoff
+from covertgame.model import default_scenario, prune_negative_rate
 
-from oracles import ExactInfeasible, ExactUnbounded, exact_lp_value
+from oracles import (
+    ExactInfeasible,
+    ExactUnbounded,
+    ReferenceInfeasible,
+    ReferenceUnbounded,
+    exact_lp_value,
+    simplex_reference,
+)
 
 
 def lp(sense, objective, lhs, rhs, kinds, bounds):
@@ -180,3 +191,201 @@ def test_agrees_with_exact_rational_simplex():
         assert sol.status == OPTIMAL
         worst = max(worst, abs(sol.objective - float(want)))
     assert worst <= 1e-9
+
+
+@pytest.mark.parametrize("objective, lhs, rhs, bounds, match", [
+    ([1.0, 1.0], [[np.nan, 1.0]], [1.0], [(0.0, None)] * 2, "lhs"),
+    ([1.0, 1.0], [[1.0, np.inf]], [1.0], [(0.0, None)] * 2, "lhs"),
+    ([1.0, 1.0], [[1.0, 1.0]], [np.inf], [(0.0, None)] * 2, "rhs"),
+    ([1.0, 1.0], [[1.0, 1.0]], [np.nan], [(0.0, None)] * 2, "rhs"),
+    ([np.inf, 1.0], [[1.0, 1.0]], [1.0], [(0.0, None)] * 2, "objective"),
+    ([np.nan, 1.0], [[1.0, 1.0]], [1.0], [(0.0, None)] * 2, "objective"),
+    ([1.0, 1.0], [[1.0, 1.0]], [1.0], [(np.nan, None), (0.0, None)], "NaN"),
+    ([1.0, 1.0], [[1.0, 1.0]], [1.0], [(0.0, np.nan), (0.0, None)], "NaN"),
+    ([1.0, 1.0], [[1.0, 1.0]], [1.0], [(np.inf, None), (0.0, None)], "lower bound"),
+    ([1.0, 1.0], [[1.0, 1.0]], [1.0], [(None, -np.inf), (0.0, None)], "upper bound"),
+], ids=["nan-lhs", "inf-lhs", "inf-rhs", "nan-rhs", "inf-objective", "nan-objective",
+        "nan-lower-bound", "nan-upper-bound", "inf-lower-bound", "minus-inf-upper-bound"])
+def test_non_finite_data_is_rejected(objective, lhs, rhs, bounds, match):
+    with pytest.raises(ValueError, match=match):
+        lp("min", objective, lhs, rhs, [">="], bounds)
+
+
+def test_infinite_bounds_on_the_open_side_mean_none():
+    explicit = solve(lp("min", [-1.0, 1.0], [[1.0, 1.0]], [1.0], ["="],
+                        [(-np.inf, 3.0), (0.0, np.inf)]))
+    implicit = solve(lp("min", [-1.0, 1.0], [[1.0, 1.0]], [1.0], ["="],
+                        [(None, 3.0), (0.0, None)]))
+    assert explicit.status == implicit.status == OPTIMAL
+    assert np.array_equal(explicit.x, implicit.x)
+    assert explicit.x == pytest.approx([1.0, 0.0], abs=1e-12)
+
+
+@pytest.fixture(scope="module")
+def reference_payoff():
+    return build_payoff(prune_negative_rate(default_scenario()))
+
+
+@pytest.fixture(scope="module")
+def desk_payoff():
+    return build_payoff(prune_negative_rate(desk_scenario(True)))
+
+
+def degenerate_lp():
+    """Beale's cycling example: three of its four iterations are degenerate."""
+    return lp("min", [-0.75, 20.0, -0.5, 6.0],
+              [[0.25, -8.0, -1.0, 9.0], [0.5, -12.0, -0.5, 3.0], [0.0, 0.0, 1.0, 0.0]],
+              [0.0, 0.0, 1.0], ["<="] * 3, [(0.0, None)] * 4)
+
+
+def bland_lp():
+    """25 variables with a 2**-44 range flip in turn, each step degenerate.
+
+    Their count passes 10 * rows after 21 flips, so Bland's rule picks the
+    rest of the flips and the pivots that follow.
+    """
+    k = 25
+    lhs = np.zeros((2, k + 3))
+    lhs[0, :k] = 1.0
+    lhs[0, k:] = [1.0, 1.0, 1.0]
+    lhs[1, k:] = [1.0, -1.0, 2.0]
+    objective = np.concatenate([-100.0 - np.arange(k), [-1.0, -2.0, -1.5]])
+    return lp("min", objective, lhs, [1.0, 0.5], ["<=", "<="],
+              [(0.0, 2.0 ** -44)] * k + [(0.0, None)] * 3)
+
+
+def test_counters_on_the_reference_game(reference_payoff):
+    sol = solve(_game_lp(reference_payoff.entries, "col"))
+    assert sol.status == OPTIMAL
+    assert (sol.iterations, sol.phase1_iterations, sol.degenerate_pivots) == (17, 3, 3)
+    assert not sol.bland
+    assert sol.refactorizations == 1
+
+
+def test_counters_on_the_desk_jammer_game(desk_payoff, monkeypatch):
+    inversions = []
+    inv = np.linalg.inv
+
+    def counting_inv(a):
+        inversions.append(a.shape)
+        return inv(a)
+
+    monkeypatch.setattr(np.linalg, "inv", counting_inv)
+    sol = solve(_game_lp(desk_payoff.entries, "row"))
+    assert sol.status == OPTIMAL
+    assert (sol.iterations, sol.phase1_iterations, sol.degenerate_pivots) == (637, 2, 2)
+    assert not sol.bland
+    # Four refreshes at multiples of 128 iterations and the final one; the
+    # start basis is a diagonal that needs no inversion.
+    assert sol.refactorizations == len(inversions) == 5
+
+
+def test_counters_on_degenerate_lps():
+    beale = solve(degenerate_lp())
+    assert beale.status == OPTIMAL
+    assert beale.objective == pytest.approx(-1.25, abs=1e-12)
+    assert (beale.iterations, beale.phase1_iterations, beale.degenerate_pivots) == (4, 0, 3)
+    assert not beale.bland
+    flips = solve(bland_lp())
+    assert flips.status == OPTIMAL
+    assert flips.x[-3:] == pytest.approx([0.0, 1.0, 0.0], abs=1e-11)
+    assert (flips.iterations, flips.degenerate_pivots) == (29, 25)
+    assert flips.bland
+    assert flips.refactorizations == 1
+
+
+def mixed_lp(rng):
+    """A small LP with every kind of bound and row, often degenerate.
+
+    About a third are infeasible or unbounded; the rest are solved or hit
+    the iteration cap that the caller sets.
+    """
+    m = int(rng.integers(1, 13))
+    n = int(rng.integers(1, 13))
+    lhs = rng.integers(-16, 17, size=(m, n)) / 8.0
+    lhs[rng.random((m, n)) < 0.3] = 0.0
+    x0 = rng.integers(-16, 17, size=n) / 8.0
+    kinds = [str(k) for k in rng.choice(["<=", ">=", "="], size=m, p=[0.4, 0.4, 0.2])]
+    margin = rng.integers(0, 9, size=m) / 8.0 * (rng.random(m) < 0.5)
+    b = lhs @ x0
+    if rng.random() < 0.1:
+        b = b + rng.integers(-16, 17, size=m) / 8.0
+    rhs = [float(b[i] + margin[i]) if kinds[i] == "<=" else
+           float(b[i] - margin[i]) if kinds[i] == ">=" else float(b[i])
+           for i in range(m)]
+    bounds = []
+    for j in range(n):
+        lo = float(x0[j] - rng.integers(0, 17) / 8.0)
+        hi = float(x0[j] + rng.integers(0, 17) / 8.0)
+        fixed = float(x0[j])
+        bounds.append([(lo, hi), (lo, None), (None, hi), (None, None), (fixed, fixed)]
+                      [int(rng.integers(0, 5))])
+    objective = rng.integers(-16, 17, size=n) / 8.0
+    return lp("min" if rng.random() < 0.5 else "max", objective, lhs, rhs, kinds, bounds)
+
+
+def bits(values):
+    return np.asarray(values, dtype=float).view(np.int64)
+
+
+def assert_matches_reference(problem, max_iterations=None):
+    """The solver's outcome equals the reference simplex's, bit for bit."""
+    try:
+        want = simplex_reference(problem, max_iterations)
+    except ReferenceInfeasible:
+        with pytest.raises(InfeasibleError):
+            solve(problem, max_iterations)
+        return "infeasible"
+    except ReferenceUnbounded:
+        with pytest.raises(UnboundedError):
+            solve(problem, max_iterations)
+        return "unbounded"
+    got = solve(problem, max_iterations)
+    assert (got.status, got.message) == (want.status, want.message)
+    assert got.iterations == want.iterations
+    assert got.basis == want.basis
+    assert np.array_equal(bits(got.x), bits(want.x))
+    assert np.array_equal(bits(got.duals), bits(want.duals))
+    assert bits(got.objective) == bits(want.objective)
+    return got.status
+
+
+def test_start_inverse_and_values_have_lapack_bits(reference_payoff):
+    """The +-1 diagonal start basis is inverted without LAPACK, to its bits."""
+    rng = np.random.default_rng(11)
+    problems = [mixed_lp(rng) for _ in range(100)]
+    problems += [_game_lp(reference_payoff.entries, o) for o in ("row", "col")]
+    signs = set()
+    for problem in problems:
+        sx = _Simplex(problem, None)
+        sx.setup()
+        inverse = np.linalg.inv(sx.cols[:, sx.basis])
+        assert np.array_equal(bits(sx.binv), bits(inverse))
+        values = inverse @ sx._nonbasic_residual()
+        assert np.array_equal(bits(sx.xval[sx.basis]), bits(values))
+        signs.update(np.diag(inverse).tolist())
+    assert signs == {-1.0, 1.0}
+
+
+def test_matches_reference_simplex_on_game_lps(reference_payoff, desk_payoff):
+    for orientation in ("row", "col"):
+        assert_matches_reference(_game_lp(reference_payoff.entries, orientation))
+    for beta in default_beta_grid():
+        assert_matches_reference(_game_lp(reference_payoff.with_beta(beta).entries, "col"))
+    # The preset game, and beta = 0.7626, whose row-orientation LP ends on a
+    # slightly infeasible basis: both solvers must fail verification alike.
+    for beta in (desk_payoff.beta, 0.7626):
+        assert_matches_reference(_game_lp(desk_payoff.with_beta(beta).entries, "row"))
+    # Stopped after the refresh at iteration 256, x holds the updated values.
+    assert assert_matches_reference(_game_lp(desk_payoff.entries, "row"), 300) == ITERATION_CAP
+
+
+def test_matches_reference_simplex_on_random_lps():
+    rng = np.random.default_rng(2024)
+    outcomes = {}
+    for i in range(300):
+        outcome = assert_matches_reference(mixed_lp(rng), 3 if i % 10 == 9 else None)
+        outcomes[outcome] = outcomes.get(outcome, 0) + 1
+    assert set(outcomes) == {OPTIMAL, ITERATION_CAP, "infeasible", "unbounded"}
+    for problem in (degenerate_lp(), bland_lp()):
+        assert assert_matches_reference(problem) == OPTIMAL

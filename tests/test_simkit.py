@@ -7,7 +7,7 @@ import pytest
 
 from covertgame.detection import MixedStrategy, pfa, pfa_cell, pm, pm_cell
 from covertgame.model import Scenario
-from covertgame.simkit import estimate_detection, sample_statistic
+from covertgame.simkit import CHUNK_BLOCKS, _chunk_rng, estimate_detection, sample_statistic
 
 from oracles import ks_two_sample, sample_statistic_per_sample
 
@@ -126,3 +126,69 @@ def test_validation():
         estimate_detection(s, joint, thr, blocks=10, seed=-1)
     with pytest.raises(ValueError, match="seed"):
         estimate_detection(s, joint, thr, blocks=10, seed=2 ** 64)
+
+
+def test_cdf_and_standard_gamma_draws_equal_choice_and_gamma():
+    """estimate_detection draws indices from a cdf it builds once per call,
+    and statistics as standard_gamma(n) * scale.  Generator.choice with p
+    and Generator.gamma give the same bits from the same stream."""
+    rng = np.random.default_rng(8)
+    for trial in range(300):
+        k = int(rng.integers(1, 6))
+        p = rng.random(k) * (rng.random(k) < 0.8)
+        p[int(rng.integers(k))] += 0.1
+        p /= p.sum()
+        scale = rng.uniform(0.001, 0.1, k)
+        n = (2, 15, 200, 2000)[trial % 4]
+        count = int(rng.integers(1, 3000))
+        old, new = _chunk_rng(trial, 1), _chunk_rng(trial, 1)
+        a_old = old.choice(k, size=count, p=p)
+        stat_old = old.gamma(shape=n, scale=scale[a_old])
+        cdf = p.cumsum()
+        cdf /= cdf[-1]
+        a_new = cdf.searchsorted(new.random(count), side="right")
+        stat_new = new.standard_gamma(n, size=count) * scale[a_new]
+        assert np.array_equal(a_old, a_new)
+        assert np.array_equal(stat_old.view(np.int64), stat_new.view(np.int64))
+
+
+def estimate_with_choice_and_gamma(s, joint, thr, blocks, seed):
+    """(false alarms, misses) counted as estimate_detection counted them
+    with Generator.choice and Generator.gamma."""
+    n = s.blocklength_n
+    scale_h0 = (s.sigma_w_sq_mw + np.asarray([j for _, j in joint.actions])) / n
+    scale_h1 = (np.asarray([p + j for p, j in joint.actions]) + s.sigma_w_sq_mw) / n
+    thr_values = np.asarray(thr.actions, dtype=float)
+    joint_p, thr_p = joint.prob_array(), thr.prob_array()
+    false_alarms = misses = done = chunk = 0
+    while done < blocks:
+        count = min(CHUNK_BLOCKS, blocks - done)
+        rng = _chunk_rng(seed, chunk)
+        a0 = rng.choice(len(joint_p), size=count, p=joint_p)
+        t0 = rng.choice(len(thr_p), size=count, p=thr_p)
+        false_alarms += int((rng.gamma(shape=n, scale=scale_h0[a0]) > thr_values[t0]).sum())
+        a1 = rng.choice(len(joint_p), size=count, p=joint_p)
+        t1 = rng.choice(len(thr_p), size=count, p=thr_p)
+        misses += int((rng.gamma(shape=n, scale=scale_h1[a1]) < thr_values[t1]).sum())
+        done += count
+        chunk += 1
+    return false_alarms, misses
+
+
+def test_estimate_counts_equal_choice_and_gamma_draws():
+    s = sim_scenario()
+    rng = np.random.default_rng(9)
+    for seed in range(12):
+        # Zero-probability actions, leading and trailing ones too, are never
+        # drawn.
+        probs = (rng.random(4) + 0.05) * (rng.random(4) < 0.6)
+        probs[seed % 4] += 0.1
+        joint = MixedStrategy(((0.2, 0.0), (0.8, 0.0), (0.2, 0.5), (0.8, 0.5)),
+                              tuple(probs / probs.sum()))
+        t_probs = (rng.random(3) + 0.05) * (rng.random(3) < 0.6)
+        t_probs[seed % 3] += 0.1
+        thr = MixedStrategy(s.threshold_grid, tuple(t_probs / t_probs.sum()))
+        blocks = (1, 777, CHUNK_BLOCKS + 5)[seed % 3]
+        got = estimate_detection(s, joint, thr, blocks=blocks, seed=seed)
+        false_alarms, misses = estimate_with_choice_and_gamma(s, joint, thr, blocks, seed)
+        assert (got.pfa_hat, got.pm_hat) == (false_alarms / blocks, misses / blocks)
