@@ -10,7 +10,7 @@ Monte Carlo, and traces rate versus covertness tradeoff curves.
 
 __version__ = "0.1.0"
 
-from .detection import MixedStrategy, dep_cell, pfa, pfa_cell, pm, pm_cell
+from .detection import MixedStrategy, pfa, pm
 from .experiments import (
     BaselineResult,
     TradeoffPoint,
@@ -29,7 +29,6 @@ from .matrixgame import (
     build_payoff,
     solve_game,
     threshold_best_response,
-    vec_index,
     verify_equilibrium,
 )
 from .model import (
@@ -42,21 +41,19 @@ from .model import (
     parse_scenario_text,
     prune_negative_rate,
 )
-from .rate import expected_rate, normal_approx_rate
-from .simkit import EmpiricalDetection, estimate_detection, sample_statistic
-from .specfun import gaussian_q, gaussian_q_inv, reg_gamma_q
+from .rate import normal_approx_rate
+from .simkit import EmpiricalDetection, estimate_detection
 
 __all__ = [
     "__version__",
-    "MixedStrategy", "dep_cell", "pfa", "pfa_cell", "pm", "pm_cell",
+    "MixedStrategy", "pfa", "pm",
     "BaselineResult", "TradeoffPoint", "beta_sweep", "constant_baseline",
     "default_beta_grid", "desk_scenario", "dominance_check", "frontier_rate",
     "max_guaranteed_dep", "uniform_baseline",
     "EquilibriumSolution", "PayoffMatrix", "build_payoff", "solve_game",
-    "threshold_best_response", "vec_index", "verify_equilibrium",
+    "threshold_best_response", "verify_equilibrium",
     "PrunedScenario", "Scenario", "ScenarioError", "default_scenario",
     "joint_actions", "load_scenario", "parse_scenario_text", "prune_negative_rate",
-    "expected_rate", "normal_approx_rate",
-    "EmpiricalDetection", "estimate_detection", "sample_statistic",
-    "gaussian_q", "gaussian_q_inv", "reg_gamma_q",
+    "normal_approx_rate",
+    "EmpiricalDetection", "estimate_detection",
 ]

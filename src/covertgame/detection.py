@@ -23,16 +23,13 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .specfun import reg_gamma_q, reg_gamma_q_grid
+from .specfun import reg_gamma_q_grid
 
 if TYPE_CHECKING:
     from .model import Scenario
 
 __all__ = [
     "MixedStrategy",
-    "pfa_cell",
-    "pm_cell",
-    "dep_cell",
     "pfa",
     "pm",
     "pfa_grid",
@@ -50,8 +47,8 @@ class MixedStrategy:
     """A probability vector over a finite, labelled action set.
 
     ``actions`` are the labels ((power, jam) pairs for the transmitter side,
-    threshold values for the detector side); ``probs`` must be nonnegative
-    and sum to one within 1e-9.
+    threshold values for the detector side); ``probs`` must be finite,
+    nonnegative and sum to one within 1e-9.
     """
 
     actions: tuple
@@ -66,6 +63,9 @@ class MixedStrategy:
             )
         if not self.probs:
             raise ValueError("strategy must have at least one action")
+        if not all(map(math.isfinite, self.probs)):
+            raise ValueError(f"non-finite probability "
+                             f"{next(p for p in self.probs if not math.isfinite(p))}")
         if min(self.probs) < 0.0:
             raise ValueError(f"negative probability {min(self.probs)}")
         total = math.fsum(self.probs)
@@ -89,21 +89,6 @@ class MixedStrategy:
 
     def prob_array(self) -> np.ndarray:
         return np.asarray(self.probs, dtype=float)
-
-
-def pfa_cell(jam: float, thr: float, n: int, sigma_w_sq: float) -> float:
-    """False-alarm probability of threshold ``thr`` against jamming ``jam``."""
-    return reg_gamma_q(n, n * thr / (sigma_w_sq + jam))
-
-
-def pm_cell(power: float, jam: float, thr: float, n: int, sigma_w_sq: float) -> float:
-    """Miss probability of threshold ``thr`` against transmission (power, jam)."""
-    return 1.0 - reg_gamma_q(n, n * thr / (power + sigma_w_sq + jam))
-
-
-def dep_cell(power: float, jam: float, thr: float, n: int, sigma_w_sq: float) -> float:
-    """Detection-error probability P_FA + P_M of a single pure-action cell."""
-    return pfa_cell(jam, thr, n, sigma_w_sq) + pm_cell(power, jam, thr, n, sigma_w_sq)
 
 
 def _q_cells(s: "Scenario", scales, thresholds) -> np.ndarray:

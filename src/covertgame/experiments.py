@@ -138,8 +138,7 @@ def _best_threshold_result(payoff: PayoffMatrix, label: str, parameter: float,
     strategy = MixedStrategy.uniform(payoff.actions[r] for r in rows)
     pfa_cells, pm_cells = payoff.pfa_terms[rows], payoff.pm_terms[rows]
     x = strategy.prob_array()
-    dep_by_thr = x @ (pfa_cells + pm_cells)
-    m = int(np.argmin(dep_by_thr))
+    m = int(np.argmin(x @ payoff.dep_terms[rows]))
     return BaselineResult(
         label=label,
         parameter=parameter,

@@ -409,14 +409,14 @@ class _Simplex:
         xval[basis] = xb
         # The leaving variable snaps to the bound it reached.  In a forced
         # degenerate pivot (artificial drive-out) the ratio test did not pick
-        # r, so fall back to whichever bound is finite.
+        # r, so fall back to whichever bound is finite.  A free variable never
+        # leaves: its infinite limits never block the ratio test, and the
+        # drive-out moves only artificials, which are bounded below by 0.
         lo_l, hi_l = self.lo[leaving], self.hi[leaving]
         if sigma * u[r] > 0.0:
             bound, st = (lo_l, _AT_LO) if math.isfinite(lo_l) else (hi_l, _AT_UP)
         else:
             bound, st = (hi_l, _AT_UP) if math.isfinite(hi_l) else (lo_l, _AT_LO)
-        if not math.isfinite(bound):
-            bound, st = 0.0, _AT_FREE
         status[leaving] = st
         xval[leaving] = bound
         row = np.divide(self.binv[r], u[r], out=self._row)
@@ -433,9 +433,7 @@ class _Simplex:
         self.direction[j] = 0.0
         if j in self.free:
             self.free.remove(j)
-        if st == _AT_FREE:
-            self.free.append(leaving)
-        elif self.movable[leaving]:
+        if self.movable[leaving]:
             self.direction[leaving] = -1.0 if st == _AT_LO else 1.0
         self.lo_b[r], self.hi_b[r] = self.lo[j], self.hi[j]
         self.cost_b[r] = self.phase_cost[j]

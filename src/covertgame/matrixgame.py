@@ -36,7 +36,6 @@ __all__ = [
     "EquilibriumSolution",
     "VerificationReport",
     "GameSolveError",
-    "vec_index",
     "build_payoff",
     "solve_game",
     "verify_equilibrium",
@@ -54,20 +53,6 @@ class GameSolveError(RuntimeError):
         super().__init__(message)
         self.lp = lp
         self.solution = solution
-
-
-def vec_index(y: int, power_count: int) -> tuple[int, int]:
-    """Unflatten a 1-based joint action index y into 1-based (i, l).
-
-    With I power levels, y = 1..I*L maps to power index i (fastest varying)
-    and jam index l: i = I if y mod I == 0 else y mod I, l = ceil(y / I).
-    """
-    if power_count < 1 or y < 1:
-        raise ValueError(f"need y >= 1 and power_count >= 1, got {y}, {power_count}")
-    i = y % power_count
-    if i == 0:
-        i = power_count
-    return i, (y + power_count - 1) // power_count
 
 
 @dataclass(frozen=True)
@@ -115,8 +100,8 @@ class PayoffMatrix:
         """Expected rate of a mixed strategy over all of this table's rows, or
         over the listed ``rows`` in order.
 
-        Read from ``rate_terms`` and summed as ``rate.expected_rate`` sums,
-        so the two agree bit for bit.
+        The probability-weighted sum of the rows' ``rate_terms``, added with
+        ``math.fsum``: the one expected-rate path of the package.
         """
         rates = self.rate_terms if rows is None else self.rate_terms[rows]
         if len(rates) != len(row.probs):

@@ -4,8 +4,7 @@ A Scenario pins down everything the games need: blocklength, noise powers at
 the intended receiver and at the detector, the decoding error target, the
 jamming coupling coefficient alpha, the covertness weight beta, and the three
 action grids (transmit powers, jamming powers, detection thresholds).  All
-powers are carried in linear milliwatts internally; decibels appear only in
-the presentation helpers.
+powers are in linear milliwatts.
 
 The no-jammer setting is represented uniformly as ``jam_grid = (0,)``, so a
 single code path serves both games.
@@ -24,7 +23,7 @@ from decimal import Decimal, InvalidOperation, Overflow, localcontext
 import numpy as np
 
 from .rate import action_snr, normal_approx_rate
-from .specfun import MAX_SHAPE
+from .specfun import MAX_SHAPE, MIN_TAIL_PROB
 
 __all__ = [
     "Scenario",
@@ -38,8 +37,6 @@ __all__ = [
     "load_scenario",
     "serialize_scenario",
     "apply_overrides",
-    "db_to_mw",
-    "mw_to_db",
 ]
 
 # Grid coordinates are snapped to this many decimal places at construction so
@@ -52,18 +49,6 @@ MAX_GRID_POINTS = 100_000
 
 class ScenarioError(ValueError):
     """Raised for invalid scenario values or malformed scenario files."""
-
-
-def db_to_mw(x_db: float) -> float:
-    """Convert a dB power (relative to 1 mW) to linear milliwatts."""
-    return 10.0 ** (float(x_db) / 10.0)
-
-
-def mw_to_db(x_mw: float) -> float:
-    """Convert linear milliwatts to dB relative to 1 mW."""
-    if x_mw <= 0.0:
-        raise ScenarioError(f"cannot express nonpositive power {x_mw} mW in dB")
-    return 10.0 * math.log10(float(x_mw))
 
 
 def _as_grid(values, name: str, minimum: float, min_exclusive: bool) -> tuple[float, ...]:
@@ -91,7 +76,9 @@ class Scenario:
             ``specfun.MAX_SHAPE`` (the accuracy domain of the detector model).
         sigma_b_sq_mw: noise power at the intended receiver, mW.
         sigma_w_sq_mw: noise power at the detector, mW.
-        delta: decoding error probability target, in (0, 1).
+        delta: decoding error probability target, from
+            ``specfun.MIN_TAIL_PROB`` (the smallest normal float) up to 1,
+            exclusive (the accuracy domain of ``gaussian_q_inv``).
         alpha: jamming coupling at the intended receiver (0 means jamming
             does not reach it).
         beta: weight of the detection-error term in the transmitter payoff.
@@ -124,8 +111,9 @@ class Scenario:
         for name in ("sigma_b_sq_mw", "sigma_w_sq_mw"):
             if not getattr(self, name) > 0.0:
                 raise ScenarioError(f"{name} must be positive, got {getattr(self, name)}")
-        if not 0.0 < self.delta < 1.0:
-            raise ScenarioError(f"delta must lie in (0, 1), got {self.delta}")
+        if not MIN_TAIL_PROB <= self.delta < 1.0:
+            raise ScenarioError(f"delta must lie in [{MIN_TAIL_PROB}, 1), where the rate is "
+                                f"accurate, got {self.delta}")
         if self.alpha < 0.0:
             raise ScenarioError(f"alpha must be nonnegative, got {self.alpha}")
         if not self.beta > 0.0:
@@ -193,8 +181,8 @@ def default_scenario(with_jammer: bool = False) -> Scenario:
 def joint_actions(s: Scenario) -> tuple[tuple[float, float], ...]:
     """All (power, jam) pairs in column-major order: power varies fastest.
 
-    The flattened index y of pair (i, l) is y = l * I + i with I power levels,
-    matching the unflattening rule in ``matrixgame.vec_index``.
+    With I power levels, the pair of power index i and jam index l (both
+    from 0) sits at index y = l * I + i.
     """
     return tuple((p, j) for j in s.jam_grid for p in s.power_grid)
 
@@ -213,21 +201,13 @@ class PrunedScenario:
     actions: tuple[tuple[float, float], ...]
     rates: np.ndarray = field(repr=False, compare=False)
 
-    @property
-    def thresholds(self) -> tuple[float, ...]:
-        return self.scenario.threshold_grid
-
-    @property
-    def powers(self) -> tuple[float, ...]:
-        """Distinct surviving power levels, ascending."""
-        return tuple(sorted({p for p, _ in self.actions}))
-
 
 def prune_negative_rate(s: Scenario) -> PrunedScenario:
     """Drop every (power, jam) action whose rate is strictly negative.
 
     The rates of all joint actions come from one array evaluation, in the
-    order of ``joint_actions``, and equal ``rate.action_rate`` bit for bit.
+    order of ``joint_actions``; each equals the scalar
+    ``normal_approx_rate(action_snr(s, power, jam), ...)`` bit for bit.
     """
     powers = np.tile(s.power_grid, len(s.jam_grid))
     jams = np.repeat(s.jam_grid, len(s.power_grid))
@@ -276,6 +256,18 @@ def _parse_grid(text: str, key: str) -> tuple[float, ...]:
     return tuple(_parse_decimal(p.strip(), key) for p in text.split(",") if p.strip())
 
 
+def _parse_value(key: str, text: str):
+    """One scenario value from its file syntax; ``key`` must be known."""
+    if key == "blocklength_n":
+        try:
+            return int(text, 10)
+        except ValueError:
+            raise ScenarioError(f"blocklength_n must be an integer, got {text!r}") from None
+    if key in _GRID_KEYS:
+        return _parse_grid(text, key)
+    return _parse_decimal(text, key)
+
+
 def parse_scenario_text(text: str) -> Scenario:
     """Parse scenario-file content.  Unknown or repeated keys are rejected."""
     seen: dict[str, str] = {}
@@ -296,21 +288,8 @@ def parse_scenario_text(text: str) -> Scenario:
     missing = [k for k in _ALL_KEYS if k not in seen and k not in _OPTIONAL]
     if missing:
         raise ScenarioError(f"missing required keys: {', '.join(missing)}")
-
-    kwargs: dict = {}
-    for key in _SCALAR_KEYS:
-        if key not in seen:
-            kwargs[key] = _OPTIONAL[key]
-        elif key == "blocklength_n":
-            try:
-                kwargs[key] = int(seen[key], 10)
-            except ValueError:
-                raise ScenarioError(f"blocklength_n must be an integer, got {seen[key]!r}") from None
-        else:
-            kwargs[key] = _parse_decimal(seen[key], key)
-    for key in _GRID_KEYS:
-        kwargs[key] = _parse_grid(seen[key], key) if key in seen else _OPTIONAL[key]
-    return Scenario(**kwargs)
+    return Scenario(**{key: _parse_value(key, seen[key]) if key in seen else _OPTIONAL[key]
+                       for key in _ALL_KEYS})
 
 
 def load_scenario(path) -> Scenario:
@@ -337,13 +316,5 @@ def apply_overrides(s: Scenario, overrides: dict[str, str]) -> Scenario:
     for key, value in overrides.items():
         if key not in _ALL_KEYS:
             raise ScenarioError(f"unknown scenario key {key!r}")
-        if key == "blocklength_n":
-            try:
-                kwargs[key] = int(value, 10)
-            except ValueError:
-                raise ScenarioError(f"blocklength_n must be an integer, got {value!r}") from None
-        elif key in _GRID_KEYS:
-            kwargs[key] = _parse_grid(value, key)
-        else:
-            kwargs[key] = _parse_decimal(value, key)
+        kwargs[key] = _parse_value(key, value)
     return replace(s, **kwargs)

@@ -22,10 +22,9 @@ import numpy as np
 from .specfun import gaussian_q_inv
 
 if TYPE_CHECKING:
-    from .detection import MixedStrategy
     from .model import Scenario
 
-__all__ = ["normal_approx_rate", "action_snr", "action_rate", "expected_rate"]
+__all__ = ["normal_approx_rate", "action_snr"]
 
 
 def normal_approx_rate(snr, n: int, delta: float):
@@ -63,20 +62,3 @@ def action_snr(s: "Scenario", power, jam):
     """
     with np.errstate(over="ignore", invalid="ignore"):
         return power / (s.sigma_b_sq_mw + np.where(jam == 0, 0.0, s.alpha * s.alpha * jam))
-
-
-def action_rate(s: "Scenario", power: float, jam: float) -> float:
-    """Rate of a single (power, jam) action under scenario s."""
-    return float(normal_approx_rate(action_snr(s, power, jam), s.blocklength_n, s.delta))
-
-
-def expected_rate(s: "Scenario", strategy: "MixedStrategy") -> float:
-    """Expected rate of a mixed strategy over (power, jam) actions.
-
-    The strategy's actions must be (power_mw, jam_mw) pairs; the expectation
-    is the probability-weighted sum of per-action rates.
-    """
-    return float(math.fsum(
-        prob * action_rate(s, power, jam)
-        for (power, jam), prob in zip(strategy.actions, strategy.probs)
-    ))

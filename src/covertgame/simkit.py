@@ -23,7 +23,6 @@ from .model import Scenario
 
 __all__ = [
     "EmpiricalDetection",
-    "sample_statistic",
     "estimate_detection",
     "CHUNK_BLOCKS",
 ]
@@ -52,16 +51,6 @@ class EmpiricalDetection:
 def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
     key = np.array([seed, chunk_index], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
-
-
-def sample_statistic(power: float, jam: float, n: int, sigma_w_sq: float,
-                     rng: np.random.Generator, size=None):
-    """Draw detector statistics directly from their Gamma(n, s/n) law.
-
-    ``power`` 0 gives the no-transmission hypothesis.
-    """
-    s = power + sigma_w_sq + jam
-    return rng.gamma(shape=n, scale=s / n, size=size)
 
 
 def _rising_cdf(strategy: MixedStrategy) -> tuple[np.ndarray, np.ndarray]:

@@ -36,7 +36,7 @@ from covertgame.matrixgame import (
     verify_equilibrium,
 )
 from covertgame.model import default_scenario, prune_negative_rate
-from covertgame.rate import action_rate
+from covertgame.rate import action_snr, normal_approx_rate
 from covertgame.simkit import estimate_detection
 from covertgame.specfun import gaussian_q_inv, reg_gamma_q
 
@@ -105,7 +105,7 @@ def test_criterion_01_equilibrium_support(no_jam):
 
 def test_criterion_02_pruning(no_jam):
     s = no_jam.scenario
-    rate_001 = action_rate(s, 0.01, 0.0)
+    rate_001 = normal_approx_rate(action_snr(s, 0.01, 0.0), s.blocklength_n, s.delta)
     surviving = {p for p, _ in no_jam.payoff.actions}
     ok = rate_001 < 0.0 and 0.01 not in surviving and 0.02 in surviving
     _verdict(2, ok, (

@@ -16,7 +16,6 @@ from covertgame import cli, detection, lpsolve, specfun
 from covertgame.cli import main
 from covertgame.matrixgame import build_payoff, solve_game
 from covertgame.model import default_scenario, prune_negative_rate
-from covertgame.rate import expected_rate
 
 SMALL_SCENARIO = """\
 blocklength_n = 200
@@ -142,6 +141,14 @@ def test_blocklength_beyond_accuracy_domain_exits_2(tmp_path, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "blocklength_n must be at most 100000" in err
+
+
+def test_delta_below_accuracy_domain_exits_2(tmp_path, capsys):
+    # A subnormal delta used to solve with a slightly wrong rate.
+    code = main(["solve", "--set", "delta=1e-322", "--out", str(tmp_path / "x")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "delta must lie in [2.2250738585072014e-308, 1)" in err
 
 
 def test_oversized_grid_exits_2(tmp_path, capsys):
@@ -329,6 +336,21 @@ def test_simulate_rejects_off_grid_strategy(tmp_path, scenario_file, capsys):
     assert "not on the scenario grid" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("prob", ["nan", "inf", "-inf"])
+def test_simulate_rejects_non_finite_probability(tmp_path, scenario_file, capsys, prob):
+    # A NaN row probability used to end in an IndexError traceback.
+    rows = tmp_path / "rows.csv"
+    rows.write_text(f"power_mw,jam_mw,probability\n0.02,0,{prob}\n1.0,0,1\n", encoding="utf-8")
+    cols = tmp_path / "cols.csv"
+    cols.write_text("threshold_mw,probability\n0.25,1\n", encoding="utf-8")
+    code = main(["simulate", "--scenario", str(scenario_file),
+                 "--row-strategy", str(rows), "--col-strategy", str(cols),
+                 "--blocks", "10", "--out", str(tmp_path / "x")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "non-finite probability" in err
+
+
 def test_simulate_zero_blocks_exits_2(tmp_path, scenario_file, capsys):
     code = main(["simulate", "--scenario", str(scenario_file),
                  "--blocks", "0", "--out", str(tmp_path / "x")])
@@ -352,7 +374,7 @@ def test_summary_rate_is_read_from_the_table(tmp_path):
     payoff = build_payoff(prune_negative_rate(default_scenario()))
     solution = solve_game(payoff)
     summary = cli._write_solution(cli._OutDir(str(tmp_path)), payoff, solution)
-    assert summary["expected_rate"] == expected_rate(payoff.scenario, solution.row_strategy)
+    assert summary["expected_rate"] == payoff.expected_rate(solution.row_strategy)
 
 
 # Override values: numbers, limits, non-finite and malformed text.  A grid

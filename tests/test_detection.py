@@ -1,24 +1,23 @@
 """Tests for detection-error cells, grids, and mixed-strategy error rates."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from covertgame.detection import (
     MixedStrategy,
-    dep_cell,
     dep_grid,
     pfa,
-    pfa_cell,
     pfa_grid,
     pm,
-    pm_cell,
     pm_grid,
 )
 from covertgame.model import Scenario, default_scenario, joint_actions
+from covertgame.specfun import _poisson_tables
 
-from oracles import gamma_q_reference
+from oracles import gamma_q_full_sum, gamma_q_reference
 
 
 def tiny_scenario(jam_grid=(0.0,), alpha=0.0):
@@ -35,6 +34,12 @@ def tiny_scenario(jam_grid=(0.0,), alpha=0.0):
     )
 
 
+def cell(power, jam, thr, n, sigma_w_sq):
+    """(P_FA, P_M) of one pure-action cell, read from the grids."""
+    s = replace(tiny_scenario(), blocklength_n=n, sigma_w_sq_mw=sigma_w_sq, threshold_grid=(thr,))
+    return float(pfa_grid(s, [(power, jam)])[0, 0]), float(pm_grid(s, [(power, jam)])[0, 0])
+
+
 class TestMixedStrategy:
     def test_validation(self):
         with pytest.raises(ValueError, match="probabilities"):
@@ -45,6 +50,10 @@ class TestMixedStrategy:
             MixedStrategy(actions=(1, 2), probs=(0.6, 0.6))
         with pytest.raises(ValueError, match="at least one"):
             MixedStrategy(actions=(), probs=())
+        # NaN compares false with everything, so neither check above sees it.
+        for bad in [(math.nan, 1.0), (1.0, math.nan), (math.inf, 0.0), (-math.inf, 2.0)]:
+            with pytest.raises(ValueError, match="non-finite probability"):
+                MixedStrategy(actions=(1, 2), probs=bad)
 
     def test_constructors(self):
         point = MixedStrategy.point_mass(("a", "b", "c"), 1)
@@ -66,7 +75,9 @@ class TestMixedStrategy:
 
 def test_pfa_cell_frozen_value():
     # Default scenario, quiet channel, threshold 1.02: Q(200, 204).
-    assert pfa_cell(0.0, 1.02, 200, 1.0) == pytest.approx(
+    s = default_scenario()
+    assert s.threshold_grid[102] == 1.02
+    assert pfa_grid(s, [(0.02, 0.0)])[0, 102] == pytest.approx(
         0.3803686104663225, abs=1e-13)
 
 
@@ -75,16 +86,15 @@ def test_cells_match_reference():
         n, sw = 80, 1.0
         want_fa = gamma_q_reference(n, n * thr / (sw + jam))
         want_md = 1.0 - gamma_q_reference(n, n * thr / (power + sw + jam))
-        assert abs(pfa_cell(jam, thr, n, sw) - float(want_fa)) <= 1e-12
-        assert abs(pm_cell(power, jam, thr, n, sw) - float(want_md)) <= 1e-12
-        assert dep_cell(power, jam, thr, n, sw) == pytest.approx(
-            float(want_fa + want_md), abs=1e-12)
+        fa, md = cell(power, jam, thr, n, sw)
+        assert abs(fa - float(want_fa)) <= 1e-12
+        assert abs(md - float(want_md)) <= 1e-12
+        assert fa + md == pytest.approx(float(want_fa + want_md), abs=1e-12)
 
 
 def test_threshold_zero_always_alarms():
-    assert pfa_cell(0.0, 0.0, 200, 1.0) == 1.0
-    assert pm_cell(0.5, 0.0, 0.0, 200, 1.0) == 0.0
-    assert dep_cell(0.5, 0.0, 0.0, 200, 1.0) == 1.0
+    fa, md = cell(0.5, 0.0, 0.0, 200, 1.0)
+    assert (fa, md, fa + md) == (1.0, 0.0, 1.0)
 
 
 def test_dep_never_exceeds_one():
@@ -106,10 +116,15 @@ def test_grids_match_scalar_cells():
     md = pm_grid(s, actions)
     both = dep_grid(s, actions)
     assert fa.shape == (6, 4)
+    n, sw = s.blocklength_n, s.sigma_w_sq_mw
+
+    def q(x):  # Q(n, x) at one point, every Poisson term summed
+        return float(gamma_q_full_sum(np.array([x]), *_poisson_tables(n))[0])
+
     for i, (p, j) in enumerate(actions):
         for m, t in enumerate(s.threshold_grid):
-            assert abs(fa[i, m] - pfa_cell(j, t, s.blocklength_n, s.sigma_w_sq_mw)) <= 1e-14
-            assert abs(md[i, m] - pm_cell(p, j, t, s.blocklength_n, s.sigma_w_sq_mw)) <= 1e-14
+            assert abs(fa[i, m] - q(n * t / (sw + j))) <= 1e-14
+            assert abs(md[i, m] - (1.0 - q(n * t / (p + sw + j)))) <= 1e-14
             assert abs(both[i, m] - (fa[i, m] + md[i, m])) <= 1e-15
 
 
@@ -150,15 +165,15 @@ def test_mixed_rates_equal_double_sum():
     actions = joint_actions(s)
     joint = MixedStrategy(actions, (0.1, 0.2, 0.05, 0.15, 0.3, 0.2))
     thr = MixedStrategy(s.threshold_grid, (0.4, 0.1, 0.25, 0.25))
-    n, sw = s.blocklength_n, s.sigma_w_sq_mw
+    fa, md = pfa_grid(s, actions), pm_grid(s, actions)
     want_fa = math.fsum(
-        joint.probs[i] * thr.probs[m] * pfa_cell(j, t, n, sw)
-        for i, (_, j) in enumerate(actions)
-        for m, t in enumerate(thr.actions))
+        joint.probs[i] * thr.probs[m] * fa[i, m]
+        for i in range(len(actions))
+        for m in range(len(thr.actions)))
     want_md = math.fsum(
-        joint.probs[i] * thr.probs[m] * pm_cell(p, j, t, n, sw)
-        for i, (p, j) in enumerate(actions)
-        for m, t in enumerate(thr.actions))
+        joint.probs[i] * thr.probs[m] * md[i, m]
+        for i in range(len(actions))
+        for m in range(len(thr.actions)))
     assert pfa(s, joint, thr) == pytest.approx(want_fa, abs=1e-13)
     assert pm(s, joint, thr) == pytest.approx(want_md, abs=1e-13)
 

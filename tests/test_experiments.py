@@ -1,12 +1,13 @@
 """Tests for tradeoff sweeps, baselines, and the dominance comparison."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from covertgame.detection import dep_cell, pfa, pm
+from covertgame.detection import dep_grid, pfa, pm
 from covertgame.experiments import (
     beta_sweep,
     constant_baseline,
@@ -20,9 +21,15 @@ from covertgame.experiments import (
 from covertgame.lpsolve import InfeasibleError
 from covertgame.matrixgame import build_payoff, solve_game
 from covertgame.model import default_scenario, prune_negative_rate
-from covertgame.rate import expected_rate
+from covertgame.rate import action_snr, normal_approx_rate
 
 from oracles import exact_lp_value
+
+
+def scalar_expected_rate(s, strategy):
+    """A strategy's expected rate summed from one scalar rate per action."""
+    return math.fsum(prob * normal_approx_rate(action_snr(s, p, j), s.blocklength_n, s.delta)
+                     for (p, j), prob in zip(strategy.actions, strategy.probs))
 
 
 @pytest.fixture(scope="module")
@@ -65,7 +72,7 @@ def test_sweep_points_satisfy_invariants(coarse_sweep):
         assert 0.0 < point.dep < 2.0
         s = dataclasses.replace(desk_scenario(with_jammer=False), beta=point.beta)
         # Round trip: recompute every reported number from the strategies.
-        assert expected_rate(s, point.row_strategy) == pytest.approx(
+        assert scalar_expected_rate(s, point.row_strategy) == pytest.approx(
             point.expected_rate, abs=1e-10)
         assert pfa(s, point.row_strategy, point.col_strategy) == pytest.approx(
             point.pfa, abs=1e-10)
@@ -80,11 +87,11 @@ def test_table_read_expected_rates_equal_scalar_rates(no_jam_payoff):
     # the sums must match the scalar rate path bit for bit.
     s = no_jam_payoff.scenario
     for point in beta_sweep(s):
-        assert point.expected_rate == expected_rate(s, point.row_strategy)
+        assert point.expected_rate == scalar_expected_rate(s, point.row_strategy)
     baselines = [uniform_baseline(no_jam_payoff, k) for k in range(2, len(s.power_grid) + 1)]
     baselines += [constant_baseline(no_jam_payoff, p) for p, _ in no_jam_payoff.actions]
     for b in baselines:
-        assert b.expected_rate == expected_rate(s, b.row_strategy)
+        assert b.expected_rate == scalar_expected_rate(s, b.row_strategy)
 
 
 def test_sweep_dep_rises_rate_falls(coarse_sweep):
@@ -151,11 +158,9 @@ def test_best_threshold_is_argmin(no_jam_payoff):
     result = uniform_baseline(no_jam_payoff, 50)
     x = result.row_strategy.prob_array()
     actions = result.row_strategy.actions
-    dep_by_thr = [
-        sum(p * dep_cell(a[0], a[1], t, s.blocklength_n, s.sigma_w_sq_mw)
-            for a, p in zip(actions, x))
-        for t in s.threshold_grid
-    ]
+    cells = dep_grid(s, actions)
+    dep_by_thr = [sum(p * cells[i, m] for i, p in enumerate(x))
+                  for m in range(len(s.threshold_grid))]
     best = s.threshold_grid[int(np.argmin(dep_by_thr))]
     assert result.best_threshold == best
     assert result.dep == pytest.approx(min(dep_by_thr), abs=1e-12)
@@ -184,17 +189,14 @@ def test_max_guaranteed_dep_equals_quietest_worst_case(no_jam_payoff):
     # The single quietest surviving power already forces the detector to its
     # best threshold; mixing cannot beat that here.
     s = default_scenario()
-    worst = min(
-        dep_cell(0.02, 0.0, t, s.blocklength_n, s.sigma_w_sq_mw)
-        for t in s.threshold_grid
-    )
+    worst = float(dep_grid(s, [(0.02, 0.0)]).min())
     assert max_guaranteed_dep(no_jam_payoff) == pytest.approx(worst, abs=1e-9)
 
 
 def test_equilibrium_sits_on_frontier(no_jam_payoff):
     sol = solve_game(no_jam_payoff)
     s = default_scenario()
-    point_rate = expected_rate(s, sol.row_strategy)
+    point_rate = scalar_expected_rate(s, sol.row_strategy)
     point_dep = float(
         sol.row_strategy.prob_array() @ no_jam_payoff.dep_terms
         @ sol.col_strategy.prob_array())

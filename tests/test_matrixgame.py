@@ -11,25 +11,12 @@ from covertgame.matrixgame import (
     solve_game,
     solve_lp_orientation,
     threshold_best_response,
-    vec_index,
     verify_equilibrium,
 )
 from covertgame.model import default_scenario, prune_negative_rate
-from covertgame.rate import action_rate
+from covertgame.rate import action_snr, normal_approx_rate
 
 from oracles import fictitious_play_bounds, grid_value_bounds
-
-
-def test_vec_index():
-    assert vec_index(1, 100) == (1, 1)
-    assert vec_index(100, 100) == (100, 1)
-    assert vec_index(101, 100) == (1, 2)
-    assert vec_index(250, 100) == (50, 3)
-    assert vec_index(3, 1) == (1, 3)
-    with pytest.raises(ValueError):
-        vec_index(0, 100)
-    with pytest.raises(ValueError):
-        vec_index(5, 0)
 
 
 def test_matching_pennies():
@@ -150,7 +137,8 @@ def test_build_payoff_entries():
     assert payoff.entries.shape == (99, 301)
     assert payoff.beta == s.beta
     dep = dep_grid(s, pruned.actions)
-    rates = np.array([action_rate(s, p, j) for p, j in pruned.actions])
+    rates = np.array([normal_approx_rate(action_snr(s, p, j), s.blocklength_n, s.delta)
+                      for p, j in pruned.actions])
     assert np.array_equal(payoff.dep_terms, dep)
     assert np.max(np.abs(payoff.entries - (rates[:, None] + s.beta * dep))) == 0.0
     assert payoff.actions == pruned.actions

@@ -11,19 +11,17 @@ from covertgame.model import (
     Scenario,
     ScenarioError,
     apply_overrides,
-    db_to_mw,
     MAX_GRID_POINTS,
     decimal_range,
     default_scenario,
     joint_actions,
     load_scenario,
-    mw_to_db,
     parse_scenario_text,
     prune_negative_rate,
     serialize_scenario,
 )
-from covertgame.rate import action_rate
-from covertgame.specfun import MAX_SHAPE
+from covertgame.rate import action_snr, normal_approx_rate
+from covertgame.specfun import MAX_SHAPE, MIN_TAIL_PROB
 
 
 def small_scenario(**over):
@@ -91,14 +89,6 @@ def test_decimal_range_errors():
             decimal_range(*triple)
 
 
-def test_db_conversions():
-    assert db_to_mw(0.0) == 1.0
-    assert db_to_mw(10.0) == pytest.approx(10.0)
-    assert mw_to_db(db_to_mw(-3.2)) == pytest.approx(-3.2, abs=1e-12)
-    with pytest.raises(ScenarioError):
-        mw_to_db(0.0)
-
-
 def test_scenario_validation():
     with pytest.raises(ScenarioError, match="blocklength_n"):
         small_scenario(blocklength_n=0)
@@ -107,6 +97,11 @@ def test_scenario_validation():
     assert small_scenario(blocklength_n=100_000).blocklength_n == 100_000
     with pytest.raises(ScenarioError, match="delta"):
         small_scenario(delta=1.0)
+    # Below the smallest normal float the rate's Gaussian quantile is inaccurate.
+    for bad in (1e-322, 5e-324, math.nextafter(MIN_TAIL_PROB, 0.0)):
+        with pytest.raises(ScenarioError, match=r"delta must lie in \[2\.22507\d+e-308, 1\)"):
+            small_scenario(delta=bad)
+    assert small_scenario(delta=MIN_TAIL_PROB).delta == MIN_TAIL_PROB
     with pytest.raises(ScenarioError, match="alpha"):
         small_scenario(alpha=-0.5)
     with pytest.raises(ScenarioError, match="beta"):
@@ -139,12 +134,11 @@ def test_joint_actions_power_varies_fastest():
 def test_prune_negative_rate_boundary():
     s = default_scenario()
     pruned = prune_negative_rate(s)
-    powers = pruned.powers
+    powers = sorted({p for p, _ in pruned.actions})
     # 0.01 mW has negative rate at this blocklength, 0.02 does not.
     assert 0.01 not in powers
     assert powers[0] == 0.02
     assert len(pruned.actions) == 99
-    assert pruned.thresholds == s.threshold_grid
 
 
 def test_prune_is_idempotent():
@@ -158,7 +152,8 @@ def test_prune_rates_equal_scalar_action_rate(with_jammer):
     # One array evaluation over every joint action (10,100 with the jammer)
     # gives the scalar rates bit for bit, and the same survivors.
     s = default_scenario(with_jammer)
-    scalar = [(a, action_rate(s, *a)) for a in joint_actions(s)]
+    scalar = [(a, normal_approx_rate(action_snr(s, *a), s.blocklength_n, s.delta))
+              for a in joint_actions(s)]
     kept = [(a, r) for a, r in scalar if r >= 0.0]
     pruned = prune_negative_rate(s)
     assert pruned.actions == tuple(a for a, _ in kept)
@@ -195,7 +190,7 @@ def scenarios(draw) -> Scenario:
         blocklength_n=draw(st.integers(1, MAX_SHAPE)),
         sigma_b_sq_mw=draw(positive),
         sigma_w_sq_mw=draw(positive),
-        delta=draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)),
+        delta=draw(st.floats(MIN_TAIL_PROB, 1.0, exclude_max=True)),
         alpha=draw(st.floats(0.0, 1e300)),
         beta=draw(positive),
         power_grid=_grid(draw, exclusive=True),

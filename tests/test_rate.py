@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from covertgame.detection import MixedStrategy
-from covertgame.model import default_scenario
-from covertgame.rate import action_rate, action_snr, expected_rate, normal_approx_rate
+from covertgame.matrixgame import build_payoff
+from covertgame.model import default_scenario, prune_negative_rate
+from covertgame.rate import action_snr, normal_approx_rate
 
 
 def test_frozen_values():
@@ -76,18 +77,26 @@ def test_action_snr_jamming():
 def test_action_rate_no_jammer_matches_plain_formula():
     s = default_scenario(with_jammer=False)
     want = normal_approx_rate(0.02 / s.sigma_b_sq_mw, s.blocklength_n, s.delta)
-    assert action_rate(s, 0.02, 0.0) == pytest.approx(float(want), abs=1e-15)
+    got = normal_approx_rate(action_snr(s, 0.02, 0.0), s.blocklength_n, s.delta)
+    assert got == pytest.approx(float(want), abs=1e-15)
 
 
 def test_expected_rate_convex_combination():
     s = default_scenario(with_jammer=False)
+    payoff = build_payoff(prune_negative_rate(s))
     a, b = (0.02, 0.0), (1.0, 0.0)
+    rows = [payoff.actions.index(a), payoff.actions.index(b)]
     mix = MixedStrategy(actions=(a, b), probs=(0.25, 0.75))
-    want = 0.25 * action_rate(s, *a) + 0.75 * action_rate(s, *b)
-    assert expected_rate(s, mix) == pytest.approx(want, abs=1e-15)
+    rate_a, rate_b = (normal_approx_rate(action_snr(s, *action), s.blocklength_n, s.delta)
+                      for action in (a, b))
+    want = 0.25 * rate_a + 0.75 * rate_b
+    assert payoff.expected_rate(mix, rows) == pytest.approx(want, abs=1e-15)
 
 
 def test_expected_rate_point_mass():
     s = default_scenario(with_jammer=False)
-    mix = MixedStrategy.point_mass(((0.02, 0.0), (1.0, 0.0)), 1)
-    assert expected_rate(s, mix) == pytest.approx(action_rate(s, 1.0, 0.0))
+    payoff = build_payoff(prune_negative_rate(s))
+    mix = MixedStrategy.point_mass(payoff.actions, len(payoff.actions) - 1)
+    assert payoff.actions[-1] == (1.0, 0.0)
+    want = normal_approx_rate(action_snr(s, 1.0, 0.0), s.blocklength_n, s.delta)
+    assert payoff.expected_rate(mix) == pytest.approx(want)

@@ -5,9 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from covertgame.detection import MixedStrategy, pfa, pfa_cell, pm, pm_cell
+from covertgame.detection import MixedStrategy, pfa, pfa_grid, pm, pm_grid
 from covertgame.model import Scenario
-from covertgame.simkit import CHUNK_BLOCKS, _chunk_rng, estimate_detection, sample_statistic
+from covertgame.simkit import CHUNK_BLOCKS, _chunk_rng, estimate_detection
 
 from oracles import ks_two_sample, sample_statistic_per_sample
 
@@ -27,9 +27,10 @@ def sim_scenario():
 
 
 def test_statistic_moments():
+    # The draw estimate_detection makes: standard_gamma(n) times scale s / n.
     rng = np.random.default_rng(21)
-    draws = sample_statistic(0.3, 0.2, 40, 1.0, rng, size=200000)
     s = 0.3 + 1.0 + 0.2
+    draws = rng.standard_gamma(40, size=200000) * (s / 40)
     assert draws.mean() == pytest.approx(s, rel=0.01)
     assert draws.var() == pytest.approx(s * s / 40.0, rel=0.05)
     assert np.all(draws > 0.0)
@@ -39,7 +40,7 @@ def test_gamma_shortcut_matches_per_sample_construction():
     """KS two-sample test at the 1% level between the Gamma(n, s/n) draw and
     the long-form average of n squared complex-Gaussian magnitudes."""
     rng = np.random.default_rng(17)
-    fast = sample_statistic(0.4, 0.0, 30, 1.0, rng, size=4000)
+    fast = rng.standard_gamma(30, size=4000) * ((0.4 + 1.0 + 0.0) / 30)
     slow = sample_statistic_per_sample(0.4, 0.0, 30, 1.0, rng, size=4000)
     stat, threshold = ks_two_sample(fast, slow)
     assert stat < threshold
@@ -61,8 +62,8 @@ def test_pure_strategy_against_cell_values():
     joint = MixedStrategy.point_mass(((0.2, 0.0), (0.8, 0.5)), 1)
     thr = MixedStrategy.point_mass(s.threshold_grid, 2)
     result = estimate_detection(s, joint, thr, blocks=30000, seed=12)
-    want_fa = pfa_cell(0.5, 1.5, s.blocklength_n, s.sigma_w_sq_mw)
-    want_md = pm_cell(0.8, 0.5, 1.5, s.blocklength_n, s.sigma_w_sq_mw)
+    want_fa = pfa_grid(s, [(0.8, 0.5)])[0, 2]
+    want_md = pm_grid(s, [(0.8, 0.5)])[0, 2]
     assert result.pfa_stderr > 0.0 and result.pm_stderr > 0.0
     assert abs(result.pfa_hat - want_fa) <= 3.0 * result.pfa_stderr
     assert abs(result.pm_hat - want_md) <= 3.0 * result.pm_stderr

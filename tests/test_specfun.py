@@ -1,6 +1,7 @@
 """Tests for the incomplete-gamma and Gaussian-tail primitives."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from covertgame import specfun
 from covertgame.model import default_scenario
 from covertgame.specfun import (
     MAX_SHAPE,
+    MIN_TAIL_PROB,
     _poisson_tables,
     _windows,
     gaussian_q,
@@ -55,11 +57,13 @@ def test_scalar_matches_continued_fraction_oracle():
 
 
 def test_grid_matches_scalar_path():
+    # The grid and its one-point view, against the full Poisson sum.
     for n in SHAPES:
         x = np.array([r * n for r in RATIOS])
-        grid = reg_gamma_q_grid(n, x)
+        full = gamma_q_full_sum(x, *_poisson_tables(n))
         scalars = np.array([reg_gamma_q(n, float(v)) for v in x])
-        assert np.max(np.abs(grid - scalars)) <= 5e-15
+        assert np.max(np.abs(reg_gamma_q_grid(n, x) - full)) <= 5e-15
+        assert np.max(np.abs(scalars - full)) <= 5e-15
 
 
 def test_poisson_recurrence():
@@ -223,8 +227,8 @@ def test_grid_window_edges_match_scalar_sum(n, edge, offset):
     else:
         x = (n - 1) * math.exp(abs(offset))
     x = max(x, 0.0)
-    got = float(reg_gamma_q_grid(n, np.array([x]))[0])
-    want = reg_gamma_q(n, x)
+    got = reg_gamma_q(n, x)
+    want = float(gamma_q_full_sum(np.array([x]), *_poisson_tables(n))[0])
     assert abs(got - want) <= 5e-15
     if want > 1e-300:
         assert abs(got - want) <= 1e-12 * want
@@ -237,7 +241,7 @@ def test_gaussian_q_inv_frozen_points():
 
 
 def test_gaussian_q_inv_matches_bisection():
-    for p in [1e-6, 1e-3, 0.01, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99, 1.0 - 1e-6]:
+    for p in [MIN_TAIL_PROB, 1e-300, 1e-6, 1e-3, 0.01, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99, 1.0 - 1e-6]:
         assert abs(gaussian_q_inv(p) - gaussian_quantile_reference(p)) <= 1e-9
 
 
@@ -247,6 +251,8 @@ def test_gaussian_roundtrip():
 
 
 def test_gaussian_q_inv_domain():
-    for bad in [0.0, 1.0, -0.2, 1.5]:
-        with pytest.raises(ValueError):
+    # Subnormal p lose accuracy (1.6e-7 at 1e-320), so they are rejected.
+    assert MIN_TAIL_PROB == sys.float_info.min
+    for bad in [0.0, 1.0, -0.2, 1.5, math.nan, 5e-324, 1e-320, math.nextafter(MIN_TAIL_PROB, 0.0)]:
+        with pytest.raises(ValueError, match="tail probability must lie in"):
             gaussian_q_inv(bad)
