@@ -20,6 +20,8 @@ import sys
 from datetime import datetime, timezone
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__, lpsolve
 from .detection import SUPPORT_EPS, MixedStrategy, pfa, pm
 from .experiments import (
@@ -88,6 +90,11 @@ def _parse_set(pairs: list[str]) -> dict[str, str]:
 
 
 def _resolve_scenario(args):
+    if args.scenario and (args.jammer or args.full_grid):
+        raise ScenarioError("--jammer and --full-grid pick a preset; "
+                            "they do not go with --scenario")
+    if args.full_grid and not args.jammer:
+        raise ScenarioError("--full-grid needs --jammer")
     if args.scenario:
         scenario = load_scenario(args.scenario)
         source = str(args.scenario)
@@ -103,7 +110,7 @@ def _resolve_scenario(args):
     return scenario, source, overrides
 
 
-def _manifest(args, subcommand: str, source: str, overrides: dict, scenario) -> dict:
+def _manifest(subcommand: str, source: str, overrides: dict, scenario) -> dict:
     return {
         "tool": {"name": "covertgame", "version": __version__},
         "subcommand": subcommand,
@@ -155,7 +162,7 @@ def _cmd_solve(args) -> int:
     solution = solve_game(payoff)
     _write_solution(out, payoff, solution)
     out.write_text("scenario.txt", serialize_scenario(scenario))
-    out.finish(_manifest(args, "solve", source, overrides, scenario))
+    out.finish(_manifest("solve", source, overrides, scenario))
     print(f"value {_fmt(solution.value)}  "
           f"row support {len(solution.row_strategy.support())}  "
           f"col support {len(solution.col_strategy.support())}")
@@ -184,7 +191,7 @@ def _cmd_sweep(args) -> int:
         ((p.beta, p.expected_rate, p.pfa, p.pm, p.dep, p.game_value) for p in points),
     )
     out.write_text("scenario.txt", serialize_scenario(scenario))
-    manifest = _manifest(args, "sweep", source, overrides, scenario)
+    manifest = _manifest("sweep", source, overrides, scenario)
     manifest["betas"] = [float(_fmt(b)) for b in betas]
     manifest["betas_source"] = betas_source
     out.finish(manifest)
@@ -207,9 +214,14 @@ def _cmd_baseline(args) -> int:
          for r in results),
     )
     out.write_text("scenario.txt", serialize_scenario(scenario))
-    out.finish(_manifest(args, "baseline", source, overrides, scenario))
+    out.finish(_manifest("baseline", source, overrides, scenario))
     print(f"wrote {len(results)} baseline points")
     return 0
+
+
+def _off_grid(values: np.ndarray, grid) -> np.ndarray:
+    """Whether each value lies farther than 1e-9 from every grid point."""
+    return ~(np.abs(values[:, None] - np.asarray(grid)[None, :]) <= 1e-9).any(axis=1)
 
 
 def _load_strategy_csv(path: str, scenario, joint: bool) -> MixedStrategy:
@@ -232,13 +244,13 @@ def _load_strategy_csv(path: str, scenario, joint: bool) -> MixedStrategy:
         else:
             actions.append(values[0])
             probs.append(values[1])
+    # The joint grid is the product of the power and jam grids.
     if joint:
-        grid = {(p, j) for j in scenario.jam_grid for p in scenario.power_grid}
-        bad = [a for a in actions if not any(
-            abs(a[0] - p) <= 1e-9 and abs(a[1] - j) <= 1e-9 for p, j in grid)]
+        power, jam = np.array(actions).reshape(-1, 2).T
+        off = _off_grid(power, scenario.power_grid) | _off_grid(jam, scenario.jam_grid)
     else:
-        bad = [a for a in actions if not any(
-            abs(a - t) <= 1e-9 for t in scenario.threshold_grid)]
+        off = _off_grid(np.array(actions), scenario.threshold_grid)
+    bad = [a for a, o in zip(actions, off.tolist()) if o]
     if bad:
         raise ScenarioError(f"{path}: actions not on the scenario grid: {bad[:3]}")
     try:
@@ -285,7 +297,7 @@ def _cmd_simulate(args) -> int:
     ]
     out.write_text("simulate.txt", "\n".join(report) + "\n")
     out.write_text("scenario.txt", serialize_scenario(scenario))
-    manifest = _manifest(args, "simulate", source, overrides, scenario)
+    manifest = _manifest("simulate", source, overrides, scenario)
     manifest["options"] = {"blocks": args.blocks, "seed": args.seed,
                            "strategies": strategy_source}
     out.finish(manifest)

@@ -198,18 +198,6 @@ class DominanceEntry:
 class DominanceReport:
     entries: tuple[DominanceEntry, ...]
 
-    def in_range(self, min_dep: float = 0.0,
-                 max_dep: float = math.inf) -> tuple[DominanceEntry, ...]:
-        picked = tuple(e for e in self.entries
-                       if min_dep <= e.baseline_dep <= max_dep)
-        if not picked:
-            raise ValueError(
-                f"no baseline points with dep in [{min_dep}, {max_dep}]")
-        return picked
-
-    def min_advantage(self, max_dep: float = math.inf) -> float:
-        return min(e.advantage for e in self.in_range(max_dep=max_dep))
-
 
 def frontier_rate(payoff: PayoffMatrix, dep_level: float) -> float:
     """Best expected rate with detection error guaranteed at least dep_level.
@@ -255,10 +243,13 @@ def frontier_rate(payoff: PayoffMatrix, dep_level: float) -> float:
 def max_guaranteed_dep(payoff: PayoffMatrix) -> float:
     """Largest detection error the transmitter can force from a best detector.
 
-    This is the value of the game played on the dep entries alone and the
-    right-hand end of the frontier's feasible range.
+    The right-hand end of the frontier's feasible range: what the row
+    strategy of the game played on the dep entries alone forces from any
+    threshold.  That guarantee is proved by the strategy itself, where the
+    game's LP value can overstate it when detection errors are tiny.
     """
-    return solve_game(payoff.dep_terms).value
+    x = solve_game(payoff.dep_terms).row_strategy.prob_array()
+    return float((x @ payoff.dep_terms).min())
 
 
 def dominance_check(payoff: PayoffMatrix,

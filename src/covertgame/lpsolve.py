@@ -36,9 +36,8 @@ nonnegative multiplier; for a minimization it carries a nonpositive one.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
-from itertools import chain
 
 import numpy as np
 
@@ -66,6 +65,9 @@ _PIVOT_TOL = 1e-11
 _DEGEN_TOL = 1e-12
 # Sum of artificials above this (after phase 1) means infeasible.
 _FEAS_TOL = 1e-9
+# A basic value this far past its bounds (scaled) when the final re-inversion
+# of an optimal solve refreshes it makes the solve a numerical failure.
+_END_FEAS_TOL = 1e-8
 
 _AT_LO, _AT_UP, _AT_FREE, _BASIC = 0, 1, 2, 3
 
@@ -133,13 +135,10 @@ def _bound_arrays(bounds) -> tuple[np.ndarray, np.ndarray]:
     Raises ValueError on a NaN bound, a lower bound of +inf, an upper bound
     of -inf or an empty interval.
     """
-    flat = list(chain.from_iterable(bounds))
-    pairs = np.array(flat, dtype=float).reshape(len(bounds), 2)  # None -> NaN
-    unset = np.isnan(pairs)
-    if any(flat[i] is not None for i in np.flatnonzero(unset).tolist()):
+    lo = np.array([-np.inf if b is None else b for b, _ in bounds], dtype=float)
+    hi = np.array([np.inf if b is None else b for _, b in bounds], dtype=float)
+    if np.isnan(lo).any() or np.isnan(hi).any():
         raise ValueError("bounds must not be NaN")
-    lo = np.where(unset[:, 0], -np.inf, pairs[:, 0])
-    hi = np.where(unset[:, 1], np.inf, pairs[:, 1])
     if (lo == np.inf).any():
         raise ValueError("a lower bound of +inf admits no value")
     if (hi == -np.inf).any():
@@ -170,7 +169,6 @@ class LpSolution:
     duals: np.ndarray
     iterations: int
     message: str = ""
-    basis: tuple[int, ...] = field(default=(), repr=False)
     phase1_iterations: int = 0
     degenerate_pivots: int = 0
     bland: bool = False
@@ -288,7 +286,7 @@ class _Simplex:
         try:
             self.binv = np.linalg.inv(B)
         except np.linalg.LinAlgError as exc:
-            raise _NumericalFailure(f"basis matrix singular: {exc}") from exc
+            raise _Stop(NUMERICAL_FAILURE, f"basis matrix singular: {exc}") from exc
         self.refactorizations += 1
         self.xval[self.basis] = self.binv @ self._nonbasic_residual()
 
@@ -319,10 +317,8 @@ class _Simplex:
         degenerate = 0
         while True:
             if self.iterations >= self.max_iterations:
-                raise _IterationCap(
-                    f"iteration cap {self.max_iterations} reached "
-                    f"(degenerate pivots: {degenerate})"
-                )
+                raise _Stop(ITERATION_CAP, f"iteration cap {self.max_iterations} reached "
+                                           f"(degenerate pivots: {degenerate})")
             np.matmul(self.cost_b, self.binv, out=y)
             np.matmul(y, self.cols, out=d)
             np.subtract(phase_cost, d, out=d)
@@ -361,7 +357,7 @@ class _Simplex:
 
             self.iterations += 1
             if not math.isfinite(t):
-                raise _Unbounded("no blocking bound or basic variable")
+                raise UnboundedError("no blocking bound or basic variable")
             if t <= _DEGEN_TOL:
                 degenerate += 1
                 self.degenerate_pivots += 1
@@ -389,9 +385,7 @@ class _Simplex:
                 np.copyto(rowscore, au, where=tie)
                 r = int(rowscore.argmax())
             if au[r] < _PIVOT_TOL:
-                raise _NumericalFailure(
-                    f"pivot magnitude {au[r]:.3e} below {_PIVOT_TOL}"
-                )
+                raise _Stop(NUMERICAL_FAILURE, f"pivot magnitude {au[r]:.3e} below {_PIVOT_TOL}")
             self._pivot(j, r, u, t, sigma, xb)
             if self.iterations % 128 == 0:
                 self.refresh_inverse()
@@ -458,6 +452,12 @@ class _Simplex:
     def finish(self, status: str, message: str) -> LpSolution:
         if status == OPTIMAL:
             self.refresh_inverse()
+            xb = self.xval[self.basis]
+            excess = np.maximum(self.lo[self.basis] - xb, xb - self.hi[self.basis])
+            if self.m and not excess.max() <= _END_FEAS_TOL:
+                r = int(np.argmax(excess))
+                raise _Stop(NUMERICAL_FAILURE, f"basic variable {self.basis[r]} ends "
+                                               f"{excess[r]:.3e} past its bounds (scaled)")
         n = self.n
         x_scaled = self.xval[:n] * self.col_scale
         objective = float(self.lp.objective @ x_scaled)
@@ -474,7 +474,6 @@ class _Simplex:
             duals=duals,
             iterations=self.iterations,
             message=message,
-            basis=tuple(int(v) for v in self.basis),
             phase1_iterations=(self.iterations if self.phase1_iterations is None
                                else self.phase1_iterations),
             degenerate_pivots=self.degenerate_pivots,
@@ -483,25 +482,18 @@ class _Simplex:
         )
 
 
-class _IterationCap(Exception):
-    pass
-
-
-class _NumericalFailure(Exception):
-    pass
-
-
-class _Unbounded(Exception):
-    pass
+class _Stop(Exception):
+    """Ends a solve early; its args are the status and the message."""
 
 
 def solve(lp: LinearProgram, max_iterations: int | None = None) -> LpSolution:
     """Solve an LP; returns an LpSolution whose status must be checked.
 
     Infeasible and unbounded problems raise (callers of the game pipeline
-    guarantee neither can occur); an exceeded iteration cap or a pivot below
-    tolerance is reported through ``status`` and ``message`` instead so the
-    partial state remains inspectable.
+    guarantee neither can occur); an exceeded iteration cap, a pivot below
+    tolerance or a final basic value more than 1e-8 (scaled) past its bounds
+    is reported through ``status`` and ``message`` instead so the partial
+    state remains inspectable.
     """
     sx = _Simplex(lp, max_iterations)
     try:
@@ -521,9 +513,5 @@ def solve(lp: LinearProgram, max_iterations: int | None = None) -> LpSolution:
         sx.phase1_iterations = sx.iterations
         sx.optimize(sx.cost)
         return sx.finish(OPTIMAL, "")
-    except _IterationCap as exc:
-        return sx.finish(ITERATION_CAP, str(exc))
-    except _NumericalFailure as exc:
-        return sx.finish(NUMERICAL_FAILURE, str(exc))
-    except _Unbounded as exc:
-        raise UnboundedError(str(exc)) from exc
+    except _Stop as exc:
+        return sx.finish(*exc.args)

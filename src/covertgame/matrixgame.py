@@ -208,22 +208,21 @@ def solve_lp_orientation(entries: np.ndarray, orientation: str):
     return value, primal, dual, sol.iterations
 
 
-def solve_game(entries, row_actions=None, col_actions=None) -> EquilibriumSolution:
+def solve_game(entries) -> EquilibriumSolution:
     """Nash-equilibrium value and mixed strategies of a zero-sum matrix game.
 
     Args:
-        entries: payoff matrix (row player maximizes), a PayoffMatrix or a
-            2-d array.
-        row_actions / col_actions: optional labels; default to the payoff's
-            labels or plain indices.
+        entries: payoff matrix (row player maximizes), a PayoffMatrix, whose
+            strategies take its action and threshold labels, or a 2-d array,
+            whose strategies take plain indices.
 
     Returns:
         EquilibriumSolution with both strategies, the game value, and the
         verification gaps (each must clear VERIFY_TOL, else this raises).
     """
+    row_actions = col_actions = None
     if isinstance(entries, PayoffMatrix):
-        row_actions = entries.actions if row_actions is None else row_actions
-        col_actions = entries.thresholds if col_actions is None else col_actions
+        row_actions, col_actions = entries.actions, entries.thresholds
         entries = entries.entries
     A = np.asarray(entries, dtype=float)
     if A.ndim != 2 or 0 in A.shape:
@@ -231,10 +230,6 @@ def solve_game(entries, row_actions=None, col_actions=None) -> EquilibriumSoluti
     if not np.isfinite(A).all():  # e.g. an infinite rate where the SNR overflows
         raise GameSolveError("payoff matrix has non-finite entries")
     rows, cols = A.shape
-    if row_actions is None:
-        row_actions = tuple(range(rows))
-    if col_actions is None:
-        col_actions = tuple(range(cols))
 
     # Point the simplex at the orientation with fewer constraint rows; the
     # other side's strategy comes back through the duals.
@@ -243,8 +238,10 @@ def solve_game(entries, row_actions=None, col_actions=None) -> EquilibriumSoluti
     else:
         value, row_raw, col_raw, iters = solve_lp_orientation(A, "row")
     solution = EquilibriumSolution(
-        row_strategy=MixedStrategy(tuple(row_actions), _clean_probs(row_raw, "row").tolist()),
-        col_strategy=MixedStrategy(tuple(col_actions), _clean_probs(col_raw, "col").tolist()),
+        row_strategy=MixedStrategy(row_actions or range(rows),
+                                   _clean_probs(row_raw, "row").tolist()),
+        col_strategy=MixedStrategy(col_actions or range(cols),
+                                   _clean_probs(col_raw, "col").tolist()),
         value=value,
         row_gap=0.0,
         col_gap=0.0,

@@ -123,10 +123,6 @@ class Scenario:
         object.__setattr__(self, "threshold_grid",
                            _as_grid(self.threshold_grid, "threshold_grid", 0.0, False))
 
-    @property
-    def with_jammer(self) -> bool:
-        return self.jam_grid != (0.0,)
-
 
 def decimal_range(start: str, step: str, stop: str) -> tuple[float, ...]:
     """Inclusive arithmetic grid computed in decimal, returned as floats.

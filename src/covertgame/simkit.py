@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .detection import MixedStrategy
+from .detection import MixedStrategy, _h0_scales, _h1_scales
 from .model import Scenario
 
 __all__ = [
@@ -84,9 +84,9 @@ def estimate_detection(s: Scenario, joint: MixedStrategy, thr: MixedStrategy,
     if not 0 <= int(seed) < 2 ** 64:
         raise ValueError("seed must fit in an unsigned 64-bit integer")
     n = s.blocklength_n
-    jam_by_action = np.asarray([j for _, j in joint.actions], dtype=float)
-    scale_h0 = (s.sigma_w_sq_mw + jam_by_action) / n
-    scale_h1 = (np.asarray([p + j for p, j in joint.actions]) + s.sigma_w_sq_mw) / n
+    # Per-action sample powers, by the same formulas as the analytic cells.
+    scale_h0 = np.asarray(_h0_scales(s, joint.actions)) / n
+    scale_h1 = np.asarray(_h1_scales(s, joint.actions)) / n
     thr_values = np.asarray(thr.actions, dtype=float)
     # The draws of Generator.choice(p=...) and Generator.gamma, made without
     # validating p on every call: gamma(n, scale) is scale * standard_gamma(n),

@@ -36,13 +36,13 @@ slice, because neither bound falls in that order.  Near points (x <= n-1)
 have both bounds rising with x.  Far-tail points (x > n-1) all end at
 k = n-1, but their starts do not rise with x, hence the second key.  Were
 a start ever to fall by rounding, the points would split there into groups
-with a slice each.  A row holding many points is one 1-D pass.
-Consecutive rows holding few points share a small (rows x points) table
-whose first row carries the running sums and whose terms outside their
-windows are zeroed.  Its axis-0 sum then adds the same terms in the same
-order: numpy sums a row-major table row by row, and a table narrower than
-8 points is stored by column and summed with ``accumulate``, since numpy
-sums contiguous memory pairwise.
+with a slice each.  A planner finds every k's slice by two vectorized
+binary searches and walks the k in order.  A row holding many points is
+one 1-D pass.  Consecutive rows holding few points share a small row-major
+(rows x points) table whose first row carries the running sums and whose
+terms outside their windows are zeroed.  ``np.add.accumulate`` along its
+rows then adds the same terms in the same order at any width, where
+``sum`` would add a narrow table's columns pairwise.
 
 Accuracy domain: 1 <= n <= MAX_SHAPE and x >= 0.  There Q(n, x) stays
 within 1e-10 absolute error, and 1e-12 relative error wherever Q > 1e-300,
@@ -192,52 +192,39 @@ def _windows(n: int, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.maximum(lo, 1.0), hi
 
 
-def _blocks(lo: np.ndarray, hi: np.ndarray, start: int, stop: int) -> list[tuple[int, int, int, int]]:
-    """Row blocks (first k, rows, first point, end point) for points start:stop.
+def _blocks(lo: np.ndarray, hi: np.ndarray) -> list[tuple[int, int, int, int]]:
+    """Row blocks (first k, rows, first point, end point) of windows sorted by (hi, lo).
 
-    Neither lo nor hi may fall over start:stop, so the points whose window
-    holds k are the slice [#(hi < k), #(lo <= k)), which changes only where a
-    window starts or ends.  The blocks cover each k held by some window
-    once, in increasing k.  A row of at least _WIDE_ROW points is a block of
-    its own; consecutive narrower rows share one, while the table of their
-    points, with its running-sum row, keeps within _TABLE_CELLS.
+    The points split into groups where a window start falls.  Within a group
+    neither bound falls, so the points whose window holds k are the slice
+    [a_k, b_k) with a_k = #(hi < k) and b_k = #(lo <= k), found for every k
+    by one binary search each.  The blocks cover each k held by a group's
+    windows once, in increasing k.  A row of at least _WIDE_ROW points is a
+    block of its own; consecutive narrower rows share one while the table of
+    their points, with its running-sum row, keeps within _TABLE_CELLS.
     """
-    lo, hi = lo[start:stop], hi[start:stop]
-    bounds = np.sort(np.concatenate((lo, hi + 1)), kind="stable")  # two sorted runs
-    bounds = bounds[np.r_[True, bounds[1:] != bounds[:-1]]]
-    a = (start + np.searchsorted(hi, bounds[:-1], side="left")).tolist()
-    b = (start + np.searchsorted(lo, bounds[:-1], side="right")).tolist()
-    bounds = bounds.astype(int).tolist()
+    cuts = [0, *(np.flatnonzero(lo[1:] < lo[:-1]) + 1).tolist(), lo.size]
     blocks = []
-    j, k = 0, bounds[0]  # k runs over bounds[j] <= k < bounds[j + 1]
-    while j < len(a):
-        if a[j] == b[j]:  # no window holds these k
-            j, k = j + 1, bounds[j + 1]
-            continue
-        first, c0, c1, rows = k, a[j], b[j], 1
-        if b[j] - a[j] >= _WIDE_ROW:
-            k += 1
-            if k == bounds[j + 1]:
-                j += 1
-        else:
-            rows = 0
-            while j < len(a) and 0 < b[j] - a[j] < _WIDE_ROW:
-                take = min(_TABLE_CELLS // (b[j] - c0) - 1 - rows, bounds[j + 1] - k)
-                if take <= 0:
-                    break
-                rows, k, c1 = rows + take, k + take, b[j]
-                if k < bounds[j + 1]:
-                    break
-                j += 1
-        blocks.append((first, rows, c0, c1))
+    for start, stop in zip(cuts, cuts[1:]):
+        k0, k1 = int(lo[start]), int(hi[stop - 1]) + 1  # lo rises, hi is sorted
+        ks = np.arange(k0, k1, dtype=float)
+        a = (start + np.searchsorted(hi[start:stop], ks, side="left")).tolist()
+        b = (start + np.searchsorted(lo[start:stop], ks, side="right")).tolist()
+        rows = 0
+        for k, a_k, b_k in zip(range(k0, k1), a, b):
+            wide = b_k - a_k >= _WIDE_ROW
+            if rows and (wide or a_k == b_k or (rows + 2) * (b_k - c0) > _TABLE_CELLS):
+                blocks.append((first, rows, c0, c1))
+                rows = 0
+            if wide:
+                blocks.append((k, 1, a_k, b_k))
+            elif a_k < b_k:
+                if not rows:
+                    first, c0 = k, a_k
+                rows, c1 = rows + 1, b_k
+        if rows:
+            blocks.append((first, rows, c0, c1))
     return blocks
-
-
-def _table(buf: np.ndarray, rows: int, cols: int, by_column: bool) -> np.ndarray:
-    """A (rows x cols) view of the head of buf, stored by column or by row."""
-    if by_column:
-        return buf[:rows * cols].reshape(cols, rows).T
-    return buf[:rows * cols].reshape(rows, cols)
 
 
 def _q_sorted(n: int, xs: np.ndarray) -> np.ndarray:
@@ -246,15 +233,9 @@ def _q_sorted(n: int, xs: np.ndarray) -> np.ndarray:
         return np.exp(-xs)
     k, base = _poisson_tables(n)
     lo, hi = _windows(n, xs)
-    # Ordered by (hi, lo), the points whose window holds k are one slice
-    # while lo does not fall; a cut starts a new group where it does.
     order = np.lexsort((lo, hi))
-    lo = lo[order]
-    hi = hi[order]
-    x = xs[order]
-    cuts = [0, *(np.flatnonzero(lo[1:] < lo[:-1]) + 1).tolist(), xs.size]
-    blocks = [block for start, stop in zip(cuts, cuts[1:])
-              for block in _blocks(lo, hi, start, stop)]
+    lo, hi, x = lo[order], hi[order], xs[order]
+    blocks = _blocks(lo, hi)
     # A 1-D pass needs one cell per point, a table one more row than it has.
     size = max((rows + 1 if rows > 1 else 1) * (c1 - c0) for _, rows, c0, c1 in blocks)
     diff_buf, term_buf = np.empty(size), np.empty(size)
@@ -274,27 +255,21 @@ def _q_sorted(n: int, xs: np.ndarray) -> np.ndarray:
                 sums[c0:c1] += terms
                 continue
             # A table of narrow rows whose first row holds the running sums.
-            # One narrower than a 64-byte line of float64 is stored by
-            # column, so that numpy's inner loops run along k; accumulate
-            # then adds each column in order, where sum would add pairwise.
-            by_column = m < 8
+            # accumulate adds its rows in order at any width, where sum would
+            # add a narrow table's columns pairwise.
             kk = k[first - 1:first - 1 + rows, None]
-            table = _table(term_buf, rows + 1, m, by_column)
+            table = term_buf[:(rows + 1) * m].reshape(rows + 1, m)
             table[0] = sums[c0:c1]
             terms = table[1:]
-            diff = np.subtract(x[c0:c1], kk, out=_table(diff_buf, rows, m, by_column))
+            diff = np.subtract(x[c0:c1], kk, out=diff_buf[:rows * m].reshape(rows, m))
             np.divide(diff, kk, out=terms)
             np.log1p(terms, out=terms)
             terms *= kk
             terms -= diff
             terms -= base[first - 1:first - 1 + rows, None]
             np.exp(terms, out=terms)
-            if by_column:
-                terms[((kk.T < lo[c0:c1, None]) | (kk.T > hi[c0:c1, None])).T] = 0.0
-                sums[c0:c1] = np.add.accumulate(table, axis=0)[-1]
-            else:  # numpy sums axis 0 of a row-major table row by row
-                terms[(kk < lo[c0:c1]) | (kk > hi[c0:c1])] = 0.0
-                sums[c0:c1] = table.sum(axis=0)
+            terms[(kk < lo[c0:c1]) | (kk > hi[c0:c1])] = 0.0
+            sums[c0:c1] = np.add.accumulate(table, axis=0)[-1]
     sums += np.exp(-x, out=x)
     out = np.empty_like(sums)
     out[order] = np.clip(sums, 0.0, 1.0, out=sums)

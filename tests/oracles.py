@@ -422,8 +422,9 @@ def sample_statistic_per_sample(power: float, jam: float, n: int, sigma_w_sq: fl
 # The package's bounded two-phase simplex as it stood before its hot paths
 # were rewritten in place (masks rebuilt every iteration, LAPACK start
 # inverse, np.outer pivot).  Same arithmetic in the same order, so the
-# package must match it bit for bit: x, duals, objective, iterations, status
-# and final basis.  It takes any object with the LinearProgram attributes.
+# package must match it bit for bit: x, duals, objective, iterations and
+# status.  It takes any object with the LinearProgram attributes.  It does not
+# check the final basis against its bounds, which the package does.
 
 _REF_OPTIMAL = "optimal"
 _REF_ITERATION_CAP = "iteration-cap"
@@ -451,7 +452,6 @@ class ReferenceSolution:
     duals: np.ndarray
     iterations: int
     message: str = ""
-    basis: tuple = ()
 
 
 def _pow2_scale(v: np.ndarray) -> np.ndarray:
@@ -686,7 +686,6 @@ class _ReferenceSimplex:
             duals=duals,
             iterations=self.iterations,
             message=message,
-            basis=tuple(int(v) for v in self.basis),
         )
 
 

@@ -423,3 +423,40 @@ def test_random_overrides_exit_0_2_or_3(small_scenario_dir, command, settings_):
         except SystemExit as exc:  # argparse rejects an option-like value
             code = exc.code
     assert code in (0, 2, 3), argv
+
+
+@pytest.mark.parametrize("flags", [
+    ["--full-grid"],
+    ["--scenario", "SCENARIO", "--jammer"],
+    ["--scenario", "SCENARIO", "--full-grid"],
+    ["--scenario", "SCENARIO", "--jammer", "--full-grid"],
+], ids=["full-grid-alone", "scenario-jammer", "scenario-full-grid", "scenario-both"])
+@pytest.mark.parametrize("command", ["solve", "sweep", "baseline", "simulate"])
+def test_preset_flags_that_choose_nothing_exit_2(tmp_path, scenario_file, capsys, command,
+                                                 flags):
+    # These used to be ignored: `solve --full-grid` solved the no-jammer preset.
+    flags = [str(scenario_file) if f == "SCENARIO" else f for f in flags]
+    out = tmp_path / "x"
+    assert main([command, *flags, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and ("--jammer" in err or "--scenario" in err)
+    assert not out.exists()
+
+
+def test_strategy_grid_check_is_per_component(tmp_path):
+    # The joint grid is the product of the power and jam grids: every pair
+    # of grid values passes, and one component off its grid fails.
+    s = covertgame.desk_scenario(True)
+    rows = tmp_path / "rows.csv"
+    pairs = [(p, j) for j in s.jam_grid for p in s.power_grid]
+    rows.write_text("power_mw,jam_mw,probability\n" + "".join(
+        f"{p!r},{j + 1e-10!r},{1 / len(pairs)!r}\n" for p, j in pairs), encoding="utf-8")
+    strategy = cli._load_strategy_csv(str(rows), s, joint=True)
+    assert len(strategy.actions) == len(pairs) == 420
+    for line in ("0.05,0.33,1", "0.33,0.05,1", "0.05,-1e-8,1"):
+        rows.write_text(f"power_mw,jam_mw,probability\n{line}\n", encoding="utf-8")
+        with pytest.raises(covertgame.ScenarioError, match="not on the scenario grid"):
+            cli._load_strategy_csv(str(rows), s, joint=True)
+    rows.write_text("power_mw,jam_mw,probability\n", encoding="utf-8")
+    with pytest.raises(covertgame.ScenarioError, match="at least one action"):
+        cli._load_strategy_csv(str(rows), s, joint=True)

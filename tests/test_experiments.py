@@ -222,6 +222,10 @@ def test_equilibrium_sits_on_frontier(no_jam_payoff):
 # Two levels that a floating-point frontier LP got wrong by 0.045 and 0.019.
 @example([54, 49], [187, 188, 217, 207, 122, 136, 100], 3.1738374119072335, 1.0)
 @example([59, 82, 4, 46, 7], [52, 49, 51, 215, 17, 231, 0], 0.25, 0.3858003753161342)
+# Detection errors near 1e-13, where the dep game's LP value overstated the
+# largest guaranteeable dep 400-fold and every level near it was infeasible.
+@example([68, 70, 81], [40, 44, 54, 109, 250, 288, 296], 0.25, 0.0169)
+@example([68, 70, 81], [40, 44, 54, 109, 250, 288, 296], 0.25, 1.0)
 @given(powers=st.lists(st.integers(1, 100), min_size=2, max_size=6, unique=True),
        thresholds=st.lists(st.integers(0, 300), min_size=7, max_size=7, unique=True),
        sigma_w_sq=st.floats(0.25, 4.0),
@@ -258,7 +262,7 @@ def test_dominance_check_exact(no_jam_payoff):
     constants = [constant_baseline(no_jam_payoff, p) for p in (0.02, 0.1, 0.5, 1.0)]
     report = dominance_check(no_jam_payoff, uniforms, constants)
     assert len(report.entries) == 8
-    assert report.min_advantage() >= -1e-9
+    assert min(e.advantage for e in report.entries) >= -1e-9
     labels = {e.label for e in report.entries}
     assert labels == {"uniform", "constant"}
 
@@ -269,14 +273,6 @@ def test_dominance_check_raises_on_doctored_curve(no_jam_payoff):
         baseline, expected_rate=baseline.expected_rate + 0.5)
     with pytest.raises(AssertionError, match="constant"):
         dominance_check(no_jam_payoff, [], [doctored])
-
-
-def test_dominance_report_ranges(no_jam_payoff):
-    report = dominance_check(no_jam_payoff, [uniform_baseline(no_jam_payoff, 100)],
-                             [constant_baseline(no_jam_payoff, 1.0)])
-    assert len(report.in_range(0.0, 1.0)) == 2
-    with pytest.raises(ValueError, match="no baseline points"):
-        report.in_range(1.99, 2.0)
 
 
 def test_dominance_check_validation(no_jam_payoff):

@@ -52,7 +52,6 @@ def test_default_scenario_values():
     assert s.power_grid[0] == 0.01
     assert s.power_grid[-1] == 1.0
     assert s.jam_grid == (0.0,)
-    assert not s.with_jammer
     assert len(s.threshold_grid) == 301
     assert s.threshold_grid[0] == 0.0
     assert s.threshold_grid[-1] == 3.0
@@ -65,7 +64,6 @@ def test_default_scenario_with_jammer():
     assert len(s.jam_grid) == 101
     assert s.jam_grid[0] == 0.0
     assert s.jam_grid[-1] == 1.0
-    assert s.with_jammer
 
 
 def test_decimal_range_exact_endpoints():

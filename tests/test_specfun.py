@@ -10,8 +10,11 @@ from hypothesis import given, settings, strategies as st
 from covertgame import specfun
 from covertgame.model import default_scenario
 from covertgame.specfun import (
+    _TABLE_CELLS,
+    _WIDE_ROW,
     MAX_SHAPE,
     MIN_TAIL_PROB,
+    _blocks,
     _poisson_tables,
     _windows,
     gaussian_q,
@@ -163,7 +166,7 @@ def test_grid_matches_windowed_reference_bit_for_bit(n):
     # could not see.  Large shapes sample every 16th scenario point; up to
     # n = 2000 the full jammer grid's 81k points give the widest rows.  Far
     # points x in (n-1, 20(n-1)], whose window starts do not rise with x,
-    # mix with the near ones, and calls of 1, 2 and 3 points run alone.
+    # mix with the near ones, and calls of 1 to 8 points run alone.
     stride = 1 if n <= 2000 else 16
     rng = np.random.default_rng(n)
     x = np.concatenate([
@@ -176,7 +179,7 @@ def test_grid_matches_windowed_reference_bit_for_bit(n):
     xs = np.unique(x[x > 0.0])
     want = gamma_q_windowed_reference(xs, *_poisson_tables(n), *_windows(n, xs))
     assert np.array_equal(reg_gamma_q_grid(n, xs).view(np.int64), want.view(np.int64))
-    for size in (1, 2, 3):
+    for size in (1, 2, 3, 5, 7, 8):
         for _ in range(20):
             pick = np.sort(rng.choice(xs.size, size, replace=False))
             got = reg_gamma_q_grid(n, xs[pick])
@@ -194,6 +197,44 @@ def test_grid_splits_points_where_window_starts_fall(monkeypatch):
     monkeypatch.setattr(specfun, "_windows", lambda *_: (lo.copy(), hi.copy()))
     want = gamma_q_windowed_reference(xs, *_poisson_tables(n), lo, hi)
     assert np.array_equal(reg_gamma_q_grid(n, xs).view(np.int64), want.view(np.int64))
+
+
+def _assert_block_contract(lo, hi):
+    """_blocks on windows sorted by (hi, lo): each point meets every k of its
+    window once, in increasing k; a 1-D pass holds only points whose window
+    holds its k; a table holds only narrow rows and keeps within its cells."""
+    held = np.zeros(lo.size, dtype=int)
+    last = np.full(lo.size, -1.0)
+    for first, rows, c0, c1 in _blocks(lo, hi):
+        if rows > 1:
+            assert (rows + 1) * (c1 - c0) <= _TABLE_CELLS
+        for k in range(first, first + rows):
+            inside = (lo[c0:c1] <= k) & (k <= hi[c0:c1])
+            assert inside.all() if rows == 1 else 0 < inside.sum() < _WIDE_ROW
+            assert (last[c0:c1][inside] < k).all()
+            last[c0:c1][inside] = k
+            held[c0:c1] += inside
+    assert np.array_equal(held, hi - lo + 1)
+
+
+@pytest.mark.parametrize("n", [200, 2000, 10_000])
+def test_blocks_cover_each_window_once(n):
+    x = np.unique(np.concatenate([_scenario_points(default_scenario(False), n),
+                                  _scenario_points(default_scenario(True), n)]))
+    xs = x[x > 0.0]
+    lo, hi = _windows(n, xs)
+    order = np.lexsort((lo, hi))
+    _assert_block_contract(lo[order], hi[order])
+
+
+def test_blocks_split_where_window_starts_fall():
+    xs = np.linspace(100.0, 3000.0, 5000)
+    lo, hi = _windows(2000, xs)
+    lo[2000] = np.floor(xs[2000])
+    order = np.lexsort((lo, hi))
+    lo, hi = lo[order], hi[order]
+    assert (lo[1:] < lo[:-1]).any()
+    _assert_block_contract(lo, hi)
 
 
 @pytest.mark.parametrize("n", [1000, 10_000, MAX_SHAPE])
