@@ -13,6 +13,13 @@ The detection-error probability dep = P_FA + P_M is the quantity the
 transmitter drives up and the detector drives down.  Because the H1 sample
 power strictly dominates the H0 sample power, dep <= 1 for every threshold,
 with equality at t = 0 (always alarm) and t -> infinity (never alarm).
+
+At long blocks most thresholds above the H1 sample power put x = n t / s1
+so far past n - 1 that Q(n, x) is below 2^-54 and P_M is exactly 1.0.  The
+Chernoff bound ln Q <= m - x + m ln(x/m), m = n - 1, finds those cells
+(``specfun._q_negligible``, with one e-fold of margin), and P_M sets them
+to 1.0 without summing their Poisson windows.  P_FA = Q itself keeps its
+tiny values, so every false-alarm cell is evaluated.
 """
 
 from __future__ import annotations
@@ -23,7 +30,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .specfun import reg_gamma_q_grid
+from .specfun import _q_negligible, reg_gamma_q_grid
 
 if TYPE_CHECKING:
     from .model import Scenario
@@ -91,18 +98,37 @@ class MixedStrategy:
         return np.asarray(self.probs, dtype=float)
 
 
-def _q_cells(s: "Scenario", scales, thresholds) -> np.ndarray:
-    """Q(n, n t / scale) for every (scale, threshold) pair.
+def _x_cells(s: "Scenario", scales, thresholds) -> tuple[np.ndarray, np.ndarray]:
+    """x = n t / scale for each distinct scale and threshold, and each scale's row.
 
     Actions often share the exact same sample power (the grids are decimal),
-    so each distinct scale is evaluated once and broadcast back.  Grouping is
-    on exact float equality, which leaves every cell bit-identical to a
-    direct evaluation.
+    so each distinct scale is evaluated once and broadcast back by the
+    returned index.  Grouping is on exact float equality, which leaves every
+    cell bit-identical to a direct evaluation.
     """
     unique_scale, inverse = np.unique(np.asarray(scales, dtype=float), return_inverse=True)
     with np.errstate(over="ignore"):  # a huge threshold overflows to x = inf, where Q = 0
         x = s.blocklength_n * np.asarray(thresholds, dtype=float)[None, :] / unique_scale[:, None]
+    return x, inverse
+
+
+def _q_cells(s: "Scenario", scales, thresholds) -> np.ndarray:
+    """Q(n, n t / scale) for every (scale, threshold) pair."""
+    x, inverse = _x_cells(s, scales, thresholds)
     return reg_gamma_q_grid(s.blocklength_n, x)[inverse, :]
+
+
+def _pm_cells(s: "Scenario", actions, thresholds) -> np.ndarray:
+    """1 - Q(n, n t / s1) for every (action, threshold) pair: the one P_M path.
+
+    Cells that ``specfun._q_negligible`` proves to be 1.0 are set, not
+    evaluated, with the bits the kernel would give.
+    """
+    x, inverse = _x_cells(s, _h1_scales(s, actions), thresholds)
+    q = np.zeros_like(x)
+    live = ~_q_negligible(s.blocklength_n, x)
+    q[live] = reg_gamma_q_grid(s.blocklength_n, x[live])
+    return (1.0 - q)[inverse, :]
 
 
 def _h0_scales(s: "Scenario", actions) -> list[float]:
@@ -123,8 +149,11 @@ def pfa_grid(s: "Scenario", actions) -> np.ndarray:
 
 
 def pm_grid(s: "Scenario", actions) -> np.ndarray:
-    """P_M for every (action, threshold) cell; shape (len(actions), M)."""
-    return 1.0 - _q_cells(s, _h1_scales(s, actions), s.threshold_grid)
+    """P_M for every (action, threshold) cell; shape (len(actions), M).
+
+    Cells that are provably 1.0 are set, not evaluated (``_pm_cells``).
+    """
+    return _pm_cells(s, actions, s.threshold_grid)
 
 
 def dep_grid(s: "Scenario", actions) -> np.ndarray:
@@ -146,5 +175,5 @@ def pfa(s: "Scenario", joint: "MixedStrategy", thr: "MixedStrategy") -> float:
 
 def pm(s: "Scenario", joint: "MixedStrategy", thr: "MixedStrategy") -> float:
     """Miss probability under mixed transmission and mixed threshold."""
-    cells = 1.0 - _q_cells(s, _h1_scales(s, joint.actions), thr.actions)
+    cells = _pm_cells(s, joint.actions, thr.actions)
     return float(joint.prob_array() @ cells @ thr.prob_array())

@@ -112,7 +112,8 @@ class PayoffMatrix:
 def build_payoff(pruned: PrunedScenario) -> PayoffMatrix:
     """Assemble the payoff matrix for a pruned scenario.
 
-    Every P_FA and P_M cell is evaluated exactly once here and the rates
+    Every P_FA and P_M cell is evaluated at most once here (P_M cells
+    provably 1.0 are set, not evaluated: ``detection.pm_grid``) and the rates
     are the ones pruning computed; rows follow the pruned action order
     (power fastest within each jam level), columns follow the threshold
     grid.

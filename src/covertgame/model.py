@@ -51,8 +51,17 @@ class ScenarioError(ValueError):
     """Raised for invalid scenario values or malformed scenario files."""
 
 
+class _Grid(tuple):
+    """A grid that ``_as_grid`` has snapped.  Snapping is idempotent, so a
+    scenario rebuilt from another (``dataclasses.replace``) keeps its values
+    without rounding them again; they are still checked."""
+
+    __slots__ = ()
+
+
 def _as_grid(values, name: str, minimum: float, min_exclusive: bool) -> tuple[float, ...]:
-    grid = tuple(round(float(v), _GRID_DECIMALS) for v in values)
+    grid = values if type(values) is _Grid else _Grid(
+        round(float(v), _GRID_DECIMALS) for v in values)
     if not grid:
         raise ScenarioError(f"{name} must not be empty")
     for v in grid:

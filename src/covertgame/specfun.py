@@ -48,6 +48,11 @@ Accuracy domain: 1 <= n <= MAX_SHAPE and x >= 0.  There Q(n, x) stays
 within 1e-10 absolute error, and 1e-12 relative error wherever Q > 1e-300,
 of a 60-digit oracle (measured: about 1e-13), tested at x < 1, near n - 1,
 n +- 9 sqrt(n) and out to 5n.  Scenarios with a longer block are rejected.
+
+Far in the tail Q is too small for 1 - Q to differ from 1.0.  ``_q_negligible``
+marks such points by the Chernoff bound ln Q <= m - x + m ln(x/m), m = n - 1,
+with one e-fold of margin below 2^-54, so a caller that needs only 1 - Q
+can skip them and keep every bit.
 """
 
 from __future__ import annotations
@@ -170,6 +175,33 @@ def reg_gamma_q_grid(n: int, x: np.ndarray) -> np.ndarray:
     xs, inverse = np.unique(flat[inner], return_inverse=True)
     out[inner] = _q_sorted(n, xs)[inverse]
     return out.reshape(x.shape)
+
+
+# Natural log of 2^-54 / e: a Q(n, x) below this is too small to move 1 - Q.
+_NEGLIGIBLE_LOG_Q = -54.0 * math.log(2.0) - 1.0
+
+
+def _q_negligible(n: int, x: np.ndarray) -> np.ndarray:
+    """Where an upper bound proves fl(1 - Q(n, x)) == 1.0, for any shape of x >= 0.
+
+    Q(n, x) = P(Poisson(x) <= m) with m = n - 1.  For x > m the Chernoff
+    bound on the Poisson lower tail (Chernoff 1952) gives
+
+        ln Q <= m - x + m ln(x / m),
+
+    and for n = 1, Q = e^-x exactly; at x <= m the same expression is
+    m - x >= 0, which bounds nothing.  x = +inf has Q = 0.  A point is
+    negligible where the bound is below ln(2^-54) - 1.  Its true Q is then at
+    most 2^-54 / e.  The kernel adds a subset of the positive Poisson terms,
+    each to about 1e-13 relative error, so its value is at most 2^-54 and
+    1 - Q rounds to exactly 1.0 (a tie at 2^-54 rounds to even, 1.0).  The
+    margin of one e-fold also covers the rounding of the bound itself: near
+    the cut-off that is a few ulps of x, under 1e-10 for n <= MAX_SHAPE.
+    """
+    m = n - 1
+    with np.errstate(invalid="ignore"):  # inf - inf at x = inf, marked below
+        log_bound = -x if m == 0 else m - x + m * np.log(np.maximum(x, m) / m)
+    return (log_bound < _NEGLIGIBLE_LOG_Q) | (x == math.inf)
 
 
 def _windows(n: int, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -193,6 +193,37 @@ def test_python_dash_m_runs_the_cli(tmp_path, scenario_file):
     assert (out / "manifest.json").is_file()
 
 
+def test_reused_parser_carries_nothing_between_calls(tmp_path, scenario_file, capsys):
+    # main() builds its parser once per process.  A --set of one call, or a
+    # call that failed, must not reach the next: each data file equals that
+    # of the same command run alone in a fresh interpreter.
+    src = str(Path(covertgame.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    scenario = ["--scenario", str(scenario_file)]
+    runs = [("solve-beta", ["solve", *scenario, "--set", "beta=2.0"], 0),
+            ("bad-set", ["solve", *scenario, "--set", "gamma=1"], 2),
+            ("baseline", ["baseline", *scenario], 0),
+            ("solve", ["solve", *scenario], 0)]
+    for name, argv, code in runs:
+        assert main([*argv, "--out", str(tmp_path / "same" / name)]) == code
+    capsys.readouterr()
+    for name, argv, code in runs:
+        if code:
+            continue
+        fresh = tmp_path / "fresh" / name
+        done = subprocess.run([sys.executable, "-m", "covertgame.cli", *argv, "--out", str(fresh)],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        same = tmp_path / "same" / name
+        ma, mb = read_manifest(same), read_manifest(fresh)
+        ma.pop("created_utc"), mb.pop("created_utc")
+        assert ma == mb
+        for filename in ma["outputs"]:
+            assert (same / filename).read_bytes() == (fresh / filename).read_bytes()
+    assert "beta = 1.6" in (tmp_path / "same" / "solve" / "scenario.txt").read_text(encoding="utf-8")
+
+
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("override", ["threshold_grid=0,1e308", "power_grid=1e300"])
 def test_extreme_grid_values_solve_quietly(tmp_path, capsys, override):

@@ -14,8 +14,9 @@ from covertgame.detection import (
     pm,
     pm_grid,
 )
+from covertgame.experiments import desk_scenario
 from covertgame.model import Scenario, default_scenario, joint_actions
-from covertgame.specfun import _poisson_tables
+from covertgame.specfun import _poisson_tables, reg_gamma_q_grid
 
 from oracles import gamma_q_full_sum, gamma_q_reference
 
@@ -187,3 +188,51 @@ def test_pfa_ignores_power_split():
     two = MixedStrategy(actions, (0.0, 0.1, 0.5, 0.0, 0.3, 0.1))
     assert pfa(s, one, thr) == pytest.approx(pfa(s, two, thr), abs=1e-15)
     assert pm(s, one, thr) != pytest.approx(pm(s, two, thr), abs=1e-6)
+
+
+def one_minus_q(s, actions):
+    """1 - Q(n, n t / s1) over every action and threshold, every cell evaluated."""
+    n = s.blocklength_n
+    scales = np.asarray([p + s.sigma_w_sq_mw + j for p, j in actions])
+    with np.errstate(over="ignore"):
+        x = n * np.asarray(s.threshold_grid)[None, :] / scales[:, None]
+    return 1.0 - reg_gamma_q_grid(n, x)
+
+
+@pytest.mark.parametrize("n", [1, 2, 15, 200, 2000, pytest.param(10_000, marks=pytest.mark.slow)])
+def test_pm_grid_skips_no_bit(n):
+    # Cells the Chernoff bound proves to be 1.0 are set, not evaluated; the
+    # table must equal the fully evaluated one bit for bit.
+    for sigma_w_sq in (0.25, 0.9, 1.1, 4.0):
+        s = replace(default_scenario(), blocklength_n=n, sigma_w_sq_mw=sigma_w_sq)
+        actions = joint_actions(s)
+        want = one_minus_q(s, actions)
+        assert np.array_equal(pm_grid(s, actions).view(np.int64), want.view(np.int64))
+
+
+def test_pm_grid_skips_no_bit_on_the_desk_jammer_grid():
+    s = desk_scenario(True)
+    assert s.blocklength_n == 200
+    actions = joint_actions(s)
+    assert np.array_equal(pm_grid(s, actions).view(np.int64),
+                          one_minus_q(s, actions).view(np.int64))
+
+
+@pytest.mark.filterwarnings("error")
+def test_pm_grid_saturates_at_infinite_x():
+    # n t / s1 overflows to inf for t = 1e308: Q = 0 and P_M = 1, quietly.
+    for n in (1, 200):
+        s = replace(default_scenario(), blocklength_n=n, threshold_grid=(0.0, 1e308))
+        assert pm_grid(s, [(0.5, 0.0)]).tolist() == [[0.0, 1.0]]
+
+
+def test_mixed_pm_reads_the_grid_cells():
+    # pm() and pm_grid() share one cell path, saturated cells included.
+    s = replace(default_scenario(), blocklength_n=2000)
+    actions = joint_actions(s)[::7]
+    rng = np.random.default_rng(3)
+    joint = MixedStrategy(actions, rng.dirichlet(np.ones(len(actions))))
+    thr = MixedStrategy(s.threshold_grid, rng.dirichlet(np.ones(len(s.threshold_grid))))
+    cells = pm_grid(s, actions)
+    assert (cells == 1.0).mean() > 0.3
+    assert pm(s, joint, thr) == float(joint.prob_array() @ cells @ thr.prob_array())

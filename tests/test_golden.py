@@ -1,7 +1,9 @@
 """Byte-identity pins: the default CLI commands against recorded hashes.
 
-Each command runs on a default preset (``solve-n2000`` with a 2000-use
-block, where the long-block windows matter) and every data file it writes
+Each command runs on a default preset (``solve-n2000`` and
+``solve-n10000`` with 2000- and 10^4-use blocks, where the long-block
+windows and the P_M cells set to 1.0 unevaluated matter; the 10^4 pin was
+recorded before that skip existed) and every data file it writes
 must hash to the recorded sha256 prefix (first 12 hex digits, the table in
 ROADMAP.md).  Refactors of the cell table, the solver or the CLI must keep
 these bytes unless a change says otherwise and re-pins them.
@@ -46,6 +48,12 @@ GOLDEN = {
         "row_strategy.csv": "984670858a0a",
         "col_strategy.csv": "3af9b86edc6d",
         "summary.txt": "3bf3c0d3f8e6",
+    }),
+    # Most P_M cells of a 10^4-use block are provably 1.0 and are not evaluated.
+    "solve-n10000": (("solve", "--set", "blocklength_n=10000"), {
+        "row_strategy.csv": "363cda50b61e",
+        "col_strategy.csv": "2997f539be16",
+        "summary.txt": "87ad3baf0845",
     }),
 }
 

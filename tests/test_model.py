@@ -120,6 +120,22 @@ def test_scenario_validation():
         small_scenario(threshold_grid=(0.0, math.nan))
 
 
+def test_rebuilt_scenarios_keep_their_snapped_grids_and_check_them():
+    s = small_scenario(threshold_grid=(0.0, 0.1 + 0.2, 1.0))
+    assert s.threshold_grid == (0.0, 0.3, 1.0)
+    # A replace keeps the snapped values without snapping them again ...
+    again = dataclasses.replace(s, beta=2.0)
+    assert again.threshold_grid == s.threshold_grid and again.power_grid == s.power_grid
+    for grid in (again.power_grid, again.jam_grid, again.threshold_grid):
+        assert grid == tuple(round(v, 12) for v in grid)
+    # ... but still checks every field against its own rules.
+    with pytest.raises(ScenarioError, match="power_grid entries must be > 0.0, got 0.0"):
+        dataclasses.replace(s, power_grid=s.threshold_grid)
+    with pytest.raises(ScenarioError, match="power_grid entries must be > 0.0, got 0.0"):
+        dataclasses.replace(s, power_grid=s.jam_grid)
+    assert dataclasses.replace(s, jam_grid=s.threshold_grid).jam_grid == s.threshold_grid
+
+
 def test_joint_actions_power_varies_fastest():
     s = small_scenario(jam_grid=(0.0, 0.3), alpha=1.0)
     acts = joint_actions(s)

@@ -16,6 +16,7 @@ from covertgame.specfun import (
     MIN_TAIL_PROB,
     _blocks,
     _poisson_tables,
+    _q_negligible,
     _windows,
     gaussian_q,
     gaussian_q_inv,
@@ -126,6 +127,42 @@ def test_grid_and_scalar_agree_at_tiny_x():
         for x in (1e-17, 1e-300, 5e-324):
             assert reg_gamma_q(n, x) == 1.0
             assert reg_gamma_q_grid(n, np.array([x]))[0] == 1.0
+
+
+@pytest.mark.filterwarnings("error")
+def test_negligible_q_edges():
+    # n = 1: Q = e^-x exactly, negligible beyond x = 54 ln 2 + 1.
+    cut = 54.0 * math.log(2.0) + 1.0
+    below = np.array([0.0, 38.0, math.nextafter(cut, 0.0)])
+    assert not _q_negligible(1, below).any()
+    assert _q_negligible(1, np.array([math.nextafter(cut, math.inf), 1e308, math.inf])).all()
+    for n in (2, 15, 200, 2000, 10_000, MAX_SHAPE):
+        m = n - 1.0
+        # Up to and just past n - 1 the bound is near 0 and skips nothing.
+        near = np.array([0.0, 5e-324, 1.0, m, math.nextafter(m, math.inf), m + math.sqrt(m)])
+        assert not _q_negligible(n, near).any()
+        # x = inf (a huge threshold overflowed) has Q = 0: saturated, not NaN.
+        assert _q_negligible(n, np.array([1e308, math.inf])).all()
+    assert _q_negligible(200, np.zeros((2, 3))).shape == (2, 3)
+
+
+@pytest.mark.parametrize("n", [1, 2, 15, 200, 2000, 10_000])
+def test_negligible_points_have_kernel_q_below_2_to_minus_54(n):
+    # Wherever the bound skips a point, the kernel's own Q is at most 2^-54,
+    # so 1 - Q rounds to exactly 1.0 and skipping it moves no bit of P_M.
+    # The dense sweep past n - 1 crosses the cut-off at every shape.
+    m = max(n - 1, 1)
+    rng = np.random.default_rng(n)
+    x = np.concatenate([
+        _scenario_points(default_scenario(), n),
+        rng.uniform(0.0, 5.0 * n + 60.0, 3000),
+        np.linspace(m, m + 20.0 * math.sqrt(m) + 80.0, 3000),
+    ])
+    skip = _q_negligible(n, x)
+    q = reg_gamma_q_grid(n, x)
+    assert skip.sum() > 1000
+    assert np.all(q[skip] <= 2.0 ** -54)
+    assert np.all(1.0 - q[skip] == 1.0)
 
 
 def _scenario_points(s, n):
