@@ -8,7 +8,9 @@ for byte (only the manifest timestamp differs).
 
 Exit codes: 0 success, 2 usage or validation problems, 3 numerical failure
 (any LP solver error or non-optimal status, or the Monte Carlo check missed
-at three standard errors).
+at three standard errors).  A run that ends in an error writes nothing, not
+even the --out directory; a missed Monte Carlo check is a result, so it
+still writes its report and manifest before exiting 3.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ import numpy as np
 from . import __version__, lpsolve
 from .detection import SUPPORT_EPS, MixedStrategy, pfa, pm
 from .experiments import (
+    _point_from_solution,
     beta_sweep,
     constant_baseline,
     default_beta_grid,
@@ -47,34 +50,18 @@ __all__ = ["main"]
 
 
 def _fmt(v) -> str:
-    return format(float(v), ".12g")
+    """Floats to 12 significant digits, anything else through str()."""
+    return format(float(v), ".12g") if isinstance(v, float) else str(v)
 
 
-class _OutDir:
-    """Collects written files so the manifest can fingerprint them."""
+def _csv(header, rows) -> str:
+    lines = [",".join(header)]
+    lines.extend(",".join(map(_fmt, row)) for row in rows)
+    return "\n".join(lines) + "\n"
 
-    def __init__(self, path: str):
-        self.dir = Path(path)
-        self.dir.mkdir(parents=True, exist_ok=True)
-        self.written: dict[str, str] = {}
 
-    def write_text(self, name: str, text: str):
-        data = text.encode("utf-8")
-        (self.dir / name).write_bytes(data)
-        self.written[name] = "sha256:" + hashlib.sha256(data).hexdigest()
-
-    def write_csv(self, name: str, header: list[str], rows):
-        lines = [",".join(header)]
-        lines.extend(",".join(_fmt(v) if isinstance(v, float) else str(v) for v in row)
-                     for row in rows)
-        self.write_text(name, "\n".join(lines) + "\n")
-
-    def finish(self, manifest: dict):
-        manifest = dict(manifest)
-        manifest["outputs"] = dict(sorted(self.written.items()))
-        manifest["created_utc"] = datetime.now(timezone.utc).isoformat()
-        data = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
-        (self.dir / "manifest.json").write_bytes(data.encode("utf-8"))
+def _key_values(mapping: dict) -> str:
+    return "".join(f"{k} = {_fmt(v)}\n" for k, v in mapping.items())
 
 
 def _parse_set(pairs: list[str]) -> dict[str, str]:
@@ -111,63 +98,67 @@ def _resolve_scenario(args):
     return scenario, source, overrides
 
 
-def _manifest(subcommand: str, source: str, overrides: dict, scenario) -> dict:
-    return {
+def _write_run(args, scenario, source: str, overrides: dict, files: dict[str, str],
+               extras: dict):
+    """Write the data files, scenario.txt and a manifest.json that lists
+    each file's sha256; the only place a run touches ``--out``."""
+    text = serialize_scenario(scenario)
+    files = {**files, "scenario.txt": text}
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    outputs = {}
+    for name, body in files.items():
+        data = body.encode("utf-8")
+        (out / name).write_bytes(data)
+        outputs[name] = "sha256:" + hashlib.sha256(data).hexdigest()
+    manifest = {
         "tool": {"name": "covertgame", "version": __version__},
-        "subcommand": subcommand,
-        "scenario": {
-            "source": source,
-            "overrides": overrides,
-            "text": serialize_scenario(scenario),
-        },
+        "subcommand": args.subcommand,
+        "scenario": {"source": source, "overrides": overrides, "text": text},
+        **extras,
+        "outputs": outputs,
+        "created_utc": datetime.now(timezone.utc).isoformat(),
     }
+    data = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
+    (out / "manifest.json").write_bytes(data.encode("utf-8"))
 
 
-def _strategy_rows(strategy: MixedStrategy, joint: bool):
-    for action, prob in zip(strategy.actions, strategy.probs):
-        if prob > SUPPORT_EPS:
-            if joint:
-                yield (float(action[0]), float(action[1]), float(prob))
-            else:
-                yield (float(action), float(prob))
+# Strategy-file headers, written by solve and read back by simulate.
+_ROW_HEADER = ("power_mw", "jam_mw", "probability")
+_COL_HEADER = ("threshold_mw", "probability")
 
 
-def _write_solution(out: _OutDir, payoff, solution):
-    out.write_csv("row_strategy.csv", ["power_mw", "jam_mw", "probability"],
-                  _strategy_rows(solution.row_strategy, joint=True))
-    out.write_csv("col_strategy.csv", ["threshold_mw", "probability"],
-                  _strategy_rows(solution.col_strategy, joint=False))
-    pfa_val, pm_val = payoff.error_rates(solution.row_strategy, solution.col_strategy)
+def _strategy_csv(header, strategy: MixedStrategy) -> str:
+    return _csv(header, ((*np.ravel(action).tolist(), float(prob))
+                         for action, prob in zip(strategy.actions, strategy.probs)
+                         if prob > SUPPORT_EPS))
+
+
+def _cmd_solve(args, scenario):
+    payoff = build_payoff(prune_negative_rate(scenario))
+    solution = solve_game(payoff)
+    point = _point_from_solution(payoff, solution)
     summary = {
-        "game_value": solution.value,
-        "expected_rate": payoff.expected_rate(solution.row_strategy),
-        "pfa": pfa_val,
-        "pm": pm_val,
-        "dep": pfa_val + pm_val,
+        "game_value": point.game_value,
+        "expected_rate": point.expected_rate,
+        "pfa": point.pfa,
+        "pm": point.pm,
+        "dep": point.dep,
         "row_gap": solution.row_gap,
         "col_gap": solution.col_gap,
         "rows": len(solution.row_strategy.actions),
         "cols": len(solution.col_strategy.actions),
         "lp_iterations": solution.iterations,
     }
-    out.write_text("summary.txt", "".join(
-        f"{k} = {_fmt(v) if isinstance(v, float) else v}\n" for k, v in summary.items()
-    ))
-    return summary
-
-
-def _cmd_solve(args) -> int:
-    scenario, source, overrides = _resolve_scenario(args)
-    out = _OutDir(args.out)
-    payoff = build_payoff(prune_negative_rate(scenario))
-    solution = solve_game(payoff)
-    _write_solution(out, payoff, solution)
-    out.write_text("scenario.txt", serialize_scenario(scenario))
-    out.finish(_manifest("solve", source, overrides, scenario))
-    print(f"value {_fmt(solution.value)}  "
-          f"row support {len(solution.row_strategy.support())}  "
-          f"col support {len(solution.col_strategy.support())}")
-    return 0
+    files = {
+        "row_strategy.csv": _strategy_csv(_ROW_HEADER, solution.row_strategy),
+        "col_strategy.csv": _strategy_csv(_COL_HEADER, solution.col_strategy),
+        "summary.txt": _key_values(summary),
+    }
+    message = (f"value {_fmt(solution.value)}  "
+               f"row support {len(solution.row_strategy.support())}  "
+               f"col support {len(solution.col_strategy.support())}")
+    return files, {}, message, 0
 
 
 def _parse_betas(text: str | None):
@@ -181,129 +172,96 @@ def _parse_betas(text: str | None):
     return betas, "explicit"
 
 
-def _cmd_sweep(args) -> int:
-    scenario, source, overrides = _resolve_scenario(args)
+def _cmd_sweep(args, scenario):
     betas, betas_source = _parse_betas(args.betas)
-    out = _OutDir(args.out)
     points = beta_sweep(scenario, betas)
-    out.write_csv(
-        "tradeoff.csv",
-        ["beta", "expected_rate", "pfa", "pm", "dep", "game_value"],
-        ((p.beta, p.expected_rate, p.pfa, p.pm, p.dep, p.game_value) for p in points),
-    )
-    out.write_text("scenario.txt", serialize_scenario(scenario))
-    manifest = _manifest("sweep", source, overrides, scenario)
-    manifest["betas"] = [float(_fmt(b)) for b in betas]
-    manifest["betas_source"] = betas_source
-    out.finish(manifest)
-    print(f"swept {len(points)} weights; dep {_fmt(points[0].dep)} .. {_fmt(points[-1].dep)}")
-    return 0
+    table = _csv(["beta", "expected_rate", "pfa", "pm", "dep", "game_value"],
+                 ((p.beta, p.expected_rate, p.pfa, p.pm, p.dep, p.game_value) for p in points))
+    extras = {"betas": [float(_fmt(b)) for b in betas], "betas_source": betas_source}
+    message = f"swept {len(points)} weights; dep {_fmt(points[0].dep)} .. {_fmt(points[-1].dep)}"
+    return {"tradeoff.csv": table}, extras, message, 0
 
 
-def _cmd_baseline(args) -> int:
-    scenario, source, overrides = _resolve_scenario(args)
-    out = _OutDir(args.out)
+def _cmd_baseline(args, scenario):
     payoff = build_payoff(prune_negative_rate(scenario))
     results = [uniform_baseline(payoff, k)
                for k in range(2, len(scenario.power_grid) + 1)]
     survivors = [p for p, j in payoff.actions if j == 0.0]
     results.extend(constant_baseline(payoff, p) for p in survivors)
-    out.write_csv(
-        "baseline.csv",
-        ["label", "parameter", "best_threshold_mw", "expected_rate", "pfa", "pm", "dep"],
-        ((r.label, r.parameter, r.best_threshold, r.expected_rate, r.pfa, r.pm, r.dep)
-         for r in results),
-    )
-    out.write_text("scenario.txt", serialize_scenario(scenario))
-    out.finish(_manifest("baseline", source, overrides, scenario))
-    print(f"wrote {len(results)} baseline points")
-    return 0
+    table = _csv(["label", "parameter", "best_threshold_mw", "expected_rate", "pfa", "pm", "dep"],
+                 ((r.label, r.parameter, r.best_threshold, r.expected_rate, r.pfa, r.pm, r.dep)
+                  for r in results))
+    return {"baseline.csv": table}, {}, f"wrote {len(results)} baseline points", 0
 
 
-def _off_grid(values: np.ndarray, grid) -> np.ndarray:
-    """Whether each value lies farther than 1e-9 from every grid point."""
-    return ~(np.abs(values[:, None] - np.asarray(grid)[None, :]) <= 1e-9).any(axis=1)
-
-
-def _load_strategy_csv(path: str, scenario, joint: bool) -> MixedStrategy:
+def _load_strategy_csv(path: str, scenario, header) -> MixedStrategy:
     lines = Path(path).read_text(encoding="utf-8").strip().splitlines()
     if not lines:
         raise ScenarioError(f"{path}: empty strategy file")
-    header = lines[0].split(",")
-    want = ["power_mw", "jam_mw", "probability"] if joint else ["threshold_mw", "probability"]
-    if header != want:
-        raise ScenarioError(f"{path}: expected header {','.join(want)}")
-    actions, probs = [], []
+    if tuple(lines[0].split(",")) != header:
+        raise ScenarioError(f"{path}: expected header {','.join(header)}")
+    rows = []
     for line in lines[1:]:
-        parts = line.split(",")
-        if len(parts) != len(want):
+        try:
+            values = [float(p) for p in line.split(",")]
+        except ValueError:
+            values = []
+        if len(values) != len(header):
             raise ScenarioError(f"{path}: malformed row {line!r}")
-        values = [float(p) for p in parts]
-        if joint:
-            actions.append((values[0], values[1]))
-            probs.append(values[2])
-        else:
-            actions.append(values[0])
-            probs.append(values[1])
-    # The joint grid is the product of the power and jam grids.
-    if joint:
-        power, jam = np.array(actions).reshape(-1, 2).T
-        off = _off_grid(power, scenario.power_grid) | _off_grid(jam, scenario.jam_grid)
-    else:
-        off = _off_grid(np.array(actions), scenario.threshold_grid)
+        rows.append(values)
+    # An action is off the grid when a column lies farther than 1e-9 from
+    # every point of its own grid (power_mw from power_grid, ...): the joint
+    # grid is the product of the power and jam grids.
+    table = np.array(rows).reshape(-1, len(header))
+    off = np.zeros(len(rows), dtype=bool)
+    for name, column in zip(header[:-1], table.T):
+        grid = np.asarray(getattr(scenario, name.replace("_mw", "_grid")))
+        off |= ~(np.abs(column[:, None] - grid[None, :]) <= 1e-9).any(axis=1)
+    actions = [tuple(row[:-1]) if len(row) > 2 else row[0] for row in rows]
     bad = [a for a, o in zip(actions, off.tolist()) if o]
     if bad:
         raise ScenarioError(f"{path}: actions not on the scenario grid: {bad[:3]}")
     try:
-        return MixedStrategy(tuple(actions), tuple(probs))
+        return MixedStrategy(tuple(actions), tuple(row[-1] for row in rows))
     except ValueError as exc:
         raise ScenarioError(f"{path}: {exc}") from None
 
 
-def _cmd_simulate(args) -> int:
-    scenario, source, overrides = _resolve_scenario(args)
+def _cmd_simulate(args, scenario):
     if bool(args.row_strategy) != bool(args.col_strategy):
         raise ScenarioError("--row-strategy and --col-strategy must be given together")
-    out = _OutDir(args.out)
     if args.row_strategy:
-        joint = _load_strategy_csv(args.row_strategy, scenario, joint=True)
-        thr = _load_strategy_csv(args.col_strategy, scenario, joint=False)
-        strategy_source = "files"
+        joint = _load_strategy_csv(args.row_strategy, scenario, _ROW_HEADER)
+        thr = _load_strategy_csv(args.col_strategy, scenario, _COL_HEADER)
         analytic_pfa, analytic_pm = pfa(scenario, joint, thr), pm(scenario, joint, thr)
     else:
         payoff = build_payoff(prune_negative_rate(scenario))
-        solution = solve_game(payoff)
-        joint, thr = solution.row_strategy, solution.col_strategy
-        strategy_source = "solved"
-        analytic_pfa, analytic_pm = payoff.error_rates(joint, thr)
+        point = _point_from_solution(payoff, solve_game(payoff))
+        joint, thr = point.row_strategy, point.col_strategy
+        analytic_pfa, analytic_pm = point.pfa, point.pm
+    strategy_source = "files" if args.row_strategy else "solved"
 
     est = estimate_detection(scenario, joint, thr, blocks=args.blocks, seed=args.seed)
     ok = est.consistent_with(analytic_pfa, analytic_pm, n_sigma=3.0)
-    z_pfa = (est.pfa_hat - analytic_pfa) / est.pfa_stderr if est.pfa_stderr else 0.0
-    z_pm = (est.pm_hat - analytic_pm) / est.pm_stderr if est.pm_stderr else 0.0
-
-    report = [
-        f"blocks = {est.blocks}",
-        f"seed = {est.seed}",
-        f"strategies = {strategy_source}",
-        f"pfa_analytic = {_fmt(analytic_pfa)}",
-        f"pfa_empirical = {_fmt(est.pfa_hat)}",
-        f"pfa_stderr = {_fmt(est.pfa_stderr)}",
-        f"pfa_zscore = {_fmt(z_pfa)}",
-        f"pm_analytic = {_fmt(analytic_pm)}",
-        f"pm_empirical = {_fmt(est.pm_hat)}",
-        f"pm_stderr = {_fmt(est.pm_stderr)}",
-        f"pm_zscore = {_fmt(z_pm)}",
-        f"verdict = {'PASS' if ok else 'FAIL'} (3 stderr)",
-    ]
-    out.write_text("simulate.txt", "\n".join(report) + "\n")
-    out.write_text("scenario.txt", serialize_scenario(scenario))
-    manifest = _manifest("simulate", source, overrides, scenario)
-    manifest["options"] = {"blocks": args.blocks, "seed": args.seed,
-                           "strategies": strategy_source}
-    out.finish(manifest)
-    print("\n".join(report))
-    return 0 if ok else 3
+    # The standard-error floor of consistent_with: a zero stderr next to a
+    # miss gives a huge z, never a z of 0.
+    report = _key_values({
+        "blocks": est.blocks,
+        "seed": est.seed,
+        "strategies": strategy_source,
+        "pfa_analytic": analytic_pfa,
+        "pfa_empirical": est.pfa_hat,
+        "pfa_stderr": est.pfa_stderr,
+        "pfa_zscore": (est.pfa_hat - analytic_pfa) / max(est.pfa_stderr, 1e-300),
+        "pm_analytic": analytic_pm,
+        "pm_empirical": est.pm_hat,
+        "pm_stderr": est.pm_stderr,
+        "pm_zscore": (est.pm_hat - analytic_pm) / max(est.pm_stderr, 1e-300),
+        "verdict": f"{'PASS' if ok else 'FAIL'} (3 stderr)",
+    })
+    extras = {"options": {"blocks": args.blocks, "seed": args.seed,
+                          "strategies": strategy_source}}
+    return {"simulate.txt": report}, extras, report.rstrip("\n"), 0 if ok else 3
 
 
 def _add_common(p: argparse.ArgumentParser):
@@ -360,13 +318,17 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        return args.func(args)
+        scenario, source, overrides = _resolve_scenario(args)
+        files, extras, message, code = args.func(args, scenario)
+        _write_run(args, scenario, source, overrides, files, extras)
     except (ScenarioError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (GameSolveError, lpsolve.LpError) as exc:
         print(f"numerical failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
+    print(message)
+    return code
 
 
 if __name__ == "__main__":

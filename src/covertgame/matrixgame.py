@@ -49,11 +49,6 @@ VERIFY_TOL = 1e-8
 class GameSolveError(RuntimeError):
     """The LP solver failed to return an optimal status for a game LP."""
 
-    def __init__(self, message: str, lp=None, solution=None):
-        super().__init__(message)
-        self.lp = lp
-        self.solution = solution
-
 
 @dataclass(frozen=True)
 class PayoffMatrix:
@@ -196,12 +191,11 @@ def solve_lp_orientation(entries: np.ndarray, orientation: str):
     The dual multipliers of the covering constraints, negated, are exactly
     the opponent's equilibrium mixture.
     """
-    lp = _game_lp(entries, orientation)
-    sol = lpsolve.solve(lp)
+    sol = lpsolve.solve(_game_lp(entries, orientation))
     if sol.status != lpsolve.OPTIMAL:
         raise GameSolveError(
             f"game LP ({orientation} orientation) ended with status "
-            f"{sol.status}: {sol.message}", lp=lp, solution=sol,
+            f"{sol.status}: {sol.message}"
         )
     primal = sol.x[:-1]
     value = float(sol.x[-1])

@@ -163,22 +163,26 @@ def test_lp_error_exits_3_with_one_line(tmp_path, scenario_file, capsys, monkeyp
         raise lpsolve.UnboundedError("no blocking bound or basic variable")
 
     monkeypatch.setattr(lpsolve, "solve", unbounded)
-    code = main(["solve", "--scenario", str(scenario_file), "--out", str(tmp_path / "x")])
+    out = tmp_path / "x"
+    code = main(["solve", "--scenario", str(scenario_file), "--out", str(out)])
     assert code == 3
     err = capsys.readouterr().err
     assert err.startswith("numerical failure: UnboundedError")
     assert err.count("\n") == 1
+    assert not out.exists()
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_infinite_rates_exit_3_quietly(tmp_path, capsys):
     # A subnormal receiver noise overflows every SNR, so every rate is
     # infinite: a reported numerical failure, not numpy warnings.
-    code = main(["solve", "--set", "sigma_b_sq_mw=1e-320", "--out", str(tmp_path / "x")])
+    out = tmp_path / "x"
+    code = main(["solve", "--set", "sigma_b_sq_mw=1e-320", "--out", str(out)])
     assert code == 3
     err = capsys.readouterr().err
     assert err.startswith("numerical failure: GameSolveError: payoff matrix has non-finite")
     assert err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_python_dash_m_runs_the_cli(tmp_path, scenario_file):
@@ -297,10 +301,12 @@ def test_sweep_empty_betas_uses_default_grid(tmp_path, scenario_file, capsys):
 
 
 def test_sweep_rejects_garbage_betas(tmp_path, scenario_file, capsys):
+    out = tmp_path / "x"
     code = main(["sweep", "--scenario", str(scenario_file),
-                 "--betas", "1.0,fast", "--out", str(tmp_path / "x")])
+                 "--betas", "1.0,fast", "--out", str(out)])
     assert code == 2
     assert "--betas" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_baseline_rows(tmp_path, scenario_file, capsys):
@@ -355,6 +361,41 @@ def test_simulate_strategy_flags_must_pair(tmp_path, scenario_file, capsys):
     assert "together" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("bad", ["rows", "cols"])
+def test_malformed_strategy_file_is_named_and_nothing_is_written(tmp_path, scenario_file,
+                                                                 capsys, bad):
+    lines = {"rows": ["power_mw,jam_mw,probability", "0.02,0,1"],
+             "cols": ["threshold_mw,probability", "0.25,1"]}
+    lines[bad][1] = lines[bad][1][:-1] + "abc"
+    paths = {name: tmp_path / f"{name}.csv" for name in lines}
+    for name, (header, row) in lines.items():
+        paths[name].write_text(f"{header}\n{row}\n", encoding="utf-8")
+    out = tmp_path / "x"
+    code = main(["simulate", "--scenario", str(scenario_file),
+                 "--row-strategy", str(paths["rows"]), "--col-strategy", str(paths["cols"]),
+                 "--blocks", "10", "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {paths[bad]}: malformed row {lines[bad][1]!r}\n"
+    assert not out.exists()
+
+
+def test_simulate_fail_verdict_reports_its_misses_and_writes(tmp_path, scenario_file, capsys):
+    # One block per hypothesis: each empirical rate is 0 or 1 with a zero
+    # standard error, so the check misses and both z-scores are huge.
+    out = tmp_path / "sim"
+    code = main(["simulate", "--scenario", str(scenario_file),
+                 "--blocks", "1", "--seed", "0", "--out", str(out)])
+    assert code == 3
+    printed = capsys.readouterr().out
+    assert "verdict = FAIL (3 stderr)" in printed
+    report = dict(line.split(" = ")
+                  for line in (out / "simulate.txt").read_text(encoding="utf-8").splitlines())
+    assert report["verdict"] == "FAIL (3 stderr)"
+    assert float(report["pfa_stderr"]) == float(report["pm_stderr"]) == 0.0
+    assert abs(float(report["pfa_zscore"])) > 3 and abs(float(report["pm_zscore"])) > 3
+    assert set(read_manifest(out)["outputs"]) == {"simulate.txt", "scenario.txt"}
+
+
 def test_simulate_rejects_off_grid_strategy(tmp_path, scenario_file, capsys):
     rows = tmp_path / "rows.csv"
     rows.write_text("power_mw,jam_mw,probability\n0.33,0,1\n", encoding="utf-8")
@@ -401,11 +442,13 @@ def test_argparse_usage_errors(tmp_path, scenario_file, capsys):
     assert "covertgame" in capsys.readouterr().out
 
 
-def test_summary_rate_is_read_from_the_table(tmp_path):
+def test_summary_rate_is_read_from_the_table():
     payoff = build_payoff(prune_negative_rate(default_scenario()))
     solution = solve_game(payoff)
-    summary = cli._write_solution(cli._OutDir(str(tmp_path)), payoff, solution)
-    assert summary["expected_rate"] == payoff.expected_rate(solution.row_strategy)
+    files, _, _, code = cli._cmd_solve(None, default_scenario())
+    assert code == 0
+    summary = dict(line.split(" = ") for line in files["summary.txt"].splitlines())
+    assert summary["expected_rate"] == cli._fmt(payoff.expected_rate(solution.row_strategy))
 
 
 # Override values: numbers, limits, non-finite and malformed text.  A grid
@@ -482,12 +525,12 @@ def test_strategy_grid_check_is_per_component(tmp_path):
     pairs = [(p, j) for j in s.jam_grid for p in s.power_grid]
     rows.write_text("power_mw,jam_mw,probability\n" + "".join(
         f"{p!r},{j + 1e-10!r},{1 / len(pairs)!r}\n" for p, j in pairs), encoding="utf-8")
-    strategy = cli._load_strategy_csv(str(rows), s, joint=True)
+    strategy = cli._load_strategy_csv(str(rows), s, cli._ROW_HEADER)
     assert len(strategy.actions) == len(pairs) == 420
     for line in ("0.05,0.33,1", "0.33,0.05,1", "0.05,-1e-8,1"):
         rows.write_text(f"power_mw,jam_mw,probability\n{line}\n", encoding="utf-8")
         with pytest.raises(covertgame.ScenarioError, match="not on the scenario grid"):
-            cli._load_strategy_csv(str(rows), s, joint=True)
+            cli._load_strategy_csv(str(rows), s, cli._ROW_HEADER)
     rows.write_text("power_mw,jam_mw,probability\n", encoding="utf-8")
     with pytest.raises(covertgame.ScenarioError, match="at least one action"):
-        cli._load_strategy_csv(str(rows), s, joint=True)
+        cli._load_strategy_csv(str(rows), s, cli._ROW_HEADER)
