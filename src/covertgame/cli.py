@@ -44,7 +44,7 @@ from .model import (
     prune_negative_rate,
     serialize_scenario,
 )
-from .simkit import estimate_detection
+from .simkit import _STDERR_FLOOR, estimate_detection
 
 __all__ = ["main"]
 
@@ -123,9 +123,11 @@ def _write_run(args, scenario, source: str, overrides: dict, files: dict[str, st
     (out / "manifest.json").write_bytes(data.encode("utf-8"))
 
 
-# Strategy-file headers, written by solve and read back by simulate.
+# Strategy-file headers, written by solve and read back by simulate, and the
+# scenario grid that each action column must lie on.
 _ROW_HEADER = ("power_mw", "jam_mw", "probability")
 _COL_HEADER = ("threshold_mw", "probability")
+_COLUMN_GRID = {"power_mw": "power_grid", "jam_mw": "jam_grid", "threshold_mw": "threshold_grid"}
 
 
 def _strategy_csv(header, strategy: MixedStrategy) -> str:
@@ -210,12 +212,11 @@ def _load_strategy_csv(path: str, scenario, header) -> MixedStrategy:
             raise ScenarioError(f"{path}: malformed row {line!r}")
         rows.append(values)
     # An action is off the grid when a column lies farther than 1e-9 from
-    # every point of its own grid (power_mw from power_grid, ...): the joint
-    # grid is the product of the power and jam grids.
+    # every point of its own grid (the joint grid is power x jam).
     table = np.array(rows).reshape(-1, len(header))
     off = np.zeros(len(rows), dtype=bool)
     for name, column in zip(header[:-1], table.T):
-        grid = np.asarray(getattr(scenario, name.replace("_mw", "_grid")))
+        grid = np.asarray(getattr(scenario, _COLUMN_GRID[name]))
         off |= ~(np.abs(column[:, None] - grid[None, :]) <= 1e-9).any(axis=1)
     actions = [tuple(row[:-1]) if len(row) > 2 else row[0] for row in rows]
     bad = [a for a, o in zip(actions, off.tolist()) if o]
@@ -243,8 +244,7 @@ def _cmd_simulate(args, scenario):
 
     est = estimate_detection(scenario, joint, thr, blocks=args.blocks, seed=args.seed)
     ok = est.consistent_with(analytic_pfa, analytic_pm, n_sigma=3.0)
-    # The standard-error floor of consistent_with: a zero stderr next to a
-    # miss gives a huge z, never a z of 0.
+    # consistent_with's stderr floor: a zero stderr next to a miss gives a huge z.
     report = _key_values({
         "blocks": est.blocks,
         "seed": est.seed,
@@ -252,11 +252,11 @@ def _cmd_simulate(args, scenario):
         "pfa_analytic": analytic_pfa,
         "pfa_empirical": est.pfa_hat,
         "pfa_stderr": est.pfa_stderr,
-        "pfa_zscore": (est.pfa_hat - analytic_pfa) / max(est.pfa_stderr, 1e-300),
+        "pfa_zscore": (est.pfa_hat - analytic_pfa) / max(est.pfa_stderr, _STDERR_FLOOR),
         "pm_analytic": analytic_pm,
         "pm_empirical": est.pm_hat,
         "pm_stderr": est.pm_stderr,
-        "pm_zscore": (est.pm_hat - analytic_pm) / max(est.pm_stderr, 1e-300),
+        "pm_zscore": (est.pm_hat - analytic_pm) / max(est.pm_stderr, _STDERR_FLOOR),
         "verdict": f"{'PASS' if ok else 'FAIL'} (3 stderr)",
     })
     extras = {"options": {"blocks": args.blocks, "seed": args.seed,

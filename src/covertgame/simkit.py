@@ -29,6 +29,8 @@ __all__ = [
 
 # Blocks per counter-keyed chunk; fixed, so it is part of the output contract.
 CHUNK_BLOCKS = 8192
+# Standard errors count as at least this, so a zero one next to a miss fails.
+_STDERR_FLOOR = 1e-300
 
 
 @dataclass(frozen=True)
@@ -44,8 +46,8 @@ class EmpiricalDetection:
 
     def consistent_with(self, pfa: float, pm: float, n_sigma: float = 3.0) -> bool:
         """True when analytic values sit within n_sigma standard errors."""
-        return (abs(pfa - self.pfa_hat) <= n_sigma * max(self.pfa_stderr, 1e-300)
-                and abs(pm - self.pm_hat) <= n_sigma * max(self.pm_stderr, 1e-300))
+        return (abs(pfa - self.pfa_hat) <= n_sigma * max(self.pfa_stderr, _STDERR_FLOOR)
+                and abs(pm - self.pm_hat) <= n_sigma * max(self.pm_stderr, _STDERR_FLOOR))
 
 
 def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:

@@ -442,13 +442,14 @@ def test_argparse_usage_errors(tmp_path, scenario_file, capsys):
     assert "covertgame" in capsys.readouterr().out
 
 
-def test_summary_rate_is_read_from_the_table():
+def test_summary_rate_is_read_from_the_table(monkeypatch):
     payoff = build_payoff(prune_negative_rate(default_scenario()))
     solution = solve_game(payoff)
-    files, _, _, code = cli._cmd_solve(None, default_scenario())
+    seen = {}
+    monkeypatch.setattr(cli, "_key_values", lambda mapping: seen.update(mapping) or "")
+    _, _, _, code = cli._cmd_solve(None, default_scenario())
     assert code == 0
-    summary = dict(line.split(" = ") for line in files["summary.txt"].splitlines())
-    assert summary["expected_rate"] == cli._fmt(payoff.expected_rate(solution.row_strategy))
+    assert seen["expected_rate"] == payoff.expected_rate(solution.row_strategy)
 
 
 # Override values: numbers, limits, non-finite and malformed text.  A grid
