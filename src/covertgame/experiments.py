@@ -25,7 +25,6 @@ __all__ = [
     "TradeoffPoint",
     "BaselineResult",
     "DominanceEntry",
-    "DominanceReport",
     "default_beta_grid",
     "desk_scenario",
     "beta_sweep",
@@ -49,9 +48,9 @@ _ROUNDOFF = 1e-14
 _DOMINANCE_TOL = 1e-9
 
 
-def default_beta_grid(count: int = 25, low: float = 0.1, high: float = 20.0) -> tuple[float, ...]:
-    """Log-spaced covertness weights covering rate-greedy through covert."""
-    return tuple(float(b) for b in np.geomspace(low, high, count))
+def default_beta_grid() -> tuple[float, ...]:
+    """25 log-spaced covertness weights from 0.1 (rate-greedy) to 20 (covert)."""
+    return tuple(float(b) for b in np.geomspace(0.1, 20.0, 25))
 
 
 def desk_scenario(with_jammer: bool = True) -> Scenario:
@@ -194,11 +193,6 @@ class DominanceEntry:
         return self.game_rate - self.baseline_rate
 
 
-@dataclass(frozen=True)
-class DominanceReport:
-    entries: tuple[DominanceEntry, ...]
-
-
 def frontier_rate(payoff: PayoffMatrix, dep_level: float) -> float:
     """Best expected rate with detection error guaranteed at least dep_level.
 
@@ -254,32 +248,26 @@ def max_guaranteed_dep(payoff: PayoffMatrix) -> float:
 
 def dominance_check(payoff: PayoffMatrix,
                     uniform_results: list[BaselineResult],
-                    constant_results: list[BaselineResult]) -> DominanceReport:
+                    constant_results: list[BaselineResult]) -> tuple[DominanceEntry, ...]:
     """Compare both baseline families against the game's frontier at matched dep.
 
     Each baseline is paired with ``frontier_rate`` at its own dep value, the
     best rate any transmitter mixture can guarantee there.  Raises
     AssertionError if any baseline earns more than _DOMINANCE_TOL above that
-    rate; returns the full comparison table.
+    rate; otherwise returns one DominanceEntry per baseline, uniform ones first.
     """
     baselines = list(uniform_results) + list(constant_results)
     if not baselines:
         raise ValueError("no baseline points to compare")
-    report = DominanceReport(entries=tuple(
-        DominanceEntry(
-            label=b.label,
-            parameter=b.parameter,
-            baseline_dep=b.dep,
-            baseline_rate=b.expected_rate,
-            game_rate=frontier_rate(payoff, b.dep),
-        )
-        for b in baselines
-    ))
-    worst = min(report.entries, key=lambda e: e.advantage)
+    entries = tuple(DominanceEntry(label=b.label, parameter=b.parameter, baseline_dep=b.dep,
+                                   baseline_rate=b.expected_rate,
+                                   game_rate=frontier_rate(payoff, b.dep))
+                    for b in baselines)
+    worst = min(entries, key=lambda e: e.advantage)
     if worst.advantage < -_DOMINANCE_TOL:
         raise AssertionError(
             f"{worst.label}({worst.parameter:g}) earns "
             f"{-worst.advantage:.6f} bits/use above the game curve "
             f"at dep {worst.baseline_dep:.4f}"
         )
-    return report
+    return entries

@@ -10,7 +10,8 @@ program.  Of the two textbook LP formulations (row player maximizes a
 guaranteed payoff U, column player minimizes one) the solver is pointed at
 whichever has fewer constraint rows, and the opponent's strategy is read
 off the dual multipliers of the covering constraints, so one solve yields
-both sides.  Tests re-solve the other orientation and check the duality gap.
+both sides.  ``solve_game`` accepts the pair only when neither player can
+gain more than VERIFY_TOL by deviating to a pure strategy.
 
 Row payoffs differ from pure detection error only by a row-constant rate
 offset and the positive factor beta, so the detector's best-response set is
@@ -34,7 +35,6 @@ from .model import PrunedScenario, Scenario
 __all__ = [
     "PayoffMatrix",
     "EquilibriumSolution",
-    "VerificationReport",
     "GameSolveError",
     "build_payoff",
     "solve_game",
@@ -42,12 +42,16 @@ __all__ = [
     "threshold_best_response",
 ]
 
-# Default tolerance on equilibrium verification gaps.
+# Largest verification gap of an accepted equilibrium.
 VERIFY_TOL = 1e-8
+
+# Expected detection errors this close to the minimum are best responses too.
+_TIE_TOL = 1e-12
 
 
 class GameSolveError(RuntimeError):
-    """The LP solver failed to return an optimal status for a game LP."""
+    """A game has no verified equilibrium: a non-finite payoff, a non-optimal
+    LP status, malformed mixtures, or a verification gap above VERIFY_TOL."""
 
 
 @dataclass(frozen=True)
@@ -139,13 +143,6 @@ class EquilibriumSolution:
     iterations: int = 0
 
 
-@dataclass(frozen=True)
-class VerificationReport:
-    row_gap: float
-    col_gap: float
-    ok: bool
-
-
 def _clean_probs(raw: np.ndarray, label: str) -> np.ndarray:
     if float(raw.min(initial=0.0)) < -1e-7:
         raise GameSolveError(f"{label} strategy has negative mass {raw.min():.3e}")
@@ -169,11 +166,10 @@ def _game_lp(entries: np.ndarray, orientation: str) -> lpsolve.LinearProgram:
     else:
         body, kind, sense = entries, "<=", "min"
     covering, k = body.shape
-    lhs = np.empty((covering + 1, k + 1))
+    lhs = np.zeros((covering + 1, k + 1))
     lhs[:covering, :k] = body
     lhs[:covering, k] = -1.0
     lhs[covering, :k] = 1.0
-    lhs[covering, k] = 0.0
     kinds = (kind,) * covering + ("=",)
     rhs = np.zeros(covering + 1)
     rhs[-1] = 1.0
@@ -183,24 +179,6 @@ def _game_lp(entries: np.ndarray, orientation: str) -> lpsolve.LinearProgram:
     return lpsolve.LinearProgram(
         sense=sense, objective=objective, lhs=lhs, rhs=rhs, kinds=kinds, bounds=bounds
     )
-
-
-def solve_lp_orientation(entries: np.ndarray, orientation: str):
-    """Solve one orientation; returns (value, primal probs, dual probs, iters).
-
-    The dual multipliers of the covering constraints, negated, are exactly
-    the opponent's equilibrium mixture.
-    """
-    sol = lpsolve.solve(_game_lp(entries, orientation))
-    if sol.status != lpsolve.OPTIMAL:
-        raise GameSolveError(
-            f"game LP ({orientation} orientation) ended with status "
-            f"{sol.status}: {sol.message}"
-        )
-    primal = sol.x[:-1]
-    value = float(sol.x[-1])
-    dual = -sol.duals[:-1]
-    return value, primal, dual, sol.iterations
 
 
 def solve_game(entries) -> EquilibriumSolution:
@@ -227,62 +205,54 @@ def solve_game(entries) -> EquilibriumSolution:
     rows, cols = A.shape
 
     # Point the simplex at the orientation with fewer constraint rows; the
-    # other side's strategy comes back through the duals.
-    if rows <= cols:
-        value, col_raw, row_raw, iters = solve_lp_orientation(A, "col")
-    else:
-        value, row_raw, col_raw, iters = solve_lp_orientation(A, "row")
-    solution = EquilibriumSolution(
-        row_strategy=MixedStrategy(row_actions or range(rows),
-                                   _clean_probs(row_raw, "row").tolist()),
-        col_strategy=MixedStrategy(col_actions or range(cols),
-                                   _clean_probs(col_raw, "col").tolist()),
-        value=value,
-        row_gap=0.0,
-        col_gap=0.0,
-        iterations=iters,
-    )
-    report = verify_equilibrium(A, solution, tol=VERIFY_TOL)
-    if not report.ok:
-        raise GameSolveError(
-            f"equilibrium verification failed: row_gap={report.row_gap:.3e} "
-            f"col_gap={report.col_gap:.3e}"
-        )
-    return replace(solution, row_gap=report.row_gap, col_gap=report.col_gap)
+    # opponent's mixture is the negated duals of the covering constraints.
+    orientation = "col" if rows <= cols else "row"
+    sol = lpsolve.solve(_game_lp(A, orientation))
+    if sol.status != lpsolve.OPTIMAL:
+        raise GameSolveError(f"game LP ({orientation} orientation) ended with status "
+                             f"{sol.status}: {sol.message}")
+    primal, dual, value = sol.x[:-1], -sol.duals[:-1], float(sol.x[-1])
+    row_raw, col_raw = (dual, primal) if orientation == "col" else (primal, dual)
+    x, y = _clean_probs(row_raw, "row"), _clean_probs(col_raw, "col")
+    row_gap, col_gap = _gaps(A, x, y, value)
+    # The two gaps cannot both go negative by more than roundoff (the row
+    # guarantee never exceeds the column exposure), so requiring each to stay
+    # below VERIFY_TOL catches both bad strategies and a misreported value.
+    if not (row_gap <= VERIFY_TOL and col_gap <= VERIFY_TOL):
+        raise GameSolveError(f"equilibrium verification failed: row_gap={row_gap:.3e} "
+                             f"col_gap={col_gap:.3e}")
+    return EquilibriumSolution(
+        row_strategy=MixedStrategy(row_actions or range(rows), x.tolist()),
+        col_strategy=MixedStrategy(col_actions or range(cols), y.tolist()),
+        value=value, row_gap=row_gap, col_gap=col_gap, iterations=sol.iterations)
 
 
-def verify_equilibrium(entries, solution: EquilibriumSolution,
-                       tol: float = VERIFY_TOL) -> VerificationReport:
+def _gaps(A: np.ndarray, x: np.ndarray, y: np.ndarray, value: float) -> tuple[float, float]:
+    """(value - min_m (x^T A)_m, max_r (A y)_r - value)."""
+    return value - float((x @ A).min()), float((A @ y).max()) - value
+
+
+def verify_equilibrium(entries, solution: EquilibriumSolution) -> tuple[float, float]:
     """Measure how far a claimed solution is from a true equilibrium.
 
-    row_gap is the shortfall of the row strategy's guaranteed payoff below
-    the claimed value (value - min over pure columns); col_gap is the excess
-    of the column strategy's exposure above the value (max over pure rows -
-    value).  Both are nonnegative up to roundoff at a true equilibrium whose
-    value is exact, and both must stay within ``tol`` for ``ok``.
+    Returns (row_gap, col_gap).  row_gap is the shortfall of the row
+    strategy's guaranteed payoff below the claimed value (value - min over
+    pure columns); col_gap is the excess of the column strategy's exposure
+    above the value (max over pure rows - value).  Both are nonnegative up
+    to roundoff at a true equilibrium whose value is exact; ``solve_game``
+    accepts a solution only when both are at most VERIFY_TOL.
     """
     if isinstance(entries, PayoffMatrix):
         entries = entries.entries
-    A = np.asarray(entries, dtype=float)
-    x = solution.row_strategy.prob_array()
-    y = solution.col_strategy.prob_array()
-    row_guarantee = float((x @ A).min())
-    col_exposure = float((A @ y).max())
-    row_gap = solution.value - row_guarantee
-    col_gap = col_exposure - solution.value
-    # The two gaps cannot both go negative by more than roundoff (the row
-    # guarantee never exceeds the column exposure), so requiring each to stay
-    # below tol catches both bad strategies and a misreported value.
-    ok = row_gap <= tol and col_gap <= tol
-    return VerificationReport(row_gap=row_gap, col_gap=col_gap, ok=ok)
+    return _gaps(np.asarray(entries, dtype=float), solution.row_strategy.prob_array(),
+                 solution.col_strategy.prob_array(), solution.value)
 
 
-def threshold_best_response(payoff: PayoffMatrix, joint: MixedStrategy,
-                            tie_tol: float = 1e-12) -> tuple[int, ...]:
+def threshold_best_response(payoff: PayoffMatrix, joint: MixedStrategy) -> tuple[int, ...]:
     """Detector's pure best responses against a mixed transmission strategy.
 
     Minimizes the expected detection-error probability alone over the
-    threshold grid and returns every index within ``tie_tol`` of the
+    threshold grid and returns every index within ``_TIE_TOL`` of the
     minimum.  Because the full game payoff only adds a threshold-independent
     rate term and scales dep by beta > 0, this is also the best-response set
     under the zero-sum payoff.  ``joint`` must mix over ``payoff.actions``.
@@ -290,5 +260,4 @@ def threshold_best_response(payoff: PayoffMatrix, joint: MixedStrategy,
     if tuple(joint.actions) != payoff.actions:
         raise ValueError("joint strategy actions do not match the payoff rows")
     expected = joint.prob_array() @ payoff.dep_terms
-    best = float(expected.min())
-    return tuple(int(i) for i in np.flatnonzero(expected <= best + tie_tol))
+    return tuple(int(i) for i in np.flatnonzero(expected <= float(expected.min()) + _TIE_TOL))

@@ -46,6 +46,10 @@ _GRID_DECIMALS = 12
 # Largest number of points in one decimal_range grid.
 MAX_GRID_POINTS = 100_000
 
+# Largest power x jam x threshold cell count of one scenario.  A solve holds
+# about 100 bytes per cell at its peak, so this is about 1 GB.
+MAX_CELLS = 10_000_000
+
 
 class ScenarioError(ValueError):
     """Raised for invalid scenario values or malformed scenario files."""
@@ -131,6 +135,10 @@ class Scenario:
         object.__setattr__(self, "jam_grid", _as_grid(self.jam_grid, "jam_grid", 0.0, False))
         object.__setattr__(self, "threshold_grid",
                            _as_grid(self.threshold_grid, "threshold_grid", 0.0, False))
+        cells = len(self.power_grid) * len(self.jam_grid) * len(self.threshold_grid)
+        if cells > MAX_CELLS:
+            raise ScenarioError(f"the power, jam and threshold grids give {cells} cells, "
+                                f"more than {MAX_CELLS}")
 
 
 def decimal_range(start: str, step: str, stop: str) -> tuple[float, ...]:

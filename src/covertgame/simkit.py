@@ -29,6 +29,8 @@ __all__ = [
 
 # Blocks per counter-keyed chunk; fixed, so it is part of the output contract.
 CHUNK_BLOCKS = 8192
+# An analytic value within this many standard errors of the estimate agrees.
+N_SIGMA = 3.0
 # Standard errors count as at least this, so a zero one next to a miss fails.
 _STDERR_FLOOR = 1e-300
 
@@ -44,10 +46,10 @@ class EmpiricalDetection:
     blocks: int
     seed: int
 
-    def consistent_with(self, pfa: float, pm: float, n_sigma: float = 3.0) -> bool:
-        """True when analytic values sit within n_sigma standard errors."""
-        return (abs(pfa - self.pfa_hat) <= n_sigma * max(self.pfa_stderr, _STDERR_FLOOR)
-                and abs(pm - self.pm_hat) <= n_sigma * max(self.pm_stderr, _STDERR_FLOOR))
+    def consistent_with(self, pfa: float, pm: float) -> bool:
+        """True when analytic values sit within N_SIGMA standard errors."""
+        return (abs(pfa - self.pfa_hat) <= N_SIGMA * max(self.pfa_stderr, _STDERR_FLOOR)
+                and abs(pm - self.pm_hat) <= N_SIGMA * max(self.pm_stderr, _STDERR_FLOOR))
 
 
 def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:

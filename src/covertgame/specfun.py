@@ -124,13 +124,14 @@ def _poisson_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
 def _validate_shape(n: int) -> int:
     if not isinstance(n, (int, np.integer)) or isinstance(n, bool):
         raise ValueError(f"shape n must be a positive integer, got {n!r}")
-    if n < 1:
-        raise ValueError(f"shape n must be a positive integer, got {n}")
+    if not 1 <= n <= MAX_SHAPE:
+        raise ValueError(f"shape n must be a positive integer at most MAX_SHAPE = {MAX_SHAPE}, "
+                         f"where Q(n, x) is accurate, got {n}")
     return int(n)
 
 
 def reg_gamma_q(n: int, x: float) -> float:
-    """Regularized upper incomplete gamma Q(n, x) for integer shape n >= 1.
+    """Regularized upper incomplete gamma Q(n, x) for integer shape 1 <= n <= MAX_SHAPE.
 
     Equals the probability that an Erlang(n, 1) variate exceeds x, i.e. the
     Poisson(x) probability of fewer than n events.  Monotone decreasing in x
@@ -138,14 +139,14 @@ def reg_gamma_q(n: int, x: float) -> float:
     bit.
 
     Args:
-        n: integer shape, n >= 1.
+        n: integer shape, 1 <= n <= MAX_SHAPE.
         x: evaluation point, x >= 0; +inf gives 0.
 
     Returns:
         Q(n, x) in [0, 1].
 
     Raises:
-        ValueError: if n is not a positive integer or x is negative.
+        ValueError: if n is not an integer in [1, MAX_SHAPE] or x is negative.
     """
     return float(reg_gamma_q_grid(n, np.array([float(x)]))[0])
 
@@ -159,7 +160,7 @@ def reg_gamma_q_grid(n: int, x: np.ndarray) -> np.ndarray:
     increasing k; each cell depends on (n, x) alone, not on the other points.
 
     Args:
-        n: integer shape, n >= 1.
+        n: integer shape, 1 <= n <= MAX_SHAPE.
         x: array of nonnegative evaluation points (any shape); +inf gives 0.
 
     Returns:

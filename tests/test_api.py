@@ -22,6 +22,25 @@ PACKAGE_API = {
     "EmpiricalDetection", "estimate_detection",
 }
 
+# Each module's __all__, so that any change to the public surface is explicit.
+MODULE_API = {
+    "specfun": {"reg_gamma_q", "reg_gamma_q_grid", "gaussian_q", "gaussian_q_inv"},
+    "detection": {"MixedStrategy", "pfa", "pm", "pfa_grid", "pm_grid", "dep_grid"},
+    "rate": {"action_snr", "normal_approx_rate"},
+    "model": {"Scenario", "PrunedScenario", "ScenarioError", "default_scenario",
+              "decimal_range", "joint_actions", "prune_negative_rate", "parse_scenario_text",
+              "load_scenario", "serialize_scenario", "apply_overrides"},
+    "matrixgame": {"PayoffMatrix", "EquilibriumSolution", "GameSolveError", "build_payoff",
+                   "solve_game", "verify_equilibrium", "threshold_best_response"},
+    "lpsolve": {"LinearProgram", "LpSolution", "LpError", "InfeasibleError", "UnboundedError",
+                "OPTIMAL", "NUMERICAL_FAILURE", "ITERATION_CAP", "solve"},
+    "experiments": {"TradeoffPoint", "BaselineResult", "DominanceEntry", "default_beta_grid",
+                    "desk_scenario", "beta_sweep", "uniform_baseline", "constant_baseline",
+                    "frontier_rate", "max_guaranteed_dep", "dominance_check"},
+    "simkit": {"EmpiricalDetection", "estimate_detection", "CHUNK_BLOCKS"},
+    "cli": {"main"},
+}
+
 # The functions perfbench's tracer wraps to count each layer's work
 # (perfbench/tracer.py, REQUIRED); a layer missing one is reported unmeasured.
 TRACER_WRAP_POINTS = {
@@ -43,6 +62,12 @@ def _module(name):
 def test_package_api_is_pinned():
     assert len(covertgame.__all__) == len(set(covertgame.__all__))
     assert set(covertgame.__all__) == PACKAGE_API
+
+
+def test_module_apis_are_pinned():
+    assert set(MODULE_API) == set(MODULES)
+    for module_name, names in MODULE_API.items():
+        assert set(_module(module_name).__all__) == names, module_name
 
 
 def test_package_names_are_module_exports():

@@ -158,6 +158,20 @@ def test_oversized_grid_exits_2(tmp_path, capsys):
     assert err.startswith("error: ") and "more than 100000 points" in err
 
 
+def test_too_many_cells_exits_2_before_any_cell_is_built(tmp_path, capsys, monkeypatch):
+    # 100,000 powers x 100,000 jam levels x 301 thresholds: pruning alone
+    # would need tens of GiB.  The scenario is rejected before it runs.
+    monkeypatch.setattr(cli, "prune_negative_rate", None)
+    out = tmp_path / "x"
+    code = main(["solve", "--set", "power_grid=0.00001:0.00001:1",
+                 "--set", "jam_grid=0:0.00001:0.99999", "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err == "error: the power, jam and threshold grids give 3010000000000 cells, " \
+                  "more than 10000000\n"
+    assert not out.exists()
+
+
 def test_lp_error_exits_3_with_one_line(tmp_path, scenario_file, capsys, monkeypatch):
     def unbounded(lp, max_iterations=None):
         raise lpsolve.UnboundedError("no blocking bound or basic variable")

@@ -251,8 +251,8 @@ def test_dominance_check_at_the_largest_guaranteeable_dep(no_jam_payoff):
     quiet = constant_baseline(no_jam_payoff, 0.02)
     top = max_guaranteed_dep(no_jam_payoff)
     assert quiet.dep == top
-    report = dominance_check(no_jam_payoff, [], [quiet])
-    assert report.entries[0].advantage == pytest.approx(0.0, abs=1e-9)
+    entries = dominance_check(no_jam_payoff, [], [quiet])
+    assert entries[0].advantage == pytest.approx(0.0, abs=1e-9)
     past = float(np.nextafter(top, 1.0))
     assert frontier_rate(no_jam_payoff, past) == pytest.approx(quiet.expected_rate, abs=1e-9)
 
@@ -260,10 +260,10 @@ def test_dominance_check_at_the_largest_guaranteeable_dep(no_jam_payoff):
 def test_dominance_check_exact(no_jam_payoff):
     uniforms = [uniform_baseline(no_jam_payoff, k) for k in (2, 10, 50, 100)]
     constants = [constant_baseline(no_jam_payoff, p) for p in (0.02, 0.1, 0.5, 1.0)]
-    report = dominance_check(no_jam_payoff, uniforms, constants)
-    assert len(report.entries) == 8
-    assert min(e.advantage for e in report.entries) >= -1e-9
-    labels = {e.label for e in report.entries}
+    entries = dominance_check(no_jam_payoff, uniforms, constants)
+    assert len(entries) == 8
+    assert min(e.advantage for e in entries) >= -1e-9
+    labels = {e.label for e in entries}
     assert labels == {"uniform", "constant"}
 
 

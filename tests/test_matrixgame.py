@@ -1,15 +1,19 @@
 """Tests for zero-sum game solving and the payoff-matrix pipeline."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+from covertgame import lpsolve
 from covertgame.detection import MixedStrategy, dep_grid
 from covertgame.matrixgame import (
+    VERIFY_TOL,
     EquilibriumSolution,
+    GameSolveError,
     PayoffMatrix,
     build_payoff,
     solve_game,
-    solve_lp_orientation,
     threshold_best_response,
     verify_equilibrium,
 )
@@ -53,15 +57,20 @@ def test_saddle_point_game():
 def test_orientations_agree():
     rng = np.random.default_rng(2)
     for _ in range(20):
-        A = rng.uniform(-3.0, 3.0, size=(int(rng.integers(2, 7)), int(rng.integers(2, 7))))
-        v_col, col_from_col, row_from_col, _ = solve_lp_orientation(A, "col")
-        v_row, row_from_row, col_from_row, _ = solve_lp_orientation(A, "row")
-        assert abs(v_col - v_row) <= 1e-8
+        # Non-square, so A and -A^T (players swapped) are solved in different
+        # orientations: whichever has fewer rows by the col LP, the other by the row LP.
+        shape = rng.choice(np.arange(2, 7), size=2, replace=False)
+        A = rng.uniform(-3.0, 3.0, size=tuple(int(d) for d in shape))
+        direct, swapped = solve_game(A), solve_game(-A.T)
+        v_a, v_b = direct.value, -swapped.value
+        row_a, col_a = direct.row_strategy.prob_array(), direct.col_strategy.prob_array()
+        row_b, col_b = swapped.col_strategy.prob_array(), swapped.row_strategy.prob_array()
+        assert abs(v_a - v_b) <= 1e-8
         # Cross-pair: each orientation's strategies must verify against the
         # game value computed by the other.
-        for x, y in [(row_from_col, col_from_row), (row_from_row, col_from_col)]:
-            assert (np.asarray(x) @ A).min() >= v_row - 1e-8
-            assert (A @ np.asarray(y)).max() <= v_row + 1e-8
+        for x, y in [(row_a, col_b), (row_b, col_a)]:
+            assert (x @ A).min() >= v_b - 1e-8
+            assert (A @ y).max() <= v_b + 1e-8
 
 
 def test_affine_covariance():
@@ -87,7 +96,8 @@ def test_permutation_invariance():
         col_strategy=sol.col_strategy,
         value=sol.value,
         row_gap=0.0, col_gap=0.0)
-    assert verify_equilibrium(A, crossed).ok
+    row_gap, col_gap = verify_equilibrium(A, crossed)
+    assert row_gap <= VERIFY_TOL and col_gap <= VERIFY_TOL
 
 
 def test_value_sandwiched_by_oracles():
@@ -119,15 +129,35 @@ def test_degenerate_shapes():
 def test_verify_equilibrium_flags_bad_strategies():
     A = np.array([[1.0, -1.0], [-1.0, 1.0]])
     good = solve_game(A)
-    assert verify_equilibrium(A, good).ok
+    row_gap, col_gap = verify_equilibrium(A, good)
+    assert row_gap <= VERIFY_TOL and col_gap <= VERIFY_TOL
+    assert (row_gap, col_gap) == (good.row_gap, good.col_gap)
     lopsided = EquilibriumSolution(
         row_strategy=MixedStrategy((0, 1), (0.9, 0.1)),
         col_strategy=good.col_strategy,
         value=good.value,
         row_gap=0.0, col_gap=0.0)
-    report = verify_equilibrium(A, lopsided)
-    assert not report.ok
-    assert report.row_gap == pytest.approx(0.8, abs=1e-12)
+    row_gap, col_gap = verify_equilibrium(A, lopsided)
+    assert not (row_gap <= VERIFY_TOL and col_gap <= VERIFY_TOL)
+    assert row_gap == pytest.approx(0.8, abs=1e-12)
+
+
+@pytest.mark.parametrize("doctor, gap", [
+    (lambda x: np.array([0.9, 0.1, x[-1]]), "col_gap=8.000e-01"),  # a bad column mixture
+    (lambda x: np.array([*x[:-1], x[-1] + 0.5]), "row_gap=5.000e-01"),  # an overstated value
+], ids=["strategy", "value"])
+def test_solve_game_rejects_an_unverified_lp_answer(monkeypatch, doctor, gap):
+    # Matching pennies is solved in the col orientation: x is the column
+    # mixture, then the value.  solve_game must judge the LP's answer itself.
+    real = lpsolve.solve
+
+    def doctored(lp):
+        sol = real(lp)
+        return dataclasses.replace(sol, x=doctor(sol.x))
+
+    monkeypatch.setattr(lpsolve, "solve", doctored)
+    with pytest.raises(GameSolveError, match=f"verification failed: .*{gap}"):
+        solve_game([[1.0, -1.0], [-1.0, 1.0]])
 
 
 def test_build_payoff_entries():
@@ -146,8 +176,6 @@ def test_build_payoff_entries():
 
 
 def test_with_beta_matches_fresh_build():
-    import dataclasses
-
     s = default_scenario()
     payoff = build_payoff(prune_negative_rate(s))
     rebuilt = payoff.with_beta(2.0)

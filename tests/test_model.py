@@ -11,6 +11,7 @@ from covertgame.model import (
     Scenario,
     ScenarioError,
     apply_overrides,
+    MAX_CELLS,
     MAX_GRID_POINTS,
     decimal_range,
     default_scenario,
@@ -85,6 +86,22 @@ def test_decimal_range_errors():
     for triple in [("0", "1", "100000"), ("0", "0.25", "1e308"), ("0", "1e-999999", "1e999999")]:
         with pytest.raises(ScenarioError, match=f"more than {MAX_GRID_POINTS} points"):
             decimal_range(*triple)
+
+
+def test_cell_count_limit():
+    # Both sides of the bound, on grids of a few thousand points: the count is
+    # checked on the grid lengths, before any cell array exists.
+    powers = decimal_range("0.001", "0.001", "1")
+    assert len(powers) * 100 * 100 == MAX_CELLS
+    at_limit = small_scenario(power_grid=powers, jam_grid=decimal_range("0", "1", "99"),
+                              threshold_grid=decimal_range("0", "1", "99"))
+    assert len(at_limit.threshold_grid) == 100
+    with pytest.raises(ScenarioError, match=f"10100000 cells, more than {MAX_CELLS}"):
+        small_scenario(power_grid=powers, jam_grid=decimal_range("0", "1", "99"),
+                       threshold_grid=decimal_range("0", "1", "100"))
+    # The full-grid jammer preset, 100 x 101 x 301 cells, stays inside.
+    full = default_scenario(True)
+    assert len(full.power_grid) * len(full.jam_grid) * len(full.threshold_grid) == 3_040_100
 
 
 def test_scenario_validation():

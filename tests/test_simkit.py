@@ -7,7 +7,7 @@ import pytest
 
 from covertgame.detection import MixedStrategy, pfa, pfa_grid, pm, pm_grid
 from covertgame.model import Scenario
-from covertgame.simkit import CHUNK_BLOCKS, _chunk_rng, estimate_detection
+from covertgame.simkit import CHUNK_BLOCKS, N_SIGMA, _chunk_rng, estimate_detection
 
 from oracles import ks_two_sample, sample_statistic_per_sample
 
@@ -111,10 +111,12 @@ def test_consistent_with_logic():
     assert result.consistent_with(result.pfa_hat, result.pm_hat)
     off = result.pfa_hat + 10.0 * result.pfa_stderr
     assert not result.consistent_with(off, result.pm_hat)
-    # A tighter sigma budget can reject what three sigma accepts.
-    edge = result.pfa_hat + 2.0 * result.pfa_stderr
-    assert result.consistent_with(edge, result.pm_hat, n_sigma=3.0)
-    assert not result.consistent_with(edge, result.pm_hat, n_sigma=1.0)
+    # The budget is three standard errors: just inside passes, just past fails.
+    assert N_SIGMA == 3.0 and result.pfa_stderr > 0.0
+    inside = result.pfa_hat + 2.99 * result.pfa_stderr
+    assert result.consistent_with(inside, result.pm_hat)
+    past = result.pfa_hat + 3.01 * result.pfa_stderr
+    assert not result.consistent_with(past, result.pm_hat)
 
 
 def test_validation():

@@ -105,6 +105,13 @@ def test_shape_validation():
         reg_gamma_q(2.5, 1.0)
     with pytest.raises(ValueError, match="positive integer"):
         reg_gamma_q(True, 1.0)
+    # The accuracy domain ends at MAX_SHAPE, for the grid as for the scalar.
+    assert reg_gamma_q_grid(MAX_SHAPE, np.array([1.0]))[0] == 1.0
+    for n in (MAX_SHAPE + 1, np.int64(MAX_SHAPE + 1), 2 * MAX_SHAPE):
+        with pytest.raises(ValueError, match=f"at most MAX_SHAPE = {MAX_SHAPE}"):
+            reg_gamma_q_grid(n, np.array([1.0]))
+    with pytest.raises(ValueError, match="at most MAX_SHAPE"):
+        reg_gamma_q(MAX_SHAPE + 1, 1.0)
     with pytest.raises(ValueError, match="nonnegative"):
         reg_gamma_q(3, -0.1)
     with pytest.raises(ValueError, match="nonnegative"):
