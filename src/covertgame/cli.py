@@ -28,7 +28,7 @@ import numpy as np
 from . import __version__, lpsolve
 from .detection import SUPPORT_EPS, MixedStrategy, pfa, pm
 from .experiments import (
-    _point_from_solution,
+    TradeoffPoint,
     beta_sweep,
     constant_baseline,
     default_beta_grid,
@@ -44,7 +44,7 @@ from .model import (
     prune_negative_rate,
     serialize_scenario,
 )
-from .simkit import _STDERR_FLOOR, N_SIGMA, estimate_detection
+from .simkit import N_SIGMA, estimate_detection
 
 __all__ = ["main"]
 
@@ -139,7 +139,7 @@ def _strategy_csv(header, strategy: MixedStrategy) -> str:
 def _cmd_solve(args, scenario):
     payoff = build_payoff(prune_negative_rate(scenario))
     solution = solve_game(payoff)
-    point = _point_from_solution(payoff, solution)
+    point = TradeoffPoint.from_solution(payoff, solution)
     summary = {
         "game_value": point.game_value,
         "expected_rate": point.expected_rate,
@@ -237,14 +237,14 @@ def _cmd_simulate(args, scenario):
         analytic_pfa, analytic_pm = pfa(scenario, joint, thr), pm(scenario, joint, thr)
     else:
         payoff = build_payoff(prune_negative_rate(scenario))
-        point = _point_from_solution(payoff, solve_game(payoff))
+        point = TradeoffPoint.from_solution(payoff, solve_game(payoff))
         joint, thr = point.row_strategy, point.col_strategy
         analytic_pfa, analytic_pm = point.pfa, point.pm
     strategy_source = "files" if args.row_strategy else "solved"
 
     est = estimate_detection(scenario, joint, thr, blocks=args.blocks, seed=args.seed)
     ok = est.consistent_with(analytic_pfa, analytic_pm)
-    # consistent_with's stderr floor: a zero stderr next to a miss gives a huge z.
+    pfa_z, pm_z = est.zscores(analytic_pfa, analytic_pm)
     report = _key_values({
         "blocks": est.blocks,
         "seed": est.seed,
@@ -252,11 +252,11 @@ def _cmd_simulate(args, scenario):
         "pfa_analytic": analytic_pfa,
         "pfa_empirical": est.pfa_hat,
         "pfa_stderr": est.pfa_stderr,
-        "pfa_zscore": (est.pfa_hat - analytic_pfa) / max(est.pfa_stderr, _STDERR_FLOOR),
+        "pfa_zscore": pfa_z,
         "pm_analytic": analytic_pm,
         "pm_empirical": est.pm_hat,
         "pm_stderr": est.pm_stderr,
-        "pm_zscore": (est.pm_hat - analytic_pm) / max(est.pm_stderr, _STDERR_FLOOR),
+        "pm_zscore": pm_z,
         "verdict": f"{'PASS' if ok else 'FAIL'} ({N_SIGMA:g} stderr)",
     })
     extras = {"options": {"blocks": args.blocks, "seed": args.seed,

@@ -80,19 +80,13 @@ class MixedStrategy:
             raise ValueError(f"probabilities sum to {total!r}, not 1")
 
     @classmethod
-    def point_mass(cls, actions, index: int) -> "MixedStrategy":
-        probs = [0.0] * len(tuple(actions))
-        probs[index] = 1.0
-        return cls(tuple(actions), tuple(probs))
-
-    @classmethod
     def uniform(cls, actions) -> "MixedStrategy":
         actions = tuple(actions)
         return cls(actions, tuple([1.0 / len(actions)] * len(actions)))
 
-    def support(self, eps: float = SUPPORT_EPS) -> tuple[int, ...]:
-        """Indices carrying probability above ``eps``."""
-        return tuple(i for i, p in enumerate(self.probs) if p > eps)
+    def support(self) -> tuple[int, ...]:
+        """Indices carrying probability above SUPPORT_EPS."""
+        return tuple(i for i, p in enumerate(self.probs) if p > SUPPORT_EPS)
 
     def prob_array(self) -> np.ndarray:
         return np.asarray(self.probs, dtype=float)

@@ -18,7 +18,7 @@ import numpy as np
 
 from .detection import MixedStrategy
 from .lpsolve import InfeasibleError
-from .matrixgame import PayoffMatrix, build_payoff, solve_game
+from .matrixgame import EquilibriumSolution, PayoffMatrix, build_payoff, solve_game
 from .model import Scenario, decimal_range, default_scenario, prune_negative_rate
 
 __all__ = [
@@ -79,6 +79,21 @@ class TradeoffPoint:
     row_strategy: MixedStrategy
     col_strategy: MixedStrategy
 
+    @classmethod
+    def from_solution(cls, payoff: PayoffMatrix, solution: EquilibriumSolution) -> "TradeoffPoint":
+        """The point of a game solved on ``payoff``, its rates read from the cell table."""
+        pfa_val, pm_val = payoff.error_rates(solution.row_strategy, solution.col_strategy)
+        return cls(
+            beta=payoff.beta,
+            expected_rate=payoff.expected_rate(solution.row_strategy),
+            pfa=pfa_val,
+            pm=pm_val,
+            dep=pfa_val + pm_val,
+            game_value=solution.value,
+            row_strategy=solution.row_strategy,
+            col_strategy=solution.col_strategy,
+        )
+
 
 @dataclass(frozen=True)
 class BaselineResult:
@@ -97,20 +112,6 @@ class BaselineResult:
         return self.pfa + self.pm
 
 
-def _point_from_solution(payoff: PayoffMatrix, solution) -> TradeoffPoint:
-    pfa_val, pm_val = payoff.error_rates(solution.row_strategy, solution.col_strategy)
-    return TradeoffPoint(
-        beta=payoff.beta,
-        expected_rate=payoff.expected_rate(solution.row_strategy),
-        pfa=pfa_val,
-        pm=pm_val,
-        dep=pfa_val + pm_val,
-        game_value=solution.value,
-        row_strategy=solution.row_strategy,
-        col_strategy=solution.col_strategy,
-    )
-
-
 def beta_sweep(s: Scenario, betas=None) -> list[TradeoffPoint]:
     """Solve the game across covertness weights; one TradeoffPoint each.
 
@@ -121,7 +122,7 @@ def beta_sweep(s: Scenario, betas=None) -> list[TradeoffPoint]:
     if not betas or any(b <= 0.0 for b in betas):
         raise ValueError("betas must be a nonempty sequence of positive weights")
     payoff = build_payoff(prune_negative_rate(s))
-    return [_point_from_solution(p, solve_game(p)) for p in map(payoff.with_beta, betas)]
+    return [TradeoffPoint.from_solution(p, solve_game(p)) for p in map(payoff.with_beta, betas)]
 
 
 def _zero_jam_rows(payoff: PayoffMatrix) -> list[tuple[int, float]]:
@@ -142,7 +143,7 @@ def _best_threshold_result(payoff: PayoffMatrix, label: str, parameter: float,
         label=label,
         parameter=parameter,
         row_strategy=strategy,
-        best_threshold=payoff.thresholds[m],
+        best_threshold=payoff.scenario.threshold_grid[m],
         expected_rate=payoff.expected_rate(strategy, rows),
         pfa=float(x @ pfa_cells[:, m]),
         pm=float(x @ pm_cells[:, m]),
@@ -247,16 +248,14 @@ def max_guaranteed_dep(payoff: PayoffMatrix) -> float:
 
 
 def dominance_check(payoff: PayoffMatrix,
-                    uniform_results: list[BaselineResult],
-                    constant_results: list[BaselineResult]) -> tuple[DominanceEntry, ...]:
-    """Compare both baseline families against the game's frontier at matched dep.
+                    baselines: list[BaselineResult]) -> tuple[DominanceEntry, ...]:
+    """Compare baselines against the game's frontier at matched dep.
 
     Each baseline is paired with ``frontier_rate`` at its own dep value, the
     best rate any transmitter mixture can guarantee there.  Raises
     AssertionError if any baseline earns more than _DOMINANCE_TOL above that
-    rate; otherwise returns one DominanceEntry per baseline, uniform ones first.
+    rate; otherwise returns one DominanceEntry per baseline, in order.
     """
-    baselines = list(uniform_results) + list(constant_results)
     if not baselines:
         raise ValueError("no baseline points to compare")
     entries = tuple(DominanceEntry(label=b.label, parameter=b.parameter, baseline_dep=b.dep,

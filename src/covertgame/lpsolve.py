@@ -376,6 +376,7 @@ class _Simplex:
                 xval[basis] = xb
                 continue
 
+            # t = t_basic is finite and rows with |u| <= _PIVOT_TOL have limit inf.
             np.less_equal(limits, t + 1e-10, out=tie)
             if bland:
                 rows = np.flatnonzero(tie)
@@ -384,8 +385,6 @@ class _Simplex:
                 rowscore.fill(-1.0)
                 np.copyto(rowscore, au, where=tie)
                 r = int(rowscore.argmax())
-            if au[r] < _PIVOT_TOL:
-                raise _Stop(NUMERICAL_FAILURE, f"pivot magnitude {au[r]:.3e} below {_PIVOT_TOL}")
             self._pivot(j, r, u, t, sigma, xb)
             if self.iterations % 128 == 0:
                 self.refresh_inverse()
@@ -490,10 +489,10 @@ def solve(lp: LinearProgram, max_iterations: int | None = None) -> LpSolution:
     """Solve an LP; returns an LpSolution whose status must be checked.
 
     Infeasible and unbounded problems raise (callers of the game pipeline
-    guarantee neither can occur); an exceeded iteration cap, a pivot below
-    tolerance or a final basic value more than 1e-8 (scaled) past its bounds
-    is reported through ``status`` and ``message`` instead so the partial
-    state remains inspectable.
+    guarantee neither can occur); an exceeded iteration cap, a singular basis
+    or a final basic value more than 1e-8 (scaled) past its bounds is
+    reported through ``status`` and ``message`` instead so the partial state
+    remains inspectable.
     """
     sx = _Simplex(lp, max_iterations)
     try:

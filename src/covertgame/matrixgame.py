@@ -81,10 +81,6 @@ class PayoffMatrix:
     def beta(self) -> float:
         return self.scenario.beta
 
-    @property
-    def thresholds(self) -> tuple[float, ...]:
-        return self.scenario.threshold_grid
-
     def with_beta(self, beta: float) -> "PayoffMatrix":
         """Reassemble the payoff for a different covertness weight."""
         return replace(self, scenario=replace(self.scenario, beta=beta),
@@ -195,7 +191,7 @@ def solve_game(entries) -> EquilibriumSolution:
     """
     row_actions = col_actions = None
     if isinstance(entries, PayoffMatrix):
-        row_actions, col_actions = entries.actions, entries.thresholds
+        row_actions, col_actions = entries.actions, entries.scenario.threshold_grid
         entries = entries.entries
     A = np.asarray(entries, dtype=float)
     if A.ndim != 2 or 0 in A.shape:

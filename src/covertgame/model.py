@@ -64,19 +64,25 @@ class _Grid(tuple):
 
 
 def _as_grid(values, name: str, minimum: float, min_exclusive: bool) -> tuple[float, ...]:
-    grid = values if type(values) is _Grid else _Grid(
-        round(float(v), _GRID_DECIMALS) for v in values)
-    if not grid:
+    """The values, checked as given, snapped to _GRID_DECIMALS places with
+    -0.0 stored as 0.0; a value snapped onto the bound or its neighbour fails."""
+    given = values if type(values) is _Grid else tuple(map(float, values))
+    if not given:
         raise ScenarioError(f"{name} must not be empty")
-    for v in grid:
+    grid = values if type(values) is _Grid else _Grid(round(v, _GRID_DECIMALS) + 0.0
+                                                      for v in given)
+    for v, g in zip(given, grid):
         if not math.isfinite(v):
             raise ScenarioError(f"{name} entries must be finite, got {v}")
-        if min_exclusive and v <= minimum:
-            raise ScenarioError(f"{name} entries must be > {minimum}, got {v}")
-        if not min_exclusive and v < minimum:
-            raise ScenarioError(f"{name} entries must be >= {minimum}, got {v}")
-    if any(b <= a for a, b in zip(grid, grid[1:])):
-        raise ScenarioError(f"{name} must be strictly increasing with no duplicates")
+        if v < minimum or (min_exclusive and g == minimum):
+            note = f" (rounds to {g} at {_GRID_DECIMALS} decimals)" if v > minimum else ""
+            raise ScenarioError(f"{name} entries must be {'>' if min_exclusive else '>='} "
+                                f"{minimum}, got {v}{note}")
+    for a, b, g, h in zip(given, given[1:], grid, grid[1:]):
+        if b <= a or g == h:
+            note = f" (both round to {g} at {_GRID_DECIMALS} decimals)" if b > a else ""
+            raise ScenarioError(f"{name} must be strictly increasing with no duplicates, "
+                                f"got {a} then {b}{note}")
     return grid
 
 

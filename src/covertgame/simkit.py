@@ -33,6 +33,8 @@ CHUNK_BLOCKS = 8192
 N_SIGMA = 3.0
 # Standard errors count as at least this, so a zero one next to a miss fails.
 _STDERR_FLOOR = 1e-300
+# Most blocks per hypothesis: about 26 minutes of drawing at 6e6 blocks/s.
+MAX_BLOCKS = 10**10
 
 
 @dataclass(frozen=True)
@@ -46,10 +48,14 @@ class EmpiricalDetection:
     blocks: int
     seed: int
 
+    def zscores(self, pfa: float, pm: float) -> tuple[float, float]:
+        """(estimate - analytic) / max(stderr, _STDERR_FLOOR) for P_FA and P_M."""
+        return ((self.pfa_hat - pfa) / max(self.pfa_stderr, _STDERR_FLOOR),
+                (self.pm_hat - pm) / max(self.pm_stderr, _STDERR_FLOOR))
+
     def consistent_with(self, pfa: float, pm: float) -> bool:
-        """True when analytic values sit within N_SIGMA standard errors."""
-        return (abs(pfa - self.pfa_hat) <= N_SIGMA * max(self.pfa_stderr, _STDERR_FLOOR)
-                and abs(pm - self.pm_hat) <= N_SIGMA * max(self.pm_stderr, _STDERR_FLOOR))
+        """True when both z-scores of the analytic values are within N_SIGMA."""
+        return all(abs(z) <= N_SIGMA for z in self.zscores(pfa, pm))
 
 
 def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
@@ -83,8 +89,8 @@ def estimate_detection(s: Scenario, joint: MixedStrategy, thr: MixedStrategy,
 
     Standard errors are sqrt(p(1-p)/blocks) on each estimate.
     """
-    if blocks < 1:
-        raise ValueError(f"blocks must be >= 1, got {blocks}")
+    if not 1 <= blocks <= MAX_BLOCKS:
+        raise ValueError(f"blocks must lie in [1, {MAX_BLOCKS}], got {blocks}")
     if not 0 <= int(seed) < 2 ** 64:
         raise ValueError("seed must fit in an unsigned 64-bit integer")
     n = s.blocklength_n

@@ -4,13 +4,13 @@ Two primitives are needed and both are implemented from scratch on top of
 ``math`` and ``numpy`` so that results are reproducible to stated tolerances
 without an external special-function stack:
 
-* ``reg_gamma_q``: the regularized upper incomplete gamma function Q(n, x)
-  at integer shape n.  This is the tail probability of an Erlang(n) (equally,
-  a scaled chi-squared with 2n degrees of freedom) and therefore the exact
-  false-alarm / miss building block of an energy detector that averages n
-  squared magnitudes.
-* ``gaussian_q`` / ``gaussian_q_inv``: the Gaussian tail probability and its
-  inverse, needed by the finite-blocklength rate formula.
+* ``reg_gamma_q_grid``: the regularized upper incomplete gamma function
+  Q(n, x) at integer shape n, over an array of points.  This is the tail
+  probability of an Erlang(n) (equally, a scaled chi-squared with 2n
+  degrees of freedom) and therefore the exact false-alarm / miss building
+  block of an energy detector that averages n squared magnitudes.
+* ``gaussian_q_inv``: the inverse of the Gaussian tail probability
+  Q(x) = P(Z > x), needed by the finite-blocklength rate formula.
 
 For integer shape the upper incomplete gamma reduces to a finite Poisson
 tail sum,
@@ -23,8 +23,7 @@ which is evaluated term by term in log space.  Writing the log term as
 
 keeps every contributing piece small near the dominant terms (k close to x).
 ``reg_gamma_q_grid`` adds, in increasing k, only the O(sqrt(x)) terms in each
-point's window, and is cross-checked against the full sum in the test suite;
-``reg_gamma_q`` is its one-point view.
+point's window, and is cross-checked against the full sum in the test suite.
 
 The kernel adds the terms row by row: for each k it computes t_k once,
 over the sorted points whose window holds k, and adds it to their running
@@ -63,7 +62,7 @@ from functools import lru_cache
 
 import numpy as np
 
-__all__ = ["reg_gamma_q", "reg_gamma_q_grid", "gaussian_q", "gaussian_q_inv"]
+__all__ = ["reg_gamma_q_grid", "gaussian_q_inv"]
 
 _LN_2PI = math.log(2.0 * math.pi)
 
@@ -128,27 +127,6 @@ def _validate_shape(n: int) -> int:
         raise ValueError(f"shape n must be a positive integer at most MAX_SHAPE = {MAX_SHAPE}, "
                          f"where Q(n, x) is accurate, got {n}")
     return int(n)
-
-
-def reg_gamma_q(n: int, x: float) -> float:
-    """Regularized upper incomplete gamma Q(n, x) for integer shape 1 <= n <= MAX_SHAPE.
-
-    Equals the probability that an Erlang(n, 1) variate exceeds x, i.e. the
-    Poisson(x) probability of fewer than n events.  Monotone decreasing in x
-    with Q(n, 0) = 1.  The one-point view of ``reg_gamma_q_grid``, bit for
-    bit.
-
-    Args:
-        n: integer shape, 1 <= n <= MAX_SHAPE.
-        x: evaluation point, x >= 0; +inf gives 0.
-
-    Returns:
-        Q(n, x) in [0, 1].
-
-    Raises:
-        ValueError: if n is not an integer in [1, MAX_SHAPE] or x is negative.
-    """
-    return float(reg_gamma_q_grid(n, np.array([float(x)]))[0])
 
 
 def reg_gamma_q_grid(n: int, x: np.ndarray) -> np.ndarray:
@@ -309,11 +287,6 @@ def _q_sorted(n: int, xs: np.ndarray) -> np.ndarray:
     return out
 
 
-def gaussian_q(x: float) -> float:
-    """Gaussian tail probability Q(x) = P(Z > x) for standard normal Z."""
-    return 0.5 * math.erfc(float(x) / math.sqrt(2.0))
-
-
 # Rational tail approximation constants (Hastings-style initializer).
 _C0, _C1, _C2 = 2.515517, 0.802853, 0.010328
 _D1, _D2, _D3 = 1.432788, 0.189269, 0.001308
@@ -353,5 +326,5 @@ def gaussian_q_inv(p: float) -> float:
         pdf = math.exp(-0.5 * x * x) / _SQRT_2PI
         if pdf <= 0.0:
             break
-        x += (gaussian_q(x) - q) / pdf
+        x += (0.5 * math.erfc(x / math.sqrt(2.0)) - q) / pdf
     return x if p < 0.5 else -x

@@ -38,7 +38,7 @@ from covertgame.matrixgame import (
 from covertgame.model import default_scenario, prune_negative_rate
 from covertgame.rate import action_snr, normal_approx_rate
 from covertgame.simkit import estimate_detection
-from covertgame.specfun import gaussian_q_inv, reg_gamma_q
+from covertgame.specfun import gaussian_q_inv, reg_gamma_q_grid
 
 from oracles import (
     exact_lp_value,
@@ -225,11 +225,12 @@ def test_criterion_06_special_functions():
     for n in (1, 10, 200, 1000):
         for ratio in (0.25, 0.5, 1.0, 1.02, 2.0, 5.0):
             x = ratio * n
-            worst = max(worst, abs(reg_gamma_q(n, x) - float(gamma_q_reference(n, x))))
+            got = float(reg_gamma_q_grid(n, np.array([x]))[0])
+            worst = max(worst, abs(got - float(gamma_q_reference(n, x))))
     inv_err = abs(gaussian_q_inv(0.1) - 1.2815515655)
     ok = worst <= 1e-10 and inv_err <= 1e-8
     _verdict(6, ok, (
-        f"reg_gamma_q vs continued-fraction oracle {worst:.2e} (<= 1e-10); "
+        f"reg_gamma_q_grid vs continued-fraction oracle {worst:.2e} (<= 1e-10); "
         f"inv_q(0.1) error {inv_err:.2e} (<= 1e-8)"))
     assert worst <= 1e-10
     assert inv_err <= 1e-8
@@ -296,7 +297,7 @@ def test_criterion_09_baseline_dominance(no_jam):
     uniforms = [uniform_baseline(payoff, k) for k in range(2, len(s.power_grid) + 1)]
     survivors = sorted({p for p, _ in payoff.actions})
     constants = [constant_baseline(payoff, p) for p in survivors]
-    entries = dominance_check(payoff, uniforms, constants)
+    entries = dominance_check(payoff, uniforms + constants)
 
     band = [e for e in entries if e.baseline_dep <= 0.75]
     min_adv = min(e.advantage for e in band)

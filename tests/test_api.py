@@ -1,5 +1,6 @@
 """The public API: the package's names and what each module's __all__ holds."""
 
+import ast
 import importlib
 import inspect
 
@@ -24,7 +25,7 @@ PACKAGE_API = {
 
 # Each module's __all__, so that any change to the public surface is explicit.
 MODULE_API = {
-    "specfun": {"reg_gamma_q", "reg_gamma_q_grid", "gaussian_q", "gaussian_q_inv"},
+    "specfun": {"reg_gamma_q_grid", "gaussian_q_inv"},
     "detection": {"MixedStrategy", "pfa", "pm", "pfa_grid", "pm_grid", "dep_grid"},
     "rate": {"action_snr", "normal_approx_rate"},
     "model": {"Scenario", "PrunedScenario", "ScenarioError", "default_scenario",
@@ -99,3 +100,21 @@ def test_tracer_wrap_points_stay_exported_functions():
             assert inspect.isfunction(getattr(module, name)), f"{module_name}.{name}"
     # The benchmark's own tests also wrap dep_grid.
     assert "dep_grid" in _module("detection").__all__
+
+
+def test_test_only_conveniences_are_gone():
+    strategy = _module("detection").MixedStrategy
+    assert not hasattr(strategy, "point_mass")
+    assert not hasattr(_module("matrixgame").PayoffMatrix, "thresholds")
+    assert list(inspect.signature(strategy.support).parameters) == ["self"]
+
+
+def test_cli_imports_no_private_names():
+    # The CLI reads each rule (z-scores, tradeoff points) from its home's
+    # public names; __version__ is the one dunder it takes.
+    tree = ast.parse(inspect.getsource(_module("cli")))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            private = [a.name for a in node.names
+                       if a.name.startswith("_") and not a.name.startswith("__")]
+            assert not private, node.module

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import covertgame
-from covertgame import cli, detection, lpsolve, specfun
+from covertgame import cli, detection, lpsolve, simkit, specfun
 from covertgame.cli import main
 from covertgame.matrixgame import build_payoff, solve_game
 from covertgame.model import default_scenario, prune_negative_rate
@@ -442,6 +442,50 @@ def test_simulate_zero_blocks_exits_2(tmp_path, scenario_file, capsys):
                  "--blocks", "0", "--out", str(tmp_path / "x")])
     assert code == 2
     assert "blocks" in capsys.readouterr().err
+
+
+def test_simulate_too_many_blocks_exits_2_before_any_draw(tmp_path, scenario_file, capsys,
+                                                          monkeypatch):
+    def no_draws(seed, chunk_index):
+        raise AssertionError("drew a chunk")
+
+    monkeypatch.setattr(simkit, "_chunk_rng", no_draws)
+    out = tmp_path / "x"
+    code = main(["simulate", "--scenario", str(scenario_file),
+                 "--blocks", "99999999999999999999", "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err == ("error: blocks must lie in [1, 10000000000], "
+                                       "got 99999999999999999999\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("setting, message", [
+    ("jam_grid=-1e-13,0.5", "jam_grid entries must be >= 0.0, got -1e-13"),
+    ("threshold_grid=-1e-13,1,2", "threshold_grid entries must be >= 0.0, got -1e-13"),
+    ("power_grid=4e-13,0.5",
+     "power_grid entries must be > 0.0, got 4e-13 (rounds to 0.0 at 12 decimals)"),
+    ("power_grid=0.1,0.1000000000001",
+     "power_grid must be strictly increasing with no duplicates, "
+     "got 0.1 then 0.1000000000001 (both round to 0.1 at 12 decimals)"),
+])
+def test_grid_values_are_checked_before_the_snap(tmp_path, capsys, setting, message):
+    out = tmp_path / "x"
+    assert main(["solve", "--set", setting, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+def test_negative_zero_grid_values_are_stored_as_zero(tmp_path, capsys):
+    runs = {}
+    for zero in ("0", "-0"):
+        out = tmp_path / f"run{zero}"
+        assert main(["solve", "--set", f"jam_grid={zero},0.5", "--set", "alpha=1",
+                     "--set", f"threshold_grid={zero},0.5,1,1.5,2,2.5,3", "--out", str(out)]) == 0
+        runs[zero] = {name: (out / name).read_bytes()
+                      for name in ("row_strategy.csv", "col_strategy.csv", "summary.txt",
+                                   "scenario.txt")}
+    assert runs["-0"] == runs["0"]
+    assert b"-0" not in runs["-0"]["scenario.txt"]
 
 
 def test_argparse_usage_errors(tmp_path, scenario_file, capsys):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from covertgame.detection import (
+    SUPPORT_EPS,
     MixedStrategy,
     dep_grid,
     pfa,
@@ -57,7 +58,7 @@ class TestMixedStrategy:
                 MixedStrategy(actions=(1, 2), probs=bad)
 
     def test_constructors(self):
-        point = MixedStrategy.point_mass(("a", "b", "c"), 1)
+        point = MixedStrategy(("a", "b", "c"), (0.0, 1.0, 0.0))
         assert point.probs == (0.0, 1.0, 0.0)
         assert point.support() == (1,)
         unif = MixedStrategy.uniform((1.0, 2.0))
@@ -67,7 +68,10 @@ class TestMixedStrategy:
     def test_support_threshold(self):
         mix = MixedStrategy(actions=(1, 2, 3), probs=(1.0 - 1e-10, 1e-10, 0.0))
         assert mix.support() == (0,)
-        assert mix.support(eps=0.0) == (0, 1)
+        # Probability just above SUPPORT_EPS = 1e-9 is in the support.
+        assert SUPPORT_EPS == 1e-9
+        above = MixedStrategy(actions=(1, 2, 3), probs=(1.0 - 2e-9, 2e-9, 0.0))
+        assert above.support() == (0, 1)
 
     def test_prob_array(self):
         mix = MixedStrategy(actions=(1, 2), probs=(0.3, 0.7))

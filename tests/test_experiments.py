@@ -251,7 +251,7 @@ def test_dominance_check_at_the_largest_guaranteeable_dep(no_jam_payoff):
     quiet = constant_baseline(no_jam_payoff, 0.02)
     top = max_guaranteed_dep(no_jam_payoff)
     assert quiet.dep == top
-    entries = dominance_check(no_jam_payoff, [], [quiet])
+    entries = dominance_check(no_jam_payoff, [quiet])
     assert entries[0].advantage == pytest.approx(0.0, abs=1e-9)
     past = float(np.nextafter(top, 1.0))
     assert frontier_rate(no_jam_payoff, past) == pytest.approx(quiet.expected_rate, abs=1e-9)
@@ -260,7 +260,7 @@ def test_dominance_check_at_the_largest_guaranteeable_dep(no_jam_payoff):
 def test_dominance_check_exact(no_jam_payoff):
     uniforms = [uniform_baseline(no_jam_payoff, k) for k in (2, 10, 50, 100)]
     constants = [constant_baseline(no_jam_payoff, p) for p in (0.02, 0.1, 0.5, 1.0)]
-    entries = dominance_check(no_jam_payoff, uniforms, constants)
+    entries = dominance_check(no_jam_payoff, uniforms + constants)
     assert len(entries) == 8
     assert min(e.advantage for e in entries) >= -1e-9
     labels = {e.label for e in entries}
@@ -272,12 +272,12 @@ def test_dominance_check_raises_on_doctored_curve(no_jam_payoff):
     doctored = dataclasses.replace(
         baseline, expected_rate=baseline.expected_rate + 0.5)
     with pytest.raises(AssertionError, match="constant"):
-        dominance_check(no_jam_payoff, [], [doctored])
+        dominance_check(no_jam_payoff, [doctored])
 
 
 def test_dominance_check_validation(no_jam_payoff):
     with pytest.raises(ValueError, match="no baseline"):
-        dominance_check(no_jam_payoff, [], [])
+        dominance_check(no_jam_payoff, [])
 
 
 def test_jammer_pipeline_degenerates_without_jamming():

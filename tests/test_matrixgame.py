@@ -172,7 +172,7 @@ def test_build_payoff_entries():
     assert np.array_equal(payoff.dep_terms, dep)
     assert np.max(np.abs(payoff.entries - (rates[:, None] + s.beta * dep))) == 0.0
     assert payoff.actions == pruned.actions
-    assert payoff.thresholds == s.threshold_grid
+    assert payoff.scenario.threshold_grid == s.threshold_grid
 
 
 def test_with_beta_matches_fresh_build():

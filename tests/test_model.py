@@ -153,6 +153,32 @@ def test_rebuilt_scenarios_keep_their_snapped_grids_and_check_them():
     assert dataclasses.replace(s, jam_grid=s.threshold_grid).jam_grid == s.threshold_grid
 
 
+def test_grid_values_are_checked_as_given_then_snapped():
+    # A bound is checked on the value as given, not on its 12-decimal snap.
+    with pytest.raises(ScenarioError, match=r"jam_grid entries must be >= 0.0, got -1e-13$"):
+        small_scenario(jam_grid=(-1e-13, 0.5))
+    with pytest.raises(ScenarioError, match=r"power_grid entries must be > 0.0, got 4e-13 "
+                                            r"\(rounds to 0.0 at 12 decimals\)$"):
+        small_scenario(power_grid=(4e-13, 0.5))
+    with pytest.raises(ScenarioError, match=r"got 0.1 then 0.1000000000001 "
+                                            r"\(both round to 0.1 at 12 decimals\)$"):
+        small_scenario(power_grid=(0.1, 0.1000000000001))
+    with pytest.raises(ScenarioError, match=r"increasing with no duplicates, got 0.5 then 0.2$"):
+        small_scenario(power_grid=(0.5, 0.2))
+    # -0.0 is stored as 0.0; a jam power that snaps to 0.0 is allowed.
+    s = small_scenario(jam_grid=(-0.0, 0.5), threshold_grid=(-0.0, 1.0, 2.0))
+    assert [math.copysign(1.0, g[0]) for g in (s.jam_grid, s.threshold_grid)] == [1.0, 1.0]
+    assert small_scenario(jam_grid=(4e-13, 0.5)).jam_grid == (0.0, 0.5)
+    # The default grids snap to the values 12-decimal rounding always gave.
+    for with_jammer in (False, True):
+        s = default_scenario(with_jammer)
+        for grid, source in ((s.power_grid, decimal_range("0.01", "0.01", "1.00")),
+                             (s.threshold_grid, decimal_range("0", "0.01", "3.00")),
+                             (s.jam_grid, decimal_range("0", "0.01", "1.00")
+                              if with_jammer else (0.0,))):
+            assert grid == tuple(round(float(v), 12) for v in source)
+
+
 def test_joint_actions_power_varies_fastest():
     s = small_scenario(jam_grid=(0.0, 0.3), alpha=1.0)
     acts = joint_actions(s)

@@ -96,7 +96,7 @@ def test_expected_rate_convex_combination():
 def test_expected_rate_point_mass():
     s = default_scenario(with_jammer=False)
     payoff = build_payoff(prune_negative_rate(s))
-    mix = MixedStrategy.point_mass(payoff.actions, len(payoff.actions) - 1)
+    mix = MixedStrategy(payoff.actions, [0.0] * (len(payoff.actions) - 1) + [1.0])
     assert payoff.actions[-1] == (1.0, 0.0)
     want = normal_approx_rate(action_snr(s, 1.0, 0.0), s.blocklength_n, s.delta)
     assert payoff.expected_rate(mix) == pytest.approx(want)

@@ -5,9 +5,17 @@ import math
 import numpy as np
 import pytest
 
+from covertgame import simkit
 from covertgame.detection import MixedStrategy, pfa, pfa_grid, pm, pm_grid
 from covertgame.model import Scenario
-from covertgame.simkit import CHUNK_BLOCKS, N_SIGMA, _chunk_rng, estimate_detection
+from covertgame.simkit import (
+    CHUNK_BLOCKS,
+    MAX_BLOCKS,
+    N_SIGMA,
+    EmpiricalDetection,
+    _chunk_rng,
+    estimate_detection,
+)
 
 from oracles import ks_two_sample, sample_statistic_per_sample
 
@@ -59,8 +67,8 @@ def test_pure_strategy_against_cell_values():
     s = sim_scenario()
     # Threshold 1.5 sits right at the no-transmission mean 0.5 + 1.0, so
     # both error kinds occur often enough for meaningful standard errors.
-    joint = MixedStrategy.point_mass(((0.2, 0.0), (0.8, 0.5)), 1)
-    thr = MixedStrategy.point_mass(s.threshold_grid, 2)
+    joint = MixedStrategy(((0.2, 0.0), (0.8, 0.5)), (0.0, 1.0))
+    thr = MixedStrategy(s.threshold_grid, (0.0, 0.0, 1.0))
     result = estimate_detection(s, joint, thr, blocks=30000, seed=12)
     want_fa = pfa_grid(s, [(0.8, 0.5)])[0, 2]
     want_md = pm_grid(s, [(0.8, 0.5)])[0, 2]
@@ -71,8 +79,8 @@ def test_pure_strategy_against_cell_values():
 
 def test_threshold_zero_always_alarms():
     s = sim_scenario()
-    joint = MixedStrategy.point_mass(((0.2, 0.0), (0.8, 0.5)), 0)
-    thr = MixedStrategy.point_mass(s.threshold_grid, 0)
+    joint = MixedStrategy(((0.2, 0.0), (0.8, 0.5)), (1.0, 0.0))
+    thr = MixedStrategy(s.threshold_grid, (1.0, 0.0, 0.0))
     result = estimate_detection(s, joint, thr, blocks=5000, seed=1)
     assert result.pfa_hat == 1.0
     assert result.pm_hat == 0.0
@@ -105,8 +113,8 @@ def test_stderr_formula():
 
 def test_consistent_with_logic():
     s = sim_scenario()
-    joint = MixedStrategy.point_mass(((0.2, 0.0), (0.8, 0.5)), 1)
-    thr = MixedStrategy.point_mass(s.threshold_grid, 2)
+    joint = MixedStrategy(((0.2, 0.0), (0.8, 0.5)), (0.0, 1.0))
+    thr = MixedStrategy(s.threshold_grid, (0.0, 0.0, 1.0))
     result = estimate_detection(s, joint, thr, blocks=10000, seed=8)
     assert result.consistent_with(result.pfa_hat, result.pm_hat)
     off = result.pfa_hat + 10.0 * result.pfa_stderr
@@ -119,10 +127,50 @@ def test_consistent_with_logic():
     assert not result.consistent_with(past, result.pm_hat)
 
 
+def test_verdict_reads_the_zscores():
+    # z = 0.30000000000000004 / 0.1 = 3.0000000000000004 is past three
+    # standard errors, although 0.30000000000000004 <= fl(3 * 0.1).
+    result = EmpiricalDetection(pfa_hat=0.30000000000000004, pm_hat=0.5, pfa_stderr=0.1,
+                                pm_stderr=0.1, blocks=100, seed=0)
+    assert result.zscores(0.0, 0.5) == (3.0000000000000004, 0.0)
+    assert not result.consistent_with(0.0, 0.5)
+    # An analytic P_FA of 2^-54, one ulp of 0.3, brings z back inside.
+    assert result.zscores(2.0 ** -54, 0.5) == (2.9999999999999996, 0.0)
+    assert result.consistent_with(2.0 ** -54, 0.5)
+    # A zero standard error counts as 1e-300: a miss next to it is a huge z.
+    exact = EmpiricalDetection(pfa_hat=1.0, pm_hat=0.0, pfa_stderr=0.0, pm_stderr=0.0,
+                               blocks=10, seed=0)
+    assert exact.zscores(1.0, 0.0) == (0.0, 0.0) and exact.consistent_with(1.0, 0.0)
+    assert exact.zscores(0.5, 0.0) == (0.5 / 1e-300, 0.0)
+    assert not exact.consistent_with(0.5, 0.0)
+
+
+def test_blocks_limit_is_checked_before_any_draw(monkeypatch):
+    s = sim_scenario()
+    joint = MixedStrategy(((0.2, 0.0), (0.8, 0.5)), (1.0, 0.0))
+    thr = MixedStrategy(s.threshold_grid, (0.0, 1.0, 0.0))
+
+    class Drew(Exception):
+        pass
+
+    def no_draws(seed, chunk_index):
+        raise Drew
+
+    monkeypatch.setattr(simkit, "_chunk_rng", no_draws)
+    assert MAX_BLOCKS == 10**10
+    # The limit itself passes the check and reaches the first draw ...
+    with pytest.raises(Drew):
+        estimate_detection(s, joint, thr, blocks=MAX_BLOCKS, seed=1)
+    # ... one more block, or any larger count, fails before it.
+    for blocks in (MAX_BLOCKS + 1, 99999999999999999999):
+        with pytest.raises(ValueError, match=r"blocks must lie in \[1, 10000000000\]"):
+            estimate_detection(s, joint, thr, blocks=blocks, seed=1)
+
+
 def test_validation():
     s = sim_scenario()
-    joint = MixedStrategy.point_mass(((0.2, 0.0), (0.8, 0.5)), 0)
-    thr = MixedStrategy.point_mass(s.threshold_grid, 1)
+    joint = MixedStrategy(((0.2, 0.0), (0.8, 0.5)), (1.0, 0.0))
+    thr = MixedStrategy(s.threshold_grid, (0.0, 1.0, 0.0))
     with pytest.raises(ValueError, match="blocks"):
         estimate_detection(s, joint, thr, blocks=0, seed=1)
     with pytest.raises(ValueError, match="seed"):
