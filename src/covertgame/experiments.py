@@ -202,22 +202,32 @@ def frontier_rate(payoff: PayoffMatrix, dep_level: float) -> float:
     by the level and scaled by its largest magnitude s_j, so that dep
     values far below the game LP's tolerance still count.  A dichotomic
     chord search (Aneja & Nair 1979) brackets t = 0 on the concave curve of
-    rate against t = min_j (x.h)_j between the loudest action and the
-    equilibrium on h, solving the game rate + beta * h at each chord slope
-    until no solve rises above the chord.  Raises InfeasibleError when
-    dep_level exceeds the largest guaranteeable value by more than roundoff.
+    rate against t = min_j (x.h)_j between the loudest action and the dep
+    game's row strategy x*, solving the game rate + beta * h at each chord
+    slope until no solve rises above the chord.
+
+    x* is solved once per payoff (``max_guaranteed_dep`` reads the same one)
+    and meets every level up to its own guarantee.  A level that x* misses by
+    more than roundoff on h solves the game on h itself instead: its
+    equilibrium is the right end, and its value decides feasibility.  Raises
+    InfeasibleError when dep_level exceeds the largest guaranteeable value
+    by more than roundoff.
     """
     level = float(dep_level)
     rates, h = payoff.rate_terms, payoff.dep_terms - level
     span = np.abs(h).max(axis=0)
     h /= np.where(span > 0, span, 1.0)
-    quiet = solve_game(h)
-    if quiet.value < -_ROUNDOFF:
-        raise InfeasibleError(f"dep level {level!r} exceeds the largest guaranteeable value")
-    loud, x = int(np.argmax(rates)), quiet.row_strategy.prob_array()
+    x = payoff._dep_row_strategy
+    t_b = float((x @ h).min())  # the guarantee of x
+    if t_b < -_ROUNDOFF:
+        quiet = solve_game(h)
+        if quiet.value < -_ROUNDOFF:
+            raise InfeasibleError(f"dep level {level!r} exceeds the largest guaranteeable value")
+        x = quiet.row_strategy.prob_array()
+        t_b = float((x @ h).min())
+    loud, r_b = int(np.argmax(rates)), float(x @ rates)
     t_a, r_a = float(h[loud].min()), float(rates[loud])
-    t_b, r_b = float((x @ h).min()), float(x @ rates)  # guarantee and rate of x
-    t = min(0.0, t_b)  # below 0 only by roundoff, as the value passed above
+    t = min(0.0, t_b)  # below 0 only by roundoff, as x or the value passed above
     if t_a >= t - _ROUNDOFF:
         return r_a
     while r_a > r_b:  # a flat bracket is already the frontier
@@ -241,10 +251,11 @@ def max_guaranteed_dep(payoff: PayoffMatrix) -> float:
     The right-hand end of the frontier's feasible range: what the row
     strategy of the game played on the dep entries alone forces from any
     threshold.  That guarantee is proved by the strategy itself, where the
-    game's LP value can overstate it when detection errors are tiny.
+    game's LP value can overstate it when detection errors are tiny.  The
+    strategy is solved once per payoff and also brackets every
+    ``frontier_rate`` level up to this value.
     """
-    x = solve_game(payoff.dep_terms).row_strategy.prob_array()
-    return float((x @ payoff.dep_terms).min())
+    return float((payoff._dep_row_strategy @ payoff.dep_terms).min())
 
 
 def dominance_check(payoff: PayoffMatrix,

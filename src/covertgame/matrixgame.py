@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -102,6 +103,15 @@ class PayoffMatrix:
         if len(rates) != len(row.probs):
             raise ValueError(f"{len(row.probs)} probabilities for {len(rates)} table rows")
         return float(math.fsum(prob * rate for prob, rate in zip(row.probs, rates.tolist())))
+
+    @cached_property
+    def _dep_row_strategy(self) -> np.ndarray:
+        """Row mixture of the game played on ``dep_terms`` alone, solved once
+        per table: the largest detection error a transmitter can guarantee
+        (``experiments.max_guaranteed_dep``, ``experiments.frontier_rate``)."""
+        x = solve_game(self.dep_terms).row_strategy.prob_array()
+        x.flags.writeable = False
+        return x
 
 
 def build_payoff(pruned: PrunedScenario) -> PayoffMatrix:

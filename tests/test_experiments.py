@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from covertgame import experiments, matrixgame
 from covertgame.detection import dep_grid, pfa, pm
 from covertgame.experiments import (
     beta_sweep,
@@ -177,6 +178,55 @@ def test_frontier_endpoints(no_jam_payoff):
     assert edge == pytest.approx(0.0028067629698915533, abs=1e-6)
     with pytest.raises(InfeasibleError):
         frontier_rate(no_jam_payoff, dmax + 1e-6)
+
+
+def record_games(monkeypatch) -> list:
+    """Every payoff array handed to solve_game from now on, in call order."""
+    games, solve = [], matrixgame.solve_game
+
+    def recording(entries):
+        games.append(np.array(entries))
+        return solve(entries)
+
+    monkeypatch.setattr(matrixgame, "solve_game", recording)
+    monkeypatch.setattr(experiments, "solve_game", recording)
+    return games
+
+
+def quiet_game(payoff, level):
+    """The game frontier_rate solves to decide feasibility at ``level``: each
+    threshold's dep column shifted by the level and scaled to unit size."""
+    h = payoff.dep_terms - level
+    span = np.abs(h).max(axis=0)
+    return h / np.where(span > 0, span, 1.0)
+
+
+def test_frontier_levels_are_bracketed_by_the_dep_game(monkeypatch):
+    # The benchmark's frontier op: one dep game for max_guaranteed_dep and
+    # all eight levels, then chord solves only.
+    payoff = build_payoff(prune_negative_rate(default_scenario()))
+    games = record_games(monkeypatch)
+    top = max_guaranteed_dep(payoff)
+    assert len(games) == 1 and np.array_equal(games[0], payoff.dep_terms)
+    levels = [f * top for f in (0.05, 0.2, 0.35, 0.5, 0.65, 0.8, 0.95, 0.99)]
+    rates = [frontier_rate(payoff, level) for level in levels]
+    assert all(b <= a + 1e-12 for a, b in zip(rates, rates[1:]))
+    assert max_guaranteed_dep(payoff) == top
+    assert sum(np.array_equal(g, payoff.dep_terms) for g in games) == 1
+    for level in levels:
+        h = quiet_game(payoff, level)
+        assert not any(np.array_equal(g, h) for g in games), level
+
+
+def test_frontier_past_the_dep_game_solves_the_quiet_game(monkeypatch):
+    # A level the dep game's strategy misses is decided by the game on h,
+    # whose value still raises InfeasibleError past the maximum.
+    payoff = build_payoff(prune_negative_rate(default_scenario()))
+    top = max_guaranteed_dep(payoff)
+    games = record_games(monkeypatch)
+    with pytest.raises(InfeasibleError):
+        frontier_rate(payoff, top + 1e-6)
+    assert len(games) == 1 and np.array_equal(games[0], quiet_game(payoff, top + 1e-6))
 
 
 def test_frontier_is_monotone(no_jam_payoff):

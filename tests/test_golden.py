@@ -3,7 +3,8 @@
 Each command runs on a default preset (``solve-n2000`` and
 ``solve-n10000`` with 2000- and 10^4-use blocks, where the long-block
 windows and the P_M cells set to 1.0 unevaluated matter; the 10^4 pin was
-recorded before that skip existed) and every data file it writes
+recorded before that skip existed; ``simulate-files`` reads the strategy
+files that the ``solve`` command writes first) and every data file it writes
 must hash to the recorded sha256 prefix (first 12 hex digits, the table in
 ROADMAP.md).  Refactors of the cell table, the solver or the CLI must keep
 these bytes unless a change says otherwise and re-pins them.
@@ -44,6 +45,17 @@ GOLDEN = {
     "simulate": (("simulate", "--blocks", "100000", "--seed", "0"), {
         "simulate.txt": "738b61c74886",
     }),
+    # The benchmark's simulate path: the strategy files of the ``solve`` pin,
+    # read back (2 actions a side).
+    "simulate-files": (("simulate", "--blocks", "100000", "--seed", "0",
+                        "--row-strategy", "{solve}/row_strategy.csv",
+                        "--col-strategy", "{solve}/col_strategy.csv"), {
+        "simulate.txt": "6c41a5d04b7d",
+    }),
+    # Supports of 14 actions a side.
+    "simulate-jammer": (("simulate", "--jammer", "--blocks", "100000", "--seed", "0"), {
+        "simulate.txt": "06d04eafabb4",
+    }),
     "solve-n2000": (("solve", "--set", "blocklength_n=2000"), {
         "row_strategy.csv": "984670858a0a",
         "col_strategy.csv": "3af9b86edc6d",
@@ -58,12 +70,19 @@ GOLDEN = {
 }
 
 
+def _run(argv, out):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main([*argv, "--out", str(out)]) == 0
+
+
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_golden_output_hashes(name, tmp_path):
     argv, expected = GOLDEN[name]
+    if any("{solve}" in arg for arg in argv):
+        _run(GOLDEN["solve"][0], tmp_path / "solve")
+        argv = [arg.format(solve=tmp_path / "solve") for arg in argv]
     out = tmp_path / name
-    with contextlib.redirect_stdout(io.StringIO()):
-        assert main([*argv, "--out", str(out)]) == 0
+    _run(argv, out)
     recorded = json.loads((out / "manifest.json").read_text(encoding="utf-8"))["outputs"]
     for filename, prefix in expected.items():
         digest = hashlib.sha256((out / filename).read_bytes()).hexdigest()

@@ -1,5 +1,6 @@
 """Tests for the Monte Carlo detection simulator."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -14,6 +15,7 @@ from covertgame.simkit import (
     N_SIGMA,
     EmpiricalDetection,
     _chunk_rng,
+    _locate,
     estimate_detection,
 )
 
@@ -179,13 +181,30 @@ def test_validation():
         estimate_detection(s, joint, thr, blocks=10, seed=2 ** 64)
 
 
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 8, 9, 301])
+def test_locate_equals_searchsorted_right(k):
+    # Counts of one bit and of several, with and without inf padding.
+    rng = np.random.default_rng(k)
+    cdf = (rng.random(k) + 0.01).cumsum()
+    cdf /= cdf[-1]
+    assert cdf[-1] == 1.0 and np.all(np.diff(cdf) > 0.0)
+    # Every entry and both its neighbours, where a comparison could be off
+    # by one, then random draws.
+    edges = np.concatenate([cdf, np.nextafter(cdf, 0.0), np.nextafter(cdf, 2.0), [0.0]])
+    u = np.concatenate([edges[edges < 1.0], rng.random(20000)])
+    got = _locate(cdf, u)
+    assert got.dtype == np.intp
+    assert np.array_equal(got, cdf.searchsorted(u, side="right"))
+
+
 def test_cdf_and_standard_gamma_draws_equal_choice_and_gamma():
     """estimate_detection draws indices from a cdf it builds once per call,
     and statistics as standard_gamma(n) * scale.  Generator.choice with p
     and Generator.gamma give the same bits from the same stream."""
     rng = np.random.default_rng(8)
     for trial in range(300):
-        k = int(rng.integers(1, 6))
+        # Up to 12 actions: counts of one to four bits.
+        k = int(rng.integers(1, 13))
         p = rng.random(k) * (rng.random(k) < 0.8)
         p[int(rng.integers(k))] += 0.1
         p /= p.sum()
@@ -197,7 +216,7 @@ def test_cdf_and_standard_gamma_draws_equal_choice_and_gamma():
         stat_old = old.gamma(shape=n, scale=scale[a_old])
         cdf = p.cumsum()
         cdf /= cdf[-1]
-        a_new = cdf.searchsorted(new.random(count), side="right")
+        a_new = _locate(cdf, new.random(count))
         stat_new = new.standard_gamma(n, size=count) * scale[a_new]
         assert np.array_equal(a_old, a_new)
         assert np.array_equal(stat_old.view(np.int64), stat_new.view(np.int64))
@@ -243,3 +262,15 @@ def test_estimate_counts_equal_choice_and_gamma_draws():
         got = estimate_detection(s, joint, thr, blocks=blocks, seed=seed)
         false_alarms, misses = estimate_with_choice_and_gamma(s, joint, thr, blocks, seed)
         assert (got.pfa_hat, got.pm_hat) == (false_alarms / blocks, misses / blocks)
+    # Wide strategies, whose indices take five and six bits: 20 (power, jam)
+    # actions against 41 thresholds, every one drawn.
+    wide = dataclasses.replace(s, power_grid=tuple(np.linspace(0.1, 1.0, 10)),
+                               threshold_grid=tuple(np.linspace(1.0, 3.0, 41)))
+    joint = MixedStrategy(tuple((p, j) for j in wide.jam_grid for p in wide.power_grid),
+                          tuple(np.full(20, 0.05)))
+    thr = MixedStrategy(wide.threshold_grid, tuple(np.full(41, 1 / 41)))
+    blocks = 2 * CHUNK_BLOCKS + 3
+    got = estimate_detection(wide, joint, thr, blocks=blocks, seed=4)
+    false_alarms, misses = estimate_with_choice_and_gamma(wide, joint, thr, blocks, 4)
+    assert (got.pfa_hat, got.pm_hat) == (false_alarms / blocks, misses / blocks)
+    assert 0 < false_alarms < blocks and 0 < misses < blocks
