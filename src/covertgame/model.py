@@ -56,9 +56,10 @@ class ScenarioError(ValueError):
 
 
 class _Grid(tuple):
-    """A grid that ``_as_grid`` has snapped.  Snapping is idempotent, so a
-    scenario rebuilt from another (``dataclasses.replace``) keeps its values
-    without rounding them again; they are still checked."""
+    """A grid that ``_as_grid`` has snapped and checked finite and strictly
+    increasing.  Snapping is idempotent, so a scenario rebuilt from another
+    (``dataclasses.replace``) keeps its values without rounding them again;
+    only its first point, the smallest, is checked against the field's bound."""
 
     __slots__ = ()
 
@@ -66,19 +67,20 @@ class _Grid(tuple):
 def _as_grid(values, name: str, minimum: float, min_exclusive: bool) -> tuple[float, ...]:
     """The values, checked as given, snapped to _GRID_DECIMALS places with
     -0.0 stored as 0.0; a value snapped onto the bound or its neighbour fails."""
-    given = values if type(values) is _Grid else tuple(map(float, values))
+    snapped = type(values) is _Grid
+    given = values if snapped else tuple(map(float, values))
     if not given:
         raise ScenarioError(f"{name} must not be empty")
-    grid = values if type(values) is _Grid else _Grid(round(v, _GRID_DECIMALS) + 0.0
-                                                      for v in given)
-    for v, g in zip(given, grid):
+    grid = values if snapped else _Grid(round(v, _GRID_DECIMALS) + 0.0 for v in given)
+    checked = given[:1] if snapped else given  # a _Grid's least point is its first
+    for v, g in zip(checked, grid):
         if not math.isfinite(v):
             raise ScenarioError(f"{name} entries must be finite, got {v}")
         if v < minimum or (min_exclusive and g == minimum):
             note = f" (rounds to {g} at {_GRID_DECIMALS} decimals)" if v > minimum else ""
             raise ScenarioError(f"{name} entries must be {'>' if min_exclusive else '>='} "
                                 f"{minimum}, got {v}{note}")
-    for a, b, g, h in zip(given, given[1:], grid, grid[1:]):
+    for a, b, g, h in zip(checked, checked[1:], grid, grid[1:]):
         if b <= a or g == h:
             note = f" (both round to {g} at {_GRID_DECIMALS} decimals)" if b > a else ""
             raise ScenarioError(f"{name} must be strictly increasing with no duplicates, "

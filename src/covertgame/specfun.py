@@ -36,12 +36,22 @@ have both bounds rising with x.  Far-tail points (x > n-1) all end at
 k = n-1, but their starts do not rise with x, hence the second key.  Were
 a start ever to fall by rounding, the points would split there into groups
 with a slice each.  A planner finds every k's slice by two vectorized
-binary searches and walks the k in order.  A row holding many points is
-one 1-D pass.  Consecutive rows holding few points share a small row-major
-(rows x points) table whose first row carries the running sums and whose
-terms outside their windows are zeroed.  ``np.add.accumulate`` along its
-rows then adds the same terms in the same order at any width, where
-``sum`` would add a narrow table's columns pairwise.
+binary searches and walks the k in order.  Consecutive rows holding many
+points share one row-major (rows x points) table over the union of their
+slices: its terms are computed in one set of numpy calls, then each row, in
+k order, adds only its own slice to the running sums.  Consecutive rows
+holding few points share a small table whose first row carries the running
+sums and whose terms outside their windows are zeroed.
+``np.add.accumulate`` along its rows then adds the same terms in the same
+order at any width, where ``sum`` would add a narrow table's columns
+pairwise.  A row alone is one 1-D pass.
+
+Above the mode a point's window ends early where the rest of its terms
+cannot move its sum (``_tail_cut``).  Bennett's bound puts every later term
+below 2^-54, while the sum already exceeds 1/2, so each of those adds
+would round back to the same value: the cut skips about 5 % of the terms
+at n >= 2000 and changes no bit.  It applies where the window starts at or
+below x - sqrt(x) and does not end at k = n-1.
 
 Accuracy domain: 1 <= n <= MAX_SHAPE and x >= 0.  There Q(n, x) stays
 within 1e-10 absolute error, and 1e-12 relative error wherever Q > 1e-300,
@@ -84,12 +94,16 @@ _WINDOW_SIGMAS = 9.0
 _WINDOW_PAD = 27.0
 _WINDOW_DECAY = 39.0
 
-# A row of the sum (one k) that holds at least this many points is summed
-# in one pass of its own: the pass's fixed cost, about ten numpy calls, is
-# then a small share of its work.  Narrower consecutive rows share a
-# (rows x points) table of at most _TABLE_CELLS cells, 128 KiB of float64.
+# A row of the sum (one k) that holds at least this many points is wide:
+# consecutive wide rows share a (rows x points) table of at most
+# _WIDE_TABLE_CELLS cells, 256 KiB of float64, and each adds its own slice of
+# it.  Narrower consecutive rows share a masked table of at most _TABLE_CELLS
+# cells with their running sums.  With the tail cut, wide tables of 16 / 32 /
+# 64 Ki cells ran the n = 2000 kernel in 0.93 / 0.87 / 0.88 of its
+# one-row-per-pass time (16 Ki holds about 3 of its rows; CHANGES.md).
 _WIDE_ROW = 1024
 _TABLE_CELLS = 16 * 1024
+_WIDE_TABLE_CELLS = 32 * 1024
 
 
 def _stirling_tail(k: float) -> float:
@@ -203,39 +217,80 @@ def _windows(n: int, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.maximum(lo, 1.0), hi
 
 
-def _blocks(lo: np.ndarray, hi: np.ndarray) -> list[tuple[int, int, int, int]]:
-    """Row blocks (first k, rows, first point, end point) of windows sorted by (hi, lo).
+def _tail_cut(n: int, xs: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Window ends without the upper terms that cannot move their running sum.
+
+    At k >= x + a, Bennett's bound (see ``_windows``) and t_x <= 1/sqrt(2 pi x)
+    (Stirling) give ln t_k <= -a^2 / (2(x + a/3)) - ln(2 pi x)/2.  That is at
+    most ``_NEGLIGIBLE_LOG_Q`` = ln(2^-54) - 1 once a = c/3 + sqrt(c^2/9 + 2cx),
+    c = -_NEGLIGIBLE_LOG_Q - ln(2 pi x)/2, so each such term is below
+    2^-54 / e, and computed below 2^-54.  Where lo <= x - sqrt(x) (so x > 2.6,
+    as lo >= 1), lo lies below the Poisson median (at least x - ln 2), so the
+    terms summed before k_cut = ceil(x + a) exceed 1/2 and half an ulp of
+    their sum is at least 2^-54: every later add rounds back to the same sum.
+    Those points end at min(hi, k_cut - 1) with every bit kept.  A window
+    capped at k = n-1 keeps its end.
+    """
+    cut = hi < n - 1
+    cut[cut] = lo[cut] <= xs[cut] - np.sqrt(xs[cut])
+    x = xs[cut]
+    c = -_NEGLIGIBLE_LOG_Q - 0.5 * (_LN_2PI + np.log(x))
+    reach = c / 3.0 + np.sqrt(c * c / 9.0 + 2.0 * c * x)
+    hi = hi.copy()
+    hi[cut] = np.minimum(hi[cut], np.ceil(x + reach) - 1.0)
+    return hi
+
+
+def _blocks(lo: np.ndarray, hi: np.ndarray) -> list[tuple[int, list[tuple[int, int]], bool]]:
+    """Row blocks (first k, each row's point slice, wide) of windows sorted by (hi, lo).
 
     The points split into groups where a window start falls.  Within a group
     neither bound falls, so the points whose window holds k are the slice
     [a_k, b_k) with a_k = #(hi < k) and b_k = #(lo <= k), found for every k
     by one binary search each.  The blocks cover each k held by a group's
-    windows once, in increasing k.  A row of at least _WIDE_ROW points is a
-    block of its own; consecutive narrower rows share one while the table of
-    their points, with its running-sum row, keeps within _TABLE_CELLS.
+    windows once, in increasing k, as runs of consecutive rows of one kind.
+    Rows of at least _WIDE_ROW points are wide.  Their table spans the union
+    slice of their points and keeps within _WIDE_TABLE_CELLS; narrower rows'
+    table, with its running-sum row, keeps within _TABLE_CELLS.  A row too
+    wide for either table is a block of its own.
     """
     cuts = [0, *(np.flatnonzero(lo[1:] < lo[:-1]) + 1).tolist(), lo.size]
     blocks = []
     for start, stop in zip(cuts, cuts[1:]):
         k0, k1 = int(lo[start]), int(hi[stop - 1]) + 1  # lo rises, hi is sorted
         ks = np.arange(k0, k1, dtype=float)
-        a = (start + np.searchsorted(hi[start:stop], ks, side="left")).tolist()
-        b = (start + np.searchsorted(lo[start:stop], ks, side="right")).tolist()
-        rows = 0
-        for k, a_k, b_k in zip(range(k0, k1), a, b):
-            wide = b_k - a_k >= _WIDE_ROW
-            if rows and (wide or a_k == b_k or (rows + 2) * (b_k - c0) > _TABLE_CELLS):
-                blocks.append((first, rows, c0, c1))
-                rows = 0
-            if wide:
-                blocks.append((k, 1, a_k, b_k))
-            elif a_k < b_k:
-                if not rows:
-                    first, c0 = k, a_k
-                rows, c1 = rows + 1, b_k
-        if rows:
-            blocks.append((first, rows, c0, c1))
+        a = start + np.searchsorted(hi[start:stop], ks, side="left")
+        b = start + np.searchsorted(lo[start:stop], ks, side="right")
+        wide = (b - a >= _WIDE_ROW).tolist()
+        spans = []
+        for k, a_k, b_k, w in zip(range(k0, k1), a.tolist(), b.tolist(), wide):
+            if spans and (w != run_wide or a_k == b_k or (len(spans) + extra) * (b_k - c0) > cells):
+                blocks.append((first, spans, run_wide))
+                spans = []
+            if a_k < b_k:
+                if not spans:
+                    first, run_wide, c0 = k, w, a_k
+                    # Room for one more row, and in a narrow table its sums row.
+                    extra, cells = (1, _WIDE_TABLE_CELLS) if w else (2, _TABLE_CELLS)
+                spans.append((a_k, b_k))
+        if spans:
+            blocks.append((first, spans, run_wide))
     return blocks
+
+
+def _terms(x: np.ndarray, kk, base, diff: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """t_k = exp(k log1p((x - k)/k) - (x - k) - base_k) into ``out``.
+
+    ``kk`` and ``base`` are one k's scalars for a 1-D row, or columns of
+    consecutive k for a (rows x points) table.
+    """
+    np.subtract(x, kk, out=diff)
+    np.divide(diff, kk, out=out)
+    np.log1p(out, out=out)
+    out *= kk
+    out -= diff  # (k - x) + m equals m - (x - k) exactly
+    out -= base
+    return np.exp(out, out=out)
 
 
 def _q_sorted(n: int, xs: np.ndarray) -> np.ndarray:
@@ -244,41 +299,40 @@ def _q_sorted(n: int, xs: np.ndarray) -> np.ndarray:
         return np.exp(-xs)
     k, base = _poisson_tables(n)
     lo, hi = _windows(n, xs)
+    hi = _tail_cut(n, xs, lo, hi)
     order = np.lexsort((lo, hi))
     lo, hi, x = lo[order], hi[order], xs[order]
     blocks = _blocks(lo, hi)
-    # A 1-D pass needs one cell per point, a table one more row than it has.
-    size = max((rows + 1 if rows > 1 else 1) * (c1 - c0) for _, rows, c0, c1 in blocks)
+    # A table needs a cell per row and point, a narrow rows' table a row more.
+    size = max((len(spans) + (not wide)) * (spans[-1][1] - spans[0][0])
+               for _, spans, wide in blocks)
     diff_buf, term_buf = np.empty(size), np.empty(size)
     sums = np.zeros(xs.size)
     with np.errstate(divide="ignore"):  # tiny x rounds (x - k)/k to -1: t_k = 0
-        for first, rows, c0, c1 in blocks:
+        for first, spans, wide in blocks:
+            rows, c0, c1 = len(spans), spans[0][0], spans[-1][1]
             m = c1 - c0
-            if rows == 1:
-                kf = float(first)
-                diff = np.subtract(x[c0:c1], kf, out=diff_buf[:m])
-                terms = np.divide(diff, kf, out=term_buf[:m])
-                np.log1p(terms, out=terms)
-                terms *= kf
-                terms -= diff  # (k - x) + m equals m - (x - k) exactly
-                terms -= base[first - 1]
-                np.exp(terms, out=terms)
-                sums[c0:c1] += terms
+            if rows == 1:  # a scalar k: a broadcast column costs about 1 us more per call
+                row_sums = sums[c0:c1]
+                np.add(row_sums, _terms(x[c0:c1], k[first - 1], base[first - 1],
+                                        diff_buf[:m], term_buf[:m]), out=row_sums)
+                continue
+            kk, bk = k[first - 1:first - 1 + rows, None], base[first - 1:first - 1 + rows, None]
+            diff = diff_buf[:rows * m].reshape(rows, m)
+            if wide:
+                # Each row adds its own slice, in k order; the cells of the
+                # union slice outside it are finite and never read.
+                terms = _terms(x[c0:c1], kk, bk, diff, term_buf[:rows * m].reshape(rows, m))
+                for row, (a, b) in zip(terms, spans):
+                    row_sums = sums[a:b]  # add in place: sums[a:b] += would copy back
+                    np.add(row_sums, row[a - c0:b - c0], out=row_sums)
                 continue
             # A table of narrow rows whose first row holds the running sums.
             # accumulate adds its rows in order at any width, where sum would
             # add a narrow table's columns pairwise.
-            kk = k[first - 1:first - 1 + rows, None]
             table = term_buf[:(rows + 1) * m].reshape(rows + 1, m)
             table[0] = sums[c0:c1]
-            terms = table[1:]
-            diff = np.subtract(x[c0:c1], kk, out=diff_buf[:rows * m].reshape(rows, m))
-            np.divide(diff, kk, out=terms)
-            np.log1p(terms, out=terms)
-            terms *= kk
-            terms -= diff
-            terms -= base[first - 1:first - 1 + rows, None]
-            np.exp(terms, out=terms)
+            terms = _terms(x[c0:c1], kk, bk, diff, table[1:])
             terms[(kk < lo[c0:c1]) | (kk > hi[c0:c1])] = 0.0
             sums[c0:c1] = np.add.accumulate(table, axis=0)[-1]
     sums += np.exp(-x, out=x)

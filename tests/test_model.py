@@ -151,6 +151,12 @@ def test_rebuilt_scenarios_keep_their_snapped_grids_and_check_them():
     with pytest.raises(ScenarioError, match="power_grid entries must be > 0.0, got 0.0"):
         dataclasses.replace(s, power_grid=s.jam_grid)
     assert dataclasses.replace(s, jam_grid=s.threshold_grid).jam_grid == s.threshold_grid
+    # A snapped grid is checked by its first point only, with the message
+    # that the same values get as raw input.
+    full = default_scenario(True)
+    for grid in (full.jam_grid, tuple(full.jam_grid)):
+        with pytest.raises(ScenarioError, match=r"^power_grid entries must be > 0.0, got 0.0$"):
+            dataclasses.replace(full, power_grid=grid)
 
 
 def test_grid_values_are_checked_as_given_then_snapped():

@@ -12,11 +12,13 @@ from covertgame.model import default_scenario
 from covertgame.specfun import (
     _TABLE_CELLS,
     _WIDE_ROW,
+    _WIDE_TABLE_CELLS,
     MAX_SHAPE,
     MIN_TAIL_PROB,
     _blocks,
     _poisson_tables,
     _q_negligible,
+    _tail_cut,
     _windows,
     gaussian_q_inv,
     reg_gamma_q_grid,
@@ -239,7 +241,7 @@ def test_grid_matches_windowed_reference_bit_for_bit(n):
 def test_grid_splits_points_where_window_starts_fall(monkeypatch):
     # No x is known to make a window start fall in window-end order, but the
     # kernel must still sum each point's own window if one does, in the
-    # wide rows' 1-D passes as in the narrow rows' tables.
+    # wide rows' shared tables as in the narrow rows' masked ones.
     n = 2000
     xs = np.linspace(100.0, 3000.0, 5000)
     lo, hi = _windows(n, xs)
@@ -249,21 +251,50 @@ def test_grid_splits_points_where_window_starts_fall(monkeypatch):
     assert np.array_equal(reg_gamma_q_grid(n, xs).view(np.int64), want.view(np.int64))
 
 
+def test_tail_cut_keeps_windows_that_start_near_x(monkeypatch):
+    # The cut needs the terms before it to hold over half of the Poisson
+    # mass.  A window starting above x - sqrt(x) does not promise that, so
+    # it keeps its end and the kernel still sums all of it, bit for bit.
+    n = 2000
+    xs = np.linspace(100.0, 1500.0, 3000)
+    lo, hi = _windows(n, xs)
+    lo[::7] = np.floor(xs[::7] + 3.0 * np.sqrt(xs[::7]))
+    end = _tail_cut(n, xs, lo, hi)
+    assert np.array_equal(end[::7], hi[::7])
+    assert (end < hi).sum() > 2000
+    monkeypatch.setattr(specfun, "_windows", lambda *_: (lo.copy(), hi.copy()))
+    want = gamma_q_windowed_reference(xs, *_poisson_tables(n), lo, hi)
+    assert np.array_equal(reg_gamma_q_grid(n, xs).view(np.int64), want.view(np.int64))
+
+
 def _assert_block_contract(lo, hi):
     """_blocks on windows sorted by (hi, lo): each point meets every k of its
-    window once, in increasing k; a 1-D pass holds only points whose window
-    holds its k; a table holds only narrow rows and keeps within its cells."""
+    window once, in increasing k; a row added by its own slice (a wide row,
+    or any row alone) holds only points whose window holds its k; a masked
+    table holds only narrow rows, a shared unmasked one only wide rows, and
+    every table of more than one row keeps within its cells."""
     held = np.zeros(lo.size, dtype=int)
     last = np.full(lo.size, -1.0)
-    for first, rows, c0, c1 in _blocks(lo, hi):
-        if rows > 1:
+    for first, spans, wide in _blocks(lo, hi):
+        rows, c0, c1 = len(spans), spans[0][0], spans[-1][1]
+        masked = rows > 1 and not wide
+        if wide and rows > 1:
+            assert rows * (c1 - c0) <= _WIDE_TABLE_CELLS
+        if masked:
             assert (rows + 1) * (c1 - c0) <= _TABLE_CELLS
-        for k in range(first, first + rows):
-            inside = (lo[c0:c1] <= k) & (k <= hi[c0:c1])
-            assert inside.all() if rows == 1 else 0 < inside.sum() < _WIDE_ROW
-            assert (last[c0:c1][inside] < k).all()
-            last[c0:c1][inside] = k
-            held[c0:c1] += inside
+        for k, (a, b) in zip(range(first, first + rows), spans):
+            assert c0 <= a < b <= c1
+            assert (b - a >= _WIDE_ROW) == wide
+            if masked:
+                inside = (lo[c0:c1] <= k) & (k <= hi[c0:c1])
+                assert inside.sum() == b - a
+                met = c0 + np.flatnonzero(inside)
+            else:
+                assert ((lo[a:b] <= k) & (k <= hi[a:b])).all()
+                met = np.arange(a, b)
+            assert (last[met] < k).all()
+            last[met] = k
+            held[met] += 1
     assert np.array_equal(held, hi - lo + 1)
 
 
@@ -273,8 +304,65 @@ def test_blocks_cover_each_window_once(n):
                                   _scenario_points(default_scenario(True), n)]))
     xs = x[x > 0.0]
     lo, hi = _windows(n, xs)
-    order = np.lexsort((lo, hi))
-    _assert_block_contract(lo[order], hi[order])
+    for end in (hi, _tail_cut(n, xs, lo, hi)):  # the uncut windows, then the kernel's
+        order = np.lexsort((lo, end))
+        _assert_block_contract(lo[order], end[order])
+
+
+def _cut_edges(n):
+    """x just around 1, where the tail cut starts, and around the x whose cut
+    (x + a) or uncut (x + 9 sqrt(x) + 27) window end reaches k = n-1."""
+    def reach_cut(x):
+        c = -specfun._NEGLIGIBLE_LOG_Q - 0.5 * math.log(2.0 * math.pi * x)
+        return x + c / 3.0 + math.sqrt(c * c / 9.0 + 2.0 * c * x)
+
+    edges = [math.nextafter(1.0, 0.0), 1.0, math.nextafter(1.0, 2.0)]
+    for reach in (reach_cut, lambda x: x + 9.0 * math.sqrt(x) + 27.0):
+        low, high = 1.0, float(n)
+        for _ in range(200):  # bisection for reach(x) = n - 1
+            mid = 0.5 * (low + high)
+            low, high = (mid, high) if reach(mid) < n - 1 else (low, mid)
+        edges += [low + d for d in np.linspace(-3.0, 3.0, 61)]
+    return np.array([e for e in edges if e > 0.0])
+
+
+@pytest.mark.parametrize("n", [200, 2000, 10_000])
+def test_tail_cut_drops_only_terms_that_leave_their_sum_unchanged(n):
+    # Each point sums its terms from 0.0 in increasing k, as the kernel does,
+    # up to its cut end; every term the cut leaves out, computed with the
+    # kernel's own operations, must then round back to that same sum.
+    stride = 1 if n <= 2000 else 4
+    rng = np.random.default_rng(n + 1)
+    x = np.concatenate([
+        _scenario_points(default_scenario(False), n)[::stride],
+        _scenario_points(default_scenario(True), n)[::stride],
+        rng.uniform(0.0, 3.0 * n, 2000),
+        _cut_edges(n),
+    ])
+    xs = np.unique(x[x > 0.0])
+    lo, hi = _windows(n, xs)
+    end = _tail_cut(n, xs, lo, hi)
+    assert np.array_equal(end[(xs < 1.0) | (hi == n - 1)], hi[(xs < 1.0) | (hi == n - 1)])
+    assert (end <= hi).all() and (end >= lo).all()
+    assert (end < hi).sum() > xs.size // 4
+    k, base = _poisson_tables(n)
+    cells = 1 << 21
+    start = 0
+    while start < xs.size:  # chunks of points, their k from the first lo to the last hi
+        stop = start + 1
+        while stop < xs.size and (stop + 1 - start) * (hi[stop] - lo[start] + 1) <= cells:
+            stop += 1
+        first, last = int(lo[start:stop].min()), int(hi[stop - 1])
+        kk, bk = k[first - 1:last, None], base[first - 1:last, None]
+        shape = (kk.size, stop - start)
+        with np.errstate(divide="ignore"):
+            terms = specfun._terms(xs[start:stop], kk, bk, np.empty(shape), np.empty(shape))
+        kept = (kk >= lo[start:stop]) & (kk <= end[start:stop])
+        dropped = (kk > end[start:stop]) & (kk <= hi[start:stop])
+        total = np.add.accumulate(np.where(kept, terms, 0.0), axis=0)[-1]
+        rows, cols = np.nonzero(dropped)
+        assert np.array_equal(total[cols] + terms[rows, cols], total[cols])
+        start = stop
 
 
 def test_blocks_split_where_window_starts_fall():
