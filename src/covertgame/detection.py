@@ -19,7 +19,8 @@ so far past n - 1 that Q(n, x) is below 2^-54 and P_M is exactly 1.0.  The
 Chernoff bound ln Q <= m - x + m ln(x/m), m = n - 1, finds those cells
 (``specfun._q_negligible``, with one e-fold of margin), and P_M sets them
 to 1.0 without summing their Poisson windows.  P_FA = Q itself keeps its
-tiny values, so every false-alarm cell is evaluated.
+tiny values, so every false-alarm cell is evaluated.  Both tables come from
+one kernel call (``error_grids``).
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ if TYPE_CHECKING:
 
 __all__ = [
     "MixedStrategy",
+    "error_grids",
     "pfa",
     "pm",
     "pfa_grid",
@@ -106,23 +108,22 @@ def _x_cells(s: "Scenario", scales, thresholds) -> tuple[np.ndarray, np.ndarray]
     return x, inverse
 
 
-def _q_cells(s: "Scenario", scales, thresholds) -> np.ndarray:
-    """Q(n, n t / scale) for every (scale, threshold) pair."""
-    x, inverse = _x_cells(s, scales, thresholds)
-    return reg_gamma_q_grid(s.blocklength_n, x)[inverse, :]
+def _cells(s: "Scenario", actions, thresholds) -> tuple[np.ndarray, np.ndarray]:
+    """(P_FA, P_M) for every (action, threshold) pair: the one cell path.
 
-
-def _pm_cells(s: "Scenario", actions, thresholds) -> np.ndarray:
-    """1 - Q(n, n t / s1) for every (action, threshold) pair: the one P_M path.
-
-    Cells that ``specfun._q_negligible`` proves to be 1.0 are set, not
-    evaluated, with the bits the kernel would give.
+    The H0 points and the H1 points not proved negligible go to the kernel
+    in one call; a cell depends on its (n, x) alone, so sharing the call
+    moves no bit.  P_M cells that ``specfun._q_negligible`` proves to be 1.0
+    are set, not evaluated, with the bits the kernel would give.
     """
-    x, inverse = _x_cells(s, _h1_scales(s, actions), thresholds)
-    q = np.zeros_like(x)
-    live = ~_q_negligible(s.blocklength_n, x)
-    q[live] = reg_gamma_q_grid(s.blocklength_n, x[live])
-    return (1.0 - q)[inverse, :]
+    n = s.blocklength_n
+    x0, inverse0 = _x_cells(s, _h0_scales(s, actions), thresholds)
+    x1, inverse1 = _x_cells(s, _h1_scales(s, actions), thresholds)
+    live = ~_q_negligible(n, x1)
+    q = reg_gamma_q_grid(n, np.concatenate([x0.ravel(), x1[live]]))
+    q1 = np.zeros_like(x1)
+    q1[live] = q[x0.size:]
+    return q[:x0.size].reshape(x0.shape)[inverse0, :], (1.0 - q1)[inverse1, :]
 
 
 def _h0_scales(s: "Scenario", actions) -> list[float]:
@@ -133,26 +134,29 @@ def _h1_scales(s: "Scenario", actions) -> list[float]:
     return [p + s.sigma_w_sq_mw + j for p, j in actions]
 
 
-def pfa_grid(s: "Scenario", actions) -> np.ndarray:
-    """P_FA for every (action, threshold) cell; shape (len(actions), M).
+def error_grids(s: "Scenario", actions) -> tuple[np.ndarray, np.ndarray]:
+    """(P_FA, P_M) for every (action, threshold) cell, from one kernel call;
+    each of shape (len(actions), M).
 
     The false-alarm value of a cell depends on the action only through its
-    jamming power.
+    jamming power.  P_M cells that are provably 1.0 are set, not evaluated.
     """
-    return _q_cells(s, _h0_scales(s, actions), s.threshold_grid)
+    return _cells(s, actions, s.threshold_grid)
+
+
+def pfa_grid(s: "Scenario", actions) -> np.ndarray:
+    """P_FA for every (action, threshold) cell; shape (len(actions), M)."""
+    return _cells(s, actions, s.threshold_grid)[0]
 
 
 def pm_grid(s: "Scenario", actions) -> np.ndarray:
-    """P_M for every (action, threshold) cell; shape (len(actions), M).
-
-    Cells that are provably 1.0 are set, not evaluated (``_pm_cells``).
-    """
-    return _pm_cells(s, actions, s.threshold_grid)
+    """P_M for every (action, threshold) cell; shape (len(actions), M)."""
+    return _cells(s, actions, s.threshold_grid)[1]
 
 
 def dep_grid(s: "Scenario", actions) -> np.ndarray:
     """P_FA + P_M for every (action, threshold) cell; shape (len(actions), M)."""
-    return pfa_grid(s, actions) + pm_grid(s, actions)
+    return np.add(*_cells(s, actions, s.threshold_grid))
 
 
 def pfa(s: "Scenario", joint: "MixedStrategy", thr: "MixedStrategy") -> float:
@@ -163,11 +167,9 @@ def pfa(s: "Scenario", joint: "MixedStrategy", thr: "MixedStrategy") -> float:
     no-transmission hypothesis only the jamming component of the joint
     strategy matters.
     """
-    cells = _q_cells(s, _h0_scales(s, joint.actions), thr.actions)
-    return float(joint.prob_array() @ cells @ thr.prob_array())
+    return float(joint.prob_array() @ _cells(s, joint.actions, thr.actions)[0] @ thr.prob_array())
 
 
 def pm(s: "Scenario", joint: "MixedStrategy", thr: "MixedStrategy") -> float:
     """Miss probability under mixed transmission and mixed threshold."""
-    cells = _pm_cells(s, joint.actions, thr.actions)
-    return float(joint.prob_array() @ cells @ thr.prob_array())
+    return float(joint.prob_array() @ _cells(s, joint.actions, thr.actions)[1] @ thr.prob_array())

@@ -30,7 +30,7 @@ import numpy as np
 from . import lpsolve
 # dep_grid stays bound here although unused: perfbench's tracer test checks
 # that the tracer rewraps this binding.
-from .detection import MixedStrategy, dep_grid, pfa_grid, pm_grid  # noqa: F401
+from .detection import MixedStrategy, dep_grid, error_grids  # noqa: F401
 from .model import PrunedScenario, Scenario
 
 __all__ = [
@@ -117,16 +117,15 @@ class PayoffMatrix:
 def build_payoff(pruned: PrunedScenario) -> PayoffMatrix:
     """Assemble the payoff matrix for a pruned scenario.
 
-    Every P_FA and P_M cell is evaluated at most once here (P_M cells
-    provably 1.0 are set, not evaluated: ``detection.pm_grid``) and the rates
-    are the ones pruning computed; rows follow the pruned action order
-    (power fastest within each jam level), columns follow the threshold
-    grid.
+    Every P_FA and P_M cell is evaluated at most once here, all in one
+    incomplete-gamma call (P_M cells provably 1.0 are set, not evaluated:
+    ``detection.error_grids``), and the rates are the ones pruning computed;
+    rows follow the pruned action order (power fastest within each jam
+    level), columns follow the threshold grid.
     """
     s = pruned.scenario
     rates = pruned.rates
-    pfa = pfa_grid(s, pruned.actions)
-    pm = pm_grid(s, pruned.actions)
+    pfa, pm = error_grids(s, pruned.actions)
     dep = pfa + pm
     return PayoffMatrix(
         scenario=s,

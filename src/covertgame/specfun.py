@@ -36,15 +36,11 @@ have both bounds rising with x.  Far-tail points (x > n-1) all end at
 k = n-1, but their starts do not rise with x, hence the second key.  Were
 a start ever to fall by rounding, the points would split there into groups
 with a slice each.  A planner finds every k's slice by two vectorized
-binary searches and walks the k in order.  Consecutive rows holding many
-points share one row-major (rows x points) table over the union of their
-slices: its terms are computed in one set of numpy calls, then each row, in
-k order, adds only its own slice to the running sums.  Consecutive rows
-holding few points share a small table whose first row carries the running
-sums and whose terms outside their windows are zeroed.
-``np.add.accumulate`` along its rows then adds the same terms in the same
-order at any width, where ``sum`` would add a narrow table's columns
-pairwise.  A row alone is one 1-D pass.
+binary searches and walks the k in order.  Consecutive rows share one
+row-major (rows x points) table over the union of their slices: its terms
+are computed in one set of numpy calls, then each row, in k order, adds
+only its own slice to the running sums.  A row alone passes its k as a
+scalar through the same steps.
 
 Above the mode a point's window ends early where the rest of its terms
 cannot move its sum (``_tail_cut``).  Bennett's bound puts every later term
@@ -94,16 +90,12 @@ _WINDOW_SIGMAS = 9.0
 _WINDOW_PAD = 27.0
 _WINDOW_DECAY = 39.0
 
-# A row of the sum (one k) that holds at least this many points is wide:
-# consecutive wide rows share a (rows x points) table of at most
-# _WIDE_TABLE_CELLS cells, 256 KiB of float64, and each adds its own slice of
-# it.  Narrower consecutive rows share a masked table of at most _TABLE_CELLS
-# cells with their running sums.  With the tail cut, wide tables of 16 / 32 /
-# 64 Ki cells ran the n = 2000 kernel in 0.93 / 0.87 / 0.88 of its
-# one-row-per-pass time (16 Ki holds about 3 of its rows; CHANGES.md).
-_WIDE_ROW = 1024
-_TABLE_CELLS = 16 * 1024
-_WIDE_TABLE_CELLS = 32 * 1024
+# Consecutive rows of the sum (one k each) share a (rows x points) table of
+# at most _TABLE_CELLS cells, 256 KiB of float64, and each adds its own slice
+# of it.  With the tail cut, tables of 16 / 32 / 64 Ki cells for the rows of
+# 1024 points or more ran the n = 2000 kernel in 0.93 / 0.87 / 0.88 of its
+# one-row-per-pass time (CHANGES.md).
+_TABLE_CELLS = 32 * 1024
 
 
 def _stirling_tail(k: float) -> float:
@@ -241,18 +233,16 @@ def _tail_cut(n: int, xs: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndar
     return hi
 
 
-def _blocks(lo: np.ndarray, hi: np.ndarray) -> list[tuple[int, list[tuple[int, int]], bool]]:
-    """Row blocks (first k, each row's point slice, wide) of windows sorted by (hi, lo).
+def _blocks(lo: np.ndarray, hi: np.ndarray) -> list[tuple[int, list[tuple[int, int]]]]:
+    """Row blocks (first k, each row's point slice) of windows sorted by (hi, lo).
 
     The points split into groups where a window start falls.  Within a group
     neither bound falls, so the points whose window holds k are the slice
     [a_k, b_k) with a_k = #(hi < k) and b_k = #(lo <= k), found for every k
     by one binary search each.  The blocks cover each k held by a group's
-    windows once, in increasing k, as runs of consecutive rows of one kind.
-    Rows of at least _WIDE_ROW points are wide.  Their table spans the union
-    slice of their points and keeps within _WIDE_TABLE_CELLS; narrower rows'
-    table, with its running-sum row, keeps within _TABLE_CELLS.  A row too
-    wide for either table is a block of its own.
+    windows once, in increasing k, as runs of consecutive rows whose table
+    spans the union slice of their points and keeps within _TABLE_CELLS.  A
+    row too wide for the table is a block of its own.
     """
     cuts = [0, *(np.flatnonzero(lo[1:] < lo[:-1]) + 1).tolist(), lo.size]
     blocks = []
@@ -261,28 +251,25 @@ def _blocks(lo: np.ndarray, hi: np.ndarray) -> list[tuple[int, list[tuple[int, i
         ks = np.arange(k0, k1, dtype=float)
         a = start + np.searchsorted(hi[start:stop], ks, side="left")
         b = start + np.searchsorted(lo[start:stop], ks, side="right")
-        wide = (b - a >= _WIDE_ROW).tolist()
         spans = []
-        for k, a_k, b_k, w in zip(range(k0, k1), a.tolist(), b.tolist(), wide):
-            if spans and (w != run_wide or a_k == b_k or (len(spans) + extra) * (b_k - c0) > cells):
-                blocks.append((first, spans, run_wide))
+        for k, a_k, b_k in zip(range(k0, k1), a.tolist(), b.tolist()):
+            if spans and (a_k == b_k or (len(spans) + 1) * (b_k - c0) > _TABLE_CELLS):
+                blocks.append((first, spans))
                 spans = []
             if a_k < b_k:
                 if not spans:
-                    first, run_wide, c0 = k, w, a_k
-                    # Room for one more row, and in a narrow table its sums row.
-                    extra, cells = (1, _WIDE_TABLE_CELLS) if w else (2, _TABLE_CELLS)
+                    first, c0 = k, a_k
                 spans.append((a_k, b_k))
         if spans:
-            blocks.append((first, spans, run_wide))
+            blocks.append((first, spans))
     return blocks
 
 
 def _terms(x: np.ndarray, kk, base, diff: np.ndarray, out: np.ndarray) -> np.ndarray:
     """t_k = exp(k log1p((x - k)/k) - (x - k) - base_k) into ``out``.
 
-    ``kk`` and ``base`` are one k's scalars for a 1-D row, or columns of
-    consecutive k for a (rows x points) table.
+    ``kk`` and ``base`` are one k's scalars for a one-row table, or columns
+    of consecutive k for a (rows x points) table.
     """
     np.subtract(x, kk, out=diff)
     np.divide(diff, kk, out=out)
@@ -303,38 +290,24 @@ def _q_sorted(n: int, xs: np.ndarray) -> np.ndarray:
     order = np.lexsort((lo, hi))
     lo, hi, x = lo[order], hi[order], xs[order]
     blocks = _blocks(lo, hi)
-    # A table needs a cell per row and point, a narrow rows' table a row more.
-    size = max((len(spans) + (not wide)) * (spans[-1][1] - spans[0][0])
-               for _, spans, wide in blocks)
+    size = max(len(spans) * (spans[-1][1] - spans[0][0]) for _, spans in blocks)
     diff_buf, term_buf = np.empty(size), np.empty(size)
     sums = np.zeros(xs.size)
     with np.errstate(divide="ignore"):  # tiny x rounds (x - k)/k to -1: t_k = 0
-        for first, spans, wide in blocks:
+        for first, spans in blocks:
             rows, c0, c1 = len(spans), spans[0][0], spans[-1][1]
             m = c1 - c0
             if rows == 1:  # a scalar k: a broadcast column costs about 1 us more per call
-                row_sums = sums[c0:c1]
-                np.add(row_sums, _terms(x[c0:c1], k[first - 1], base[first - 1],
-                                        diff_buf[:m], term_buf[:m]), out=row_sums)
-                continue
-            kk, bk = k[first - 1:first - 1 + rows, None], base[first - 1:first - 1 + rows, None]
-            diff = diff_buf[:rows * m].reshape(rows, m)
-            if wide:
-                # Each row adds its own slice, in k order; the cells of the
-                # union slice outside it are finite and never read.
-                terms = _terms(x[c0:c1], kk, bk, diff, term_buf[:rows * m].reshape(rows, m))
-                for row, (a, b) in zip(terms, spans):
-                    row_sums = sums[a:b]  # add in place: sums[a:b] += would copy back
-                    np.add(row_sums, row[a - c0:b - c0], out=row_sums)
-                continue
-            # A table of narrow rows whose first row holds the running sums.
-            # accumulate adds its rows in order at any width, where sum would
-            # add a narrow table's columns pairwise.
-            table = term_buf[:(rows + 1) * m].reshape(rows + 1, m)
-            table[0] = sums[c0:c1]
-            terms = _terms(x[c0:c1], kk, bk, diff, table[1:])
-            terms[(kk < lo[c0:c1]) | (kk > hi[c0:c1])] = 0.0
-            sums[c0:c1] = np.add.accumulate(table, axis=0)[-1]
+                kk, bk = k[first - 1], base[first - 1]
+            else:
+                kk, bk = k[first - 1:first - 1 + rows, None], base[first - 1:first - 1 + rows, None]
+            terms = _terms(x[c0:c1], kk, bk, diff_buf[:rows * m].reshape(rows, m),
+                           term_buf[:rows * m].reshape(rows, m))
+            # Each row adds its own slice, in k order; the cells of the union
+            # slice outside it are finite and never read.
+            for row, (a, b) in zip(terms, spans):
+                row_sums = sums[a:b]  # add in place: sums[a:b] += would copy back
+                np.add(row_sums, row[a - c0:b - c0], out=row_sums)
     sums += np.exp(-x, out=x)
     out = np.empty_like(sums)
     out[order] = np.clip(sums, 0.0, 1.0, out=sums)

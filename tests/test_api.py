@@ -26,7 +26,8 @@ PACKAGE_API = {
 # Each module's __all__, so that any change to the public surface is explicit.
 MODULE_API = {
     "specfun": {"reg_gamma_q_grid", "gaussian_q_inv"},
-    "detection": {"MixedStrategy", "pfa", "pm", "pfa_grid", "pm_grid", "dep_grid"},
+    "detection": {"MixedStrategy", "error_grids", "pfa", "pm", "pfa_grid", "pm_grid",
+                  "dep_grid"},
     "rate": {"action_snr", "normal_approx_rate"},
     "model": {"Scenario", "PrunedScenario", "ScenarioError", "default_scenario",
               "decimal_range", "joint_actions", "prune_negative_rate", "parse_scenario_text",

@@ -5,8 +5,9 @@ import dataclasses
 import numpy as np
 import pytest
 
-from covertgame import lpsolve
-from covertgame.detection import MixedStrategy, dep_grid
+from covertgame import detection, lpsolve, specfun
+from covertgame.detection import MixedStrategy, dep_grid, pfa_grid, pm_grid
+from covertgame.experiments import desk_scenario
 from covertgame.matrixgame import (
     VERIFY_TOL,
     EquilibriumSolution,
@@ -173,6 +174,29 @@ def test_build_payoff_entries():
     assert np.max(np.abs(payoff.entries - (rates[:, None] + s.beta * dep))) == 0.0
     assert payoff.actions == pruned.actions
     assert payoff.scenario.threshold_grid == s.threshold_grid
+
+
+@pytest.mark.parametrize("with_jammer", [False, True])
+def test_build_payoff_makes_one_gamma_call(monkeypatch, with_jammer):
+    # P_FA and P_M cells share one kernel call and keep the bits the two
+    # grids have when each is evaluated on its own.
+    s = desk_scenario(True) if with_jammer else default_scenario(False)
+    pruned = prune_negative_rate(s)
+    calls = []
+    real = specfun.reg_gamma_q_grid
+
+    def counted(n, x):
+        calls.append(x.shape)
+        return real(n, x)
+
+    for module in (specfun, detection):
+        monkeypatch.setattr(module, "reg_gamma_q_grid", counted)
+    payoff = build_payoff(pruned)
+    assert len(calls) == 1, calls
+    monkeypatch.undo()
+    for got, want in ((payoff.pfa_terms, pfa_grid(s, pruned.actions)),
+                      (payoff.pm_terms, pm_grid(s, pruned.actions))):
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 def test_with_beta_matches_fresh_build():

@@ -8,11 +8,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from covertgame import specfun
+from covertgame.experiments import desk_scenario
 from covertgame.model import default_scenario
 from covertgame.specfun import (
     _TABLE_CELLS,
-    _WIDE_ROW,
-    _WIDE_TABLE_CELLS,
     MAX_SHAPE,
     MIN_TAIL_PROB,
     _blocks,
@@ -198,6 +197,17 @@ def test_grid_cells_depend_on_their_point_alone(n):
     paired = [reg_gamma_q_grid(n, x[[i, -1 - i]])[0] for i in picked]
     assert np.array_equal(single, full[picked])
     assert np.array_equal(paired, full[picked])
+    # The payoff's one call joins the H0 points with the H1 points not proved
+    # negligible; each set alone must keep the bits it has in the union.
+    s = desk_scenario(True)
+    h0 = np.unique([s.sigma_w_sq_mw + j for j in s.jam_grid])
+    h1 = np.unique([p + s.sigma_w_sq_mw + j for j in s.jam_grid for p in s.power_grid])
+    x0, x1 = ((n * np.asarray(s.threshold_grid)[None, :] / scales[:, None]).ravel()
+              for scales in (h0, h1))
+    x1 = x1[~_q_negligible(n, x1)]
+    union = reg_gamma_q_grid(n, np.concatenate([x0, x1])).view(np.int64)
+    assert np.array_equal(reg_gamma_q_grid(n, x0).view(np.int64), union[:x0.size])
+    assert np.array_equal(reg_gamma_q_grid(n, x1).view(np.int64), union[x0.size:])
 
 
 def test_grid_matches_full_sum_oracle():
@@ -240,8 +250,7 @@ def test_grid_matches_windowed_reference_bit_for_bit(n):
 
 def test_grid_splits_points_where_window_starts_fall(monkeypatch):
     # No x is known to make a window start fall in window-end order, but the
-    # kernel must still sum each point's own window if one does, in the
-    # wide rows' shared tables as in the narrow rows' masked ones.
+    # kernel must still sum each point's own window if one does.
     n = 2000
     xs = np.linspace(100.0, 3000.0, 5000)
     lo, hi = _windows(n, xs)
@@ -269,32 +278,21 @@ def test_tail_cut_keeps_windows_that_start_near_x(monkeypatch):
 
 def _assert_block_contract(lo, hi):
     """_blocks on windows sorted by (hi, lo): each point meets every k of its
-    window once, in increasing k; a row added by its own slice (a wide row,
-    or any row alone) holds only points whose window holds its k; a masked
-    table holds only narrow rows, a shared unmasked one only wide rows, and
-    every table of more than one row keeps within its cells."""
+    window once, in increasing k; each row's slice holds only points whose
+    window holds its k; and every block of more than one row keeps its
+    (rows x union slice) table within _TABLE_CELLS."""
     held = np.zeros(lo.size, dtype=int)
     last = np.full(lo.size, -1.0)
-    for first, spans, wide in _blocks(lo, hi):
+    for first, spans in _blocks(lo, hi):
         rows, c0, c1 = len(spans), spans[0][0], spans[-1][1]
-        masked = rows > 1 and not wide
-        if wide and rows > 1:
-            assert rows * (c1 - c0) <= _WIDE_TABLE_CELLS
-        if masked:
-            assert (rows + 1) * (c1 - c0) <= _TABLE_CELLS
+        if rows > 1:
+            assert rows * (c1 - c0) <= _TABLE_CELLS
         for k, (a, b) in zip(range(first, first + rows), spans):
             assert c0 <= a < b <= c1
-            assert (b - a >= _WIDE_ROW) == wide
-            if masked:
-                inside = (lo[c0:c1] <= k) & (k <= hi[c0:c1])
-                assert inside.sum() == b - a
-                met = c0 + np.flatnonzero(inside)
-            else:
-                assert ((lo[a:b] <= k) & (k <= hi[a:b])).all()
-                met = np.arange(a, b)
-            assert (last[met] < k).all()
-            last[met] = k
-            held[met] += 1
+            assert ((lo[a:b] <= k) & (k <= hi[a:b])).all()
+            assert (last[a:b] < k).all()
+            last[a:b] = k
+            held[a:b] += 1
     assert np.array_equal(held, hi - lo + 1)
 
 
