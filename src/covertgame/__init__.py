@@ -18,7 +18,6 @@ from .experiments import (
     constant_baseline,
     default_beta_grid,
     desk_scenario,
-    dominance_check,
     frontier_rate,
     max_guaranteed_dep,
     uniform_baseline,
@@ -28,7 +27,6 @@ from .matrixgame import (
     PayoffMatrix,
     build_payoff,
     solve_game,
-    threshold_best_response,
     verify_equilibrium,
 )
 from .model import (
@@ -48,10 +46,10 @@ __all__ = [
     "__version__",
     "MixedStrategy", "pfa", "pm",
     "BaselineResult", "TradeoffPoint", "beta_sweep", "constant_baseline",
-    "default_beta_grid", "desk_scenario", "dominance_check", "frontier_rate",
-    "max_guaranteed_dep", "uniform_baseline",
+    "default_beta_grid", "desk_scenario", "frontier_rate", "max_guaranteed_dep",
+    "uniform_baseline",
     "EquilibriumSolution", "PayoffMatrix", "build_payoff", "solve_game",
-    "threshold_best_response", "verify_equilibrium",
+    "verify_equilibrium",
     "PrunedScenario", "Scenario", "ScenarioError", "default_scenario",
     "joint_actions", "load_scenario", "parse_scenario_text", "prune_negative_rate",
     "normal_approx_rate",

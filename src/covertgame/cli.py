@@ -186,9 +186,13 @@ def _cmd_sweep(args, scenario):
 
 def _cmd_baseline(args, scenario):
     payoff = build_payoff(prune_negative_rate(scenario))
-    results = [uniform_baseline(payoff, k)
-               for k in range(2, len(scenario.power_grid) + 1)]
-    survivors = [p for p, j in payoff.actions if j == 0.0]
+    grid = scenario.power_grid
+    survivors = [p for p, j in payoff.actions if j == 0.0]  # in grid order
+    if not survivors:
+        raise ValueError("baselines need surviving zero-jam actions")
+    # uniform(k) from the first k whose levels hold a surviving power
+    first = max(2, grid.index(survivors[0]) + 1)
+    results = [uniform_baseline(payoff, k) for k in range(first, len(grid) + 1)]
     results.extend(constant_baseline(payoff, p) for p in survivors)
     table = _csv(["label", "parameter", "best_threshold_mw", "expected_rate", "pfa", "pm", "dep"],
                  ((r.label, r.parameter, r.best_threshold, r.expected_rate, r.pfa, r.pm, r.dep)

@@ -1,4 +1,4 @@
-"""Tradeoff studies: beta sweeps, fixed-strategy baselines, curve comparison.
+"""Tradeoff studies: beta sweeps, fixed-strategy baselines, the exact frontier.
 
 A sweep re-solves the game across covertness weights and records one
 (rate, P_FA, P_M) point per weight; the beta-independent payoff parts are
@@ -11,7 +11,6 @@ traced by re-solving the game, at weights picked by a chord search.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -24,7 +23,6 @@ from .model import Scenario, decimal_range, default_scenario, prune_negative_rat
 __all__ = [
     "TradeoffPoint",
     "BaselineResult",
-    "DominanceEntry",
     "default_beta_grid",
     "desk_scenario",
     "beta_sweep",
@@ -32,7 +30,6 @@ __all__ = [
     "constant_baseline",
     "frontier_rate",
     "max_guaranteed_dep",
-    "dominance_check",
 ]
 
 # A frontier solve that clears its bracket's chord by no more than this ends
@@ -42,10 +39,6 @@ _CHORD_TOL = 1e-12
 # Roundoff of a unit-scaled dep guarantee: one this close to the level meets
 # it, and a level this far past the largest guaranteeable one is still met.
 _ROUNDOFF = 1e-14
-
-# Largest shortfall of the game's rate below a baseline's that still counts
-# as dominance.
-_DOMINANCE_TOL = 1e-9
 
 
 def default_beta_grid() -> tuple[float, ...]:
@@ -162,36 +155,25 @@ def uniform_baseline(payoff: PayoffMatrix, k: int) -> BaselineResult:
     grid = payoff.scenario.power_grid
     if not 2 <= k <= len(grid):
         raise ValueError(f"uniform baseline needs 2 <= k <= {len(grid)}, got {k}")
-    cutoff = grid[k - 1]
-    rows = [r for r, p in _zero_jam_rows(payoff) if p <= cutoff + 1e-12]
+    levels = set(grid[:k])  # the payoff's powers are these very floats
+    rows = [r for r, p in _zero_jam_rows(payoff) if p in levels]
     if not rows:
         raise ValueError(f"all of the first {k} power levels are pruned")
     return _best_threshold_result(payoff, "uniform", float(k), rows)
 
 
 def constant_baseline(payoff: PayoffMatrix, power: float) -> BaselineResult:
-    """A single fixed transmit power against the best single threshold."""
-    matches = [(r, p) for r, p in _zero_jam_rows(payoff)
-               if math.isclose(p, power, rel_tol=0.0, abs_tol=1e-9)]
-    if not matches:
+    """A single fixed transmit power against the best single threshold.
+
+    Takes the surviving grid power nearest to ``power``, which must lie
+    within 1e-9 mW of it.
+    """
+    row, level = min(_zero_jam_rows(payoff), key=lambda rp: abs(rp[1] - power))
+    if not abs(level - power) <= 1e-9:
         raise ValueError(
             f"power {power} mW is not a surviving grid level (negative rate or off grid)"
         )
-    row, level = matches[0]
     return _best_threshold_result(payoff, "constant", level, [row])
-
-
-@dataclass(frozen=True)
-class DominanceEntry:
-    label: str
-    parameter: float
-    baseline_dep: float
-    baseline_rate: float
-    game_rate: float
-
-    @property
-    def advantage(self) -> float:
-        return self.game_rate - self.baseline_rate
 
 
 def frontier_rate(payoff: PayoffMatrix, dep_level: float) -> float:
@@ -257,27 +239,3 @@ def max_guaranteed_dep(payoff: PayoffMatrix) -> float:
     """
     return float((payoff._dep_row_strategy @ payoff.dep_terms).min())
 
-
-def dominance_check(payoff: PayoffMatrix,
-                    baselines: list[BaselineResult]) -> tuple[DominanceEntry, ...]:
-    """Compare baselines against the game's frontier at matched dep.
-
-    Each baseline is paired with ``frontier_rate`` at its own dep value, the
-    best rate any transmitter mixture can guarantee there.  Raises
-    AssertionError if any baseline earns more than _DOMINANCE_TOL above that
-    rate; otherwise returns one DominanceEntry per baseline, in order.
-    """
-    if not baselines:
-        raise ValueError("no baseline points to compare")
-    entries = tuple(DominanceEntry(label=b.label, parameter=b.parameter, baseline_dep=b.dep,
-                                   baseline_rate=b.expected_rate,
-                                   game_rate=frontier_rate(payoff, b.dep))
-                    for b in baselines)
-    worst = min(entries, key=lambda e: e.advantage)
-    if worst.advantage < -_DOMINANCE_TOL:
-        raise AssertionError(
-            f"{worst.label}({worst.parameter:g}) earns "
-            f"{-worst.advantage:.6f} bits/use above the game curve "
-            f"at dep {worst.baseline_dep:.4f}"
-        )
-    return entries

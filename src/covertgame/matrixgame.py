@@ -12,11 +12,6 @@ whichever has fewer constraint rows, and the opponent's strategy is read
 off the dual multipliers of the covering constraints, so one solve yields
 both sides.  ``solve_game`` accepts the pair only when neither player can
 gain more than VERIFY_TOL by deviating to a pure strategy.
-
-Row payoffs differ from pure detection error only by a row-constant rate
-offset and the positive factor beta, so the detector's best-response set is
-the same whether it minimizes the full payoff or the detection-error term
-alone; ``threshold_best_response`` exposes the latter for such checks.
 """
 
 from __future__ import annotations
@@ -40,14 +35,10 @@ __all__ = [
     "build_payoff",
     "solve_game",
     "verify_equilibrium",
-    "threshold_best_response",
 ]
 
 # Largest verification gap of an accepted equilibrium.
 VERIFY_TOL = 1e-8
-
-# Expected detection errors this close to the minimum are best responses too.
-_TIE_TOL = 1e-12
 
 
 class GameSolveError(RuntimeError):
@@ -252,17 +243,3 @@ def verify_equilibrium(entries, solution: EquilibriumSolution) -> tuple[float, f
     return _gaps(np.asarray(entries, dtype=float), solution.row_strategy.prob_array(),
                  solution.col_strategy.prob_array(), solution.value)
 
-
-def threshold_best_response(payoff: PayoffMatrix, joint: MixedStrategy) -> tuple[int, ...]:
-    """Detector's pure best responses against a mixed transmission strategy.
-
-    Minimizes the expected detection-error probability alone over the
-    threshold grid and returns every index within ``_TIE_TOL`` of the
-    minimum.  Because the full game payoff only adds a threshold-independent
-    rate term and scales dep by beta > 0, this is also the best-response set
-    under the zero-sum payoff.  ``joint`` must mix over ``payoff.actions``.
-    """
-    if tuple(joint.actions) != payoff.actions:
-        raise ValueError("joint strategy actions do not match the payoff rows")
-    expected = joint.prob_array() @ payoff.dep_terms
-    return tuple(int(i) for i in np.flatnonzero(expected <= float(expected.min()) + _TIE_TOL))

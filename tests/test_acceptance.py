@@ -23,7 +23,7 @@ from covertgame.experiments import (
     beta_sweep,
     constant_baseline,
     desk_scenario,
-    dominance_check,
+    frontier_rate,
     max_guaranteed_dep,
     uniform_baseline,
 )
@@ -32,7 +32,6 @@ from covertgame.matrixgame import (
     EquilibriumSolution,
     build_payoff,
     solve_game,
-    threshold_best_response,
     verify_equilibrium,
 )
 from covertgame.model import default_scenario, prune_negative_rate
@@ -130,14 +129,13 @@ def test_criterion_03_best_response_sets_match(no_jam):
         expected_dep = x @ cells
         dep_set = set(np.flatnonzero(expected_dep <= expected_dep.min() + 1e-12))
         # Willie minimizes the transmitter's total payoff, i.e. maximizes
-        # its negation; the rate term is threshold-independent.
+        # its negation.  That payoff differs from detection error only by a
+        # row-constant rate offset and the positive factor beta, so both
+        # best-response sets must agree.
         expected_total = x @ payoff.entries
         total_set = set(np.flatnonzero(
             expected_total <= expected_total.min() + 1e-12))
         assert dep_set == total_set
-        joint = dataclasses.replace(no_jam.solution.row_strategy,
-                                    probs=tuple(x))
-        assert set(threshold_best_response(payoff, joint)) == dep_set
         checked += 1
     _verdict(3, True, (
         f"detection-error and negated-total-payoff best-response sets "
@@ -297,27 +295,33 @@ def test_criterion_09_baseline_dominance(no_jam):
     uniforms = [uniform_baseline(payoff, k) for k in range(2, len(s.power_grid) + 1)]
     survivors = sorted({p for p, _ in payoff.actions})
     constants = [constant_baseline(payoff, p) for p in survivors]
-    entries = dominance_check(payoff, uniforms + constants)
+    # Each baseline's advantage: the game frontier's rate at the baseline's
+    # own dep, less the baseline's rate.
+    entries = [(b, frontier_rate(payoff, b.dep) - b.expected_rate)
+               for b in uniforms + constants]
 
-    band = [e for e in entries if e.baseline_dep <= 0.75]
-    min_adv = min(e.advantage for e in band)
-    strict = sum(1 for e in band if e.advantage > 1e-6)
+    band = [adv for b, adv in entries if b.dep <= 0.75]
+    min_adv = min(band)
+    strict = sum(1 for adv in band if adv > 1e-6)
     # The full-power constant baseline coincides with the curve's
     # rate-greedy endpoint, so exact ties are tolerated at 1e-9.
     low_ok = min_adv >= -1e-9 and strict >= len(band) - 1
+    # Outside the band too, no baseline earns more than 1e-9 above the frontier.
+    all_ok = min(adv for _, adv in entries) >= -1e-9
 
     dmax = max_guaranteed_dep(payoff)
-    top = [e for e in entries if e.baseline_dep >= 0.95 * dmax]
-    top_spread = max(abs(e.advantage) for e in top)
+    top = [(b, adv) for b, adv in entries if b.dep >= 0.95 * dmax]
+    top_spread = max(abs(adv) for _, adv in top)
     top_ok = (top_spread <= 0.05
-              and {e.label for e in top} == {"uniform", "constant"})
+              and {b.label for b, _ in top} == {"uniform", "constant"})
 
-    ok = low_ok and top_ok
+    ok = low_ok and top_ok and all_ok
     _verdict(9, ok, (
         f"{len(band)} baselines with dep <= 0.75 (blind detector = 1): game "
         f"advantage min {min_adv:.2e}, {strict} strictly positive; top band "
         f"dep >= {0.95 * dmax:.3f}: {len(top)} points agree within "
         f"{top_spread:.3f} (<= 0.05)"))
+    assert all_ok
     assert low_ok
     assert top_ok
 

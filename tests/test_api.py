@@ -13,10 +13,10 @@ PACKAGE_API = {
     "__version__",
     "MixedStrategy", "pfa", "pm",
     "BaselineResult", "TradeoffPoint", "beta_sweep", "constant_baseline",
-    "default_beta_grid", "desk_scenario", "dominance_check", "frontier_rate",
-    "max_guaranteed_dep", "uniform_baseline",
+    "default_beta_grid", "desk_scenario", "frontier_rate", "max_guaranteed_dep",
+    "uniform_baseline",
     "EquilibriumSolution", "PayoffMatrix", "build_payoff", "solve_game",
-    "threshold_best_response", "verify_equilibrium",
+    "verify_equilibrium",
     "PrunedScenario", "Scenario", "ScenarioError", "default_scenario",
     "joint_actions", "load_scenario", "parse_scenario_text", "prune_negative_rate",
     "normal_approx_rate",
@@ -33,12 +33,12 @@ MODULE_API = {
               "decimal_range", "joint_actions", "prune_negative_rate", "parse_scenario_text",
               "load_scenario", "serialize_scenario", "apply_overrides"},
     "matrixgame": {"PayoffMatrix", "EquilibriumSolution", "GameSolveError", "build_payoff",
-                   "solve_game", "verify_equilibrium", "threshold_best_response"},
+                   "solve_game", "verify_equilibrium"},
     "lpsolve": {"LinearProgram", "LpSolution", "LpError", "InfeasibleError", "UnboundedError",
                 "OPTIMAL", "NUMERICAL_FAILURE", "ITERATION_CAP", "solve"},
-    "experiments": {"TradeoffPoint", "BaselineResult", "DominanceEntry", "default_beta_grid",
-                    "desk_scenario", "beta_sweep", "uniform_baseline", "constant_baseline",
-                    "frontier_rate", "max_guaranteed_dep", "dominance_check"},
+    "experiments": {"TradeoffPoint", "BaselineResult", "default_beta_grid", "desk_scenario",
+                    "beta_sweep", "uniform_baseline", "constant_baseline", "frontier_rate",
+                    "max_guaranteed_dep"},
     "simkit": {"EmpiricalDetection", "estimate_detection", "CHUNK_BLOCKS"},
     "cli": {"main"},
 }

@@ -339,6 +339,26 @@ def test_baseline_rows(tmp_path, scenario_file, capsys):
             float(parts[4]) + float(parts[5]), abs=1e-12)
 
 
+def test_baseline_uniforms_start_at_the_first_surviving_power(tmp_path, capsys):
+    def labels(argv, name):
+        assert main(["baseline", *argv, "--out", str(tmp_path / name)]) == 0
+        lines = (tmp_path / name / "baseline.csv").read_text(encoding="utf-8").splitlines()
+        return [tuple(line.split(",")[:2]) for line in lines[1:]]
+
+    # 0.01 mW is pruned and 0.02 mW survives: uniform(2) is 0.02 mW alone.
+    rows = labels([], "default")
+    assert rows[0] == ("uniform", "2") and rows[98] == ("uniform", "100")
+    # At n = 100 the lowest survivor is 0.04 mW, the fourth grid power.
+    rows = labels(["--set", "blocklength_n=100"], "n100")
+    assert rows[0] == ("uniform", "4") and rows[97] == ("constant", "0.04")
+    # No zero-jam action survives: an input error, and nothing written.
+    out = tmp_path / "no-zero-jam"
+    for argv in (["--set", "jam_grid=0.05,0.1"], ["--set", "power_grid=0.5", "--set", "jam_grid=0.05"]):
+        assert main(["baseline", "--jammer", *argv, "--out", str(out)]) == 2
+        assert "zero-jam" in capsys.readouterr().err
+        assert not out.exists()
+
+
 def test_simulate_solved_strategies(tmp_path, scenario_file, capsys):
     out = tmp_path / "sim"
     code = main(["simulate", "--scenario", str(scenario_file),

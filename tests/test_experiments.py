@@ -1,4 +1,4 @@
-"""Tests for tradeoff sweeps, baselines, and the dominance comparison."""
+"""Tests for tradeoff sweeps, baselines, and the exact frontier."""
 
 import dataclasses
 import math
@@ -14,7 +14,6 @@ from covertgame.experiments import (
     constant_baseline,
     default_beta_grid,
     desk_scenario,
-    dominance_check,
     frontier_rate,
     max_guaranteed_dep,
     uniform_baseline,
@@ -151,6 +150,26 @@ def test_constant_baseline(no_jam_payoff):
         constant_baseline(no_jam_payoff, 0.015)
     with pytest.raises(ValueError, match="not a surviving grid level"):
         constant_baseline(no_jam_payoff, 0.01)
+
+
+def test_uniform_baseline_takes_exactly_the_first_k_grid_powers():
+    # The third power lies 1e-12 above the second: it is not among the first two.
+    s = dataclasses.replace(default_scenario(), power_grid=(0.1, 0.5, 0.500000000001))
+    payoff = build_payoff(prune_negative_rate(s))
+    assert uniform_baseline(payoff, 2).row_strategy.actions == ((0.1, 0.0), (0.5, 0.0))
+    assert len(uniform_baseline(payoff, 3).row_strategy.actions) == 3
+
+
+def test_constant_baseline_takes_the_nearest_grid_power():
+    s = dataclasses.replace(default_scenario(), power_grid=(0.5, 0.5000000001))
+    payoff = build_payoff(prune_negative_rate(s))
+    for power in s.power_grid:
+        result = constant_baseline(payoff, power)
+        assert result.parameter == power
+        assert result.row_strategy.actions == ((power, 0.0),)
+    assert constant_baseline(payoff, 0.50000000009).parameter == 0.5000000001
+    with pytest.raises(ValueError, match="not a surviving grid level"):
+        constant_baseline(payoff, 0.500000002)
 
 
 @pytest.mark.slow
@@ -301,8 +320,7 @@ def test_dominance_check_at_the_largest_guaranteeable_dep(no_jam_payoff):
     quiet = constant_baseline(no_jam_payoff, 0.02)
     top = max_guaranteed_dep(no_jam_payoff)
     assert quiet.dep == top
-    entries = dominance_check(no_jam_payoff, [quiet])
-    assert entries[0].advantage == pytest.approx(0.0, abs=1e-9)
+    assert frontier_rate(no_jam_payoff, quiet.dep) == pytest.approx(quiet.expected_rate, abs=1e-9)
     past = float(np.nextafter(top, 1.0))
     assert frontier_rate(no_jam_payoff, past) == pytest.approx(quiet.expected_rate, abs=1e-9)
 
@@ -310,24 +328,10 @@ def test_dominance_check_at_the_largest_guaranteeable_dep(no_jam_payoff):
 def test_dominance_check_exact(no_jam_payoff):
     uniforms = [uniform_baseline(no_jam_payoff, k) for k in (2, 10, 50, 100)]
     constants = [constant_baseline(no_jam_payoff, p) for p in (0.02, 0.1, 0.5, 1.0)]
-    entries = dominance_check(no_jam_payoff, uniforms + constants)
-    assert len(entries) == 8
-    assert min(e.advantage for e in entries) >= -1e-9
-    labels = {e.label for e in entries}
-    assert labels == {"uniform", "constant"}
-
-
-def test_dominance_check_raises_on_doctored_curve(no_jam_payoff):
-    baseline = constant_baseline(no_jam_payoff, 0.02)
-    doctored = dataclasses.replace(
-        baseline, expected_rate=baseline.expected_rate + 0.5)
-    with pytest.raises(AssertionError, match="constant"):
-        dominance_check(no_jam_payoff, [doctored])
-
-
-def test_dominance_check_validation(no_jam_payoff):
-    with pytest.raises(ValueError, match="no baseline"):
-        dominance_check(no_jam_payoff, [])
+    baselines = uniforms + constants
+    assert {b.label for b in baselines} == {"uniform", "constant"}
+    for b in baselines:
+        assert frontier_rate(no_jam_payoff, b.dep) - b.expected_rate >= -1e-9, b
 
 
 def test_jammer_pipeline_degenerates_without_jamming():

@@ -15,7 +15,6 @@ from covertgame.matrixgame import (
     PayoffMatrix,
     build_payoff,
     solve_game,
-    threshold_best_response,
     verify_equilibrium,
 )
 from covertgame.model import default_scenario, prune_negative_rate
@@ -233,23 +232,10 @@ def test_frozen_no_jammer_equilibrium():
 
 
 def test_threshold_best_response_matches_dep_minimum():
-    s = default_scenario()
-    pruned = prune_negative_rate(s)
-    payoff = build_payoff(pruned)
-    sol = solve_game(payoff)
-    joint = sol.row_strategy
-    best = threshold_best_response(payoff, joint)
-    cells = dep_grid(s, tuple(joint.actions))
-    expected = joint.prob_array() @ cells
-    assert set(best) == set(np.flatnonzero(expected <= expected.min() + 1e-12))
-    # The detector's equilibrium support consists of best responses.
-    support_thresholds = {sol.col_strategy.actions[i] for i in sol.col_strategy.support()}
-    best_thresholds = {s.threshold_grid[i] for i in best}
-    assert support_thresholds <= best_thresholds
-
-
-def test_threshold_best_response_rejects_foreign_actions():
+    # The detector's equilibrium support consists of best responses: the
+    # thresholds within 1e-12 of the least expected detection error.
     payoff = build_payoff(prune_negative_rate(default_scenario()))
-    foreign = MixedStrategy.uniform(payoff.actions[1:])
-    with pytest.raises(ValueError, match="do not match the payoff rows"):
-        threshold_best_response(payoff, foreign)
+    sol = solve_game(payoff)
+    expected = sol.row_strategy.prob_array() @ payoff.dep_terms
+    best = set(np.flatnonzero(expected <= expected.min() + 1e-12).tolist())
+    assert set(sol.col_strategy.support()) <= best
