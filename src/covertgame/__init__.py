@@ -17,7 +17,6 @@ from .experiments import (
     beta_sweep,
     constant_baseline,
     default_beta_grid,
-    desk_scenario,
     frontier_rate,
     max_guaranteed_dep,
     uniform_baseline,
@@ -34,6 +33,7 @@ from .model import (
     Scenario,
     ScenarioError,
     default_scenario,
+    desk_scenario,
     joint_actions,
     load_scenario,
     parse_scenario_text,
@@ -46,11 +46,10 @@ __all__ = [
     "__version__",
     "MixedStrategy", "pfa", "pm",
     "BaselineResult", "TradeoffPoint", "beta_sweep", "constant_baseline",
-    "default_beta_grid", "desk_scenario", "frontier_rate", "max_guaranteed_dep",
-    "uniform_baseline",
+    "default_beta_grid", "frontier_rate", "max_guaranteed_dep", "uniform_baseline",
     "EquilibriumSolution", "PayoffMatrix", "build_payoff", "solve_game",
     "verify_equilibrium",
-    "PrunedScenario", "Scenario", "ScenarioError", "default_scenario",
+    "PrunedScenario", "Scenario", "ScenarioError", "default_scenario", "desk_scenario",
     "joint_actions", "load_scenario", "parse_scenario_text", "prune_negative_rate",
     "normal_approx_rate",
     "EmpiricalDetection", "estimate_detection",

@@ -26,13 +26,12 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, lpsolve
-from .detection import SUPPORT_EPS, MixedStrategy, pfa, pm
+from .detection import SUPPORT_EPS, MixedStrategy, error_grids
 from .experiments import (
     TradeoffPoint,
     beta_sweep,
     constant_baseline,
     default_beta_grid,
-    desk_scenario,
     uniform_baseline,
 )
 from .matrixgame import GameSolveError, build_payoff, solve_game
@@ -40,6 +39,7 @@ from .model import (
     ScenarioError,
     apply_overrides,
     default_scenario,
+    desk_scenario,
     load_scenario,
     prune_negative_rate,
     serialize_scenario,
@@ -238,7 +238,9 @@ def _cmd_simulate(args, scenario):
     if args.row_strategy:
         joint = _load_strategy_csv(args.row_strategy, scenario, _ROW_HEADER)
         thr = _load_strategy_csv(args.col_strategy, scenario, _COL_HEADER)
-        analytic_pfa, analytic_pm = pfa(scenario, joint, thr), pm(scenario, joint, thr)
+        x, y = joint.prob_array(), thr.prob_array()
+        analytic_pfa, analytic_pm = (float(x @ cells @ y)
+                                     for cells in error_grids(scenario, joint.actions, thr.actions))
     else:
         payoff = build_payoff(prune_negative_rate(scenario))
         point = TradeoffPoint.from_solution(payoff, solve_game(payoff))

@@ -19,8 +19,11 @@ so far past n - 1 that Q(n, x) is below 2^-54 and P_M is exactly 1.0.  The
 Chernoff bound ln Q <= m - x + m ln(x/m), m = n - 1, finds those cells
 (``specfun._q_negligible``, with one e-fold of margin), and P_M sets them
 to 1.0 without summing their Poisson windows.  P_FA = Q itself keeps its
-tiny values, so every false-alarm cell is evaluated.  Both tables come from
-one kernel call (``error_grids``).
+tiny values, so every false-alarm cell is evaluated.
+
+``error_grids`` is the one cell evaluator: both tables, for any actions and
+thresholds, from one kernel call.  ``pfa_grid``, ``pm_grid``, ``dep_grid``,
+``pfa`` and ``pm`` are views of it.
 """
 
 from __future__ import annotations
@@ -108,14 +111,26 @@ def _x_cells(s: "Scenario", scales, thresholds) -> tuple[np.ndarray, np.ndarray]
     return x, inverse
 
 
-def _cells(s: "Scenario", actions, thresholds) -> tuple[np.ndarray, np.ndarray]:
-    """(P_FA, P_M) for every (action, threshold) pair: the one cell path.
+def _h0_scales(s: "Scenario", actions) -> list[float]:
+    return [s.sigma_w_sq_mw + j for _, j in actions]
 
-    The H0 points and the H1 points not proved negligible go to the kernel
-    in one call; a cell depends on its (n, x) alone, so sharing the call
-    moves no bit.  P_M cells that ``specfun._q_negligible`` proves to be 1.0
+
+def _h1_scales(s: "Scenario", actions) -> list[float]:
+    return [p + s.sigma_w_sq_mw + j for p, j in actions]
+
+
+def error_grids(s: "Scenario", actions, thresholds=None) -> tuple[np.ndarray, np.ndarray]:
+    """(P_FA, P_M) for every (action, threshold) pair, from one kernel call:
+    the one cell path.  Each has shape (len(actions), len(thresholds)).
+
+    ``thresholds`` defaults to the scenario's threshold grid.  The H0 points
+    and the H1 points not proved negligible go to the kernel together; a cell
+    depends on its (n, x) alone, so sharing the call moves no bit.  The
+    false-alarm value of a cell depends on the action only through its
+    jamming power.  P_M cells that ``specfun._q_negligible`` proves to be 1.0
     are set, not evaluated, with the bits the kernel would give.
     """
+    thresholds = s.threshold_grid if thresholds is None else thresholds
     n = s.blocklength_n
     x0, inverse0 = _x_cells(s, _h0_scales(s, actions), thresholds)
     x1, inverse1 = _x_cells(s, _h1_scales(s, actions), thresholds)
@@ -126,50 +141,28 @@ def _cells(s: "Scenario", actions, thresholds) -> tuple[np.ndarray, np.ndarray]:
     return q[:x0.size].reshape(x0.shape)[inverse0, :], (1.0 - q1)[inverse1, :]
 
 
-def _h0_scales(s: "Scenario", actions) -> list[float]:
-    return [s.sigma_w_sq_mw + j for _, j in actions]
-
-
-def _h1_scales(s: "Scenario", actions) -> list[float]:
-    return [p + s.sigma_w_sq_mw + j for p, j in actions]
-
-
-def error_grids(s: "Scenario", actions) -> tuple[np.ndarray, np.ndarray]:
-    """(P_FA, P_M) for every (action, threshold) cell, from one kernel call;
-    each of shape (len(actions), M).
-
-    The false-alarm value of a cell depends on the action only through its
-    jamming power.  P_M cells that are provably 1.0 are set, not evaluated.
-    """
-    return _cells(s, actions, s.threshold_grid)
-
-
 def pfa_grid(s: "Scenario", actions) -> np.ndarray:
     """P_FA for every (action, threshold) cell; shape (len(actions), M)."""
-    return _cells(s, actions, s.threshold_grid)[0]
+    return error_grids(s, actions)[0]
 
 
 def pm_grid(s: "Scenario", actions) -> np.ndarray:
     """P_M for every (action, threshold) cell; shape (len(actions), M)."""
-    return _cells(s, actions, s.threshold_grid)[1]
+    return error_grids(s, actions)[1]
 
 
 def dep_grid(s: "Scenario", actions) -> np.ndarray:
     """P_FA + P_M for every (action, threshold) cell; shape (len(actions), M)."""
-    return np.add(*_cells(s, actions, s.threshold_grid))
+    return np.add(*error_grids(s, actions))
 
 
 def pfa(s: "Scenario", joint: "MixedStrategy", thr: "MixedStrategy") -> float:
-    """False-alarm probability under mixed transmission and mixed threshold.
-
-    Evaluates only the cells of the two strategies' own actions; a solved
-    game's value is read from its payoff's cell table instead.  Under the
-    no-transmission hypothesis only the jamming component of the joint
-    strategy matters.
-    """
-    return float(joint.prob_array() @ _cells(s, joint.actions, thr.actions)[0] @ thr.prob_array())
+    """False-alarm probability of mixed strategies, from their own actions' cells."""
+    cells = error_grids(s, joint.actions, thr.actions)[0]
+    return float(joint.prob_array() @ cells @ thr.prob_array())
 
 
 def pm(s: "Scenario", joint: "MixedStrategy", thr: "MixedStrategy") -> float:
     """Miss probability under mixed transmission and mixed threshold."""
-    return float(joint.prob_array() @ _cells(s, joint.actions, thr.actions)[1] @ thr.prob_array())
+    cells = error_grids(s, joint.actions, thr.actions)[1]
+    return float(joint.prob_array() @ cells @ thr.prob_array())

@@ -11,20 +11,19 @@ traced by re-solving the game, at weights picked by a chord search.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .detection import MixedStrategy
 from .lpsolve import InfeasibleError
 from .matrixgame import EquilibriumSolution, PayoffMatrix, build_payoff, solve_game
-from .model import Scenario, decimal_range, default_scenario, prune_negative_rate
+from .model import Scenario, prune_negative_rate
 
 __all__ = [
     "TradeoffPoint",
     "BaselineResult",
     "default_beta_grid",
-    "desk_scenario",
     "beta_sweep",
     "uniform_baseline",
     "constant_baseline",
@@ -44,19 +43,6 @@ _ROUNDOFF = 1e-14
 def default_beta_grid() -> tuple[float, ...]:
     """25 log-spaced covertness weights from 0.1 (rate-greedy) to 20 (covert)."""
     return tuple(float(b) for b in np.geomspace(0.1, 20.0, 25))
-
-
-def desk_scenario(with_jammer: bool = True) -> Scenario:
-    """Coarse 0.05 mW power/jam grids for quick jammer studies.
-
-    Thresholds keep their fine 0.01 step; everything else matches the
-    reference configuration.
-    """
-    return replace(
-        default_scenario(with_jammer),
-        power_grid=decimal_range("0.05", "0.05", "1.00"),
-        jam_grid=decimal_range("0", "0.05", "1.00") if with_jammer else (0.0,),
-    )
 
 
 @dataclass(frozen=True)

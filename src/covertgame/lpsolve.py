@@ -12,6 +12,8 @@ Bland's least-index rule for the rest of the phase once the count of
 degenerate pivots passes 10 * rows, which rules out cycling.  Rows and
 columns are equilibrated to unit max-norm with powers of two before solving
 (lossless in binary floating point) and the solution is unscaled on exit.
+An m x n problem stops with status ITERATION_CAP after 50 (m + n)
+iterations (``_ITERATIONS_PER_DIM``), the one cap rule of the solver.
 
 The basis inverse is kept as a dense matrix.  The start basis holds one
 slack or artificial column per row, a diagonal of +-1, so it is its own
@@ -68,6 +70,8 @@ _FEAS_TOL = 1e-9
 # A basic value this far past its bounds (scaled) when the final re-inversion
 # of an optimal solve refreshes it makes the solve a numerical failure.
 _END_FEAS_TOL = 1e-8
+# An m x n LP stops with ITERATION_CAP after this many iterations per row and column.
+_ITERATIONS_PER_DIM = 50
 
 _AT_LO, _AT_UP, _AT_FREE, _BASIC = 0, 1, 2, 3
 
@@ -184,7 +188,7 @@ def _pow2_scale(v: np.ndarray) -> np.ndarray:
 
 
 class _Simplex:
-    def __init__(self, lp: LinearProgram, max_iterations: int | None):
+    def __init__(self, lp: LinearProgram):
         m, n = lp.lhs.shape
         self.m, self.n = m, n
         self.lp = lp
@@ -218,9 +222,7 @@ class _Simplex:
         self.b = lp.rhs * row_scale
         self.cost = np.zeros(ncols)
         self.cost[:n] = sign * lp.objective * col_scale
-        self.max_iterations = (
-            max_iterations if max_iterations is not None else 50 * (m + n)
-        )
+        self.max_iterations = _ITERATIONS_PER_DIM * (m + n)
         self.iterations = 0
         self.n_real = ncols
         self.phase1_iterations = None
@@ -485,16 +487,16 @@ class _Stop(Exception):
     """Ends a solve early; its args are the status and the message."""
 
 
-def solve(lp: LinearProgram, max_iterations: int | None = None) -> LpSolution:
+def solve(lp: LinearProgram) -> LpSolution:
     """Solve an LP; returns an LpSolution whose status must be checked.
 
     Infeasible and unbounded problems raise (callers of the game pipeline
-    guarantee neither can occur); an exceeded iteration cap, a singular basis
-    or a final basic value more than 1e-8 (scaled) past its bounds is
-    reported through ``status`` and ``message`` instead so the partial state
-    remains inspectable.
+    guarantee neither can occur); the iteration cap (50 (m + n) iterations
+    of an m x n problem), a singular basis or a final basic value more than
+    1e-8 (scaled) past its bounds is reported through ``status`` and
+    ``message`` instead so the partial state remains inspectable.
     """
-    sx = _Simplex(lp, max_iterations)
+    sx = _Simplex(lp)
     try:
         sx.setup()
         phase1 = np.zeros_like(sx.cost)

@@ -1,4 +1,4 @@
-"""Scenario definition, action grids, pruning, and scenario-file I/O.
+"""Scenario definition, presets, action grids, pruning, and scenario-file I/O.
 
 A Scenario pins down everything the games need: blocklength, noise powers at
 the intended receiver and at the detector, the decoding error target, the
@@ -7,7 +7,9 @@ action grids (transmit powers, jamming powers, detection thresholds).  All
 powers are in linear milliwatts.
 
 The no-jammer setting is represented uniformly as ``jam_grid = (0,)``, so a
-single code path serves both games.
+single code path serves both games.  The presets (``default_scenario`` and
+its coarse variant ``desk_scenario``) and the joint-action order
+(``joint_actions``) are defined here once.
 
 Scenario files are flat ``key = value`` text.  Values are parsed as decimal
 strings (grids as ``start:step:stop`` triples or comma lists) so grids built
@@ -30,6 +32,7 @@ __all__ = [
     "PrunedScenario",
     "ScenarioError",
     "default_scenario",
+    "desk_scenario",
     "decimal_range",
     "joint_actions",
     "prune_negative_rate",
@@ -199,11 +202,22 @@ def default_scenario(with_jammer: bool = False) -> Scenario:
     )
 
 
+def desk_scenario(with_jammer: bool = True) -> Scenario:
+    """``default_scenario`` with coarse 0.05 mW power/jam grids, for quick
+    jammer studies.  Thresholds keep their fine 0.01 step."""
+    return replace(
+        default_scenario(with_jammer),
+        power_grid=decimal_range("0.05", "0.05", "1.00"),
+        jam_grid=decimal_range("0", "0.05", "1.00") if with_jammer else (0.0,),
+    )
+
+
 def joint_actions(s: Scenario) -> tuple[tuple[float, float], ...]:
     """All (power, jam) pairs in column-major order: power varies fastest.
 
     With I power levels, the pair of power index i and jam index l (both
-    from 0) sits at index y = l * I + i.
+    from 0) sits at index y = l * I + i.  This is the package's one encoding
+    of the order; pruning reads its power and jam arrays from it.
     """
     return tuple((p, j) for j in s.jam_grid for p in s.power_grid)
 
@@ -230,15 +244,14 @@ def prune_negative_rate(s: Scenario) -> PrunedScenario:
     order of ``joint_actions``; each equals the scalar
     ``normal_approx_rate(action_snr(s, power, jam), ...)`` bit for bit.
     """
-    powers = np.tile(s.power_grid, len(s.jam_grid))
-    jams = np.repeat(s.jam_grid, len(s.power_grid))
+    actions = joint_actions(s)
+    powers, jams = np.array(actions).T
     rates = normal_approx_rate(action_snr(s, powers, jams), s.blocklength_n, s.delta)
     keep = np.flatnonzero(rates >= 0.0)
     if not keep.size:
         raise ScenarioError(
             "pruning removed every action; all configured powers give negative rate"
         )
-    actions = joint_actions(s)
     rates = rates[keep]
     rates.flags.writeable = False
     return PrunedScenario(scenario=s, actions=tuple(actions[i] for i in keep.tolist()),

@@ -96,6 +96,42 @@ def gamma_q_full_sum(x, k: np.ndarray, base: np.ndarray) -> np.ndarray:
     return out
 
 
+def poisson_windows(n: int, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """First and last k, as floats, of the Poisson terms Q(n, x) must sum.
+
+    A fixed copy of the package's window rule: 9 sqrt(x) + 27 above the mode
+    (Bennett), 9 sqrt(x) below it, and below k = n-1 < x no further down
+    than 39 e-folds of the k/x <= (n-1)/x decay.  The windowed reference
+    sums these windows, so a change to a bound in the package shows up as a
+    mismatch against this copy instead of moving both sides.
+    """
+    root = np.sqrt(xs)
+    hi = np.minimum(np.ceil(xs + 9.0 * root + 27.0), n - 1)
+    lo = np.floor(np.minimum(xs, n - 1) - 9.0 * root)
+    past = xs > n - 1
+    with np.errstate(divide="ignore"):
+        steps = np.ceil(39.0 / np.log(xs[past] / (n - 1)))
+    lo[past] = np.maximum(lo[past], n - 1 - steps)
+    return np.maximum(lo, 1.0), hi
+
+
+def tail_cut_ends(n: int, xs: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Window ends after the package's half-ulp tail cut, a fixed copy of it.
+
+    Where hi < n-1 and lo <= x - sqrt(x), the window ends at
+    min(hi, ceil(x + a) - 1) with a = c/3 + sqrt(c^2/9 + 2cx) and
+    c = 54 ln 2 + 1 - ln(2 pi x)/2: past it every term is below 2^-54 / e.
+    """
+    cut = hi < n - 1
+    cut[cut] = lo[cut] <= xs[cut] - np.sqrt(xs[cut])
+    x = xs[cut]
+    c = 54.0 * math.log(2.0) + 1.0 - 0.5 * (math.log(2.0 * math.pi) + np.log(x))
+    reach = c / 3.0 + np.sqrt(c * c / 9.0 + 2.0 * c * x)
+    hi = hi.copy()
+    hi[cut] = np.minimum(hi[cut], np.ceil(x + reach) - 1.0)
+    return hi
+
+
 def gamma_q_windowed_reference(xs: np.ndarray, k: np.ndarray, base: np.ndarray,
                                lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """Q(n, x) at sorted positive points, summing each point's window [lo, hi].

@@ -22,7 +22,6 @@ from covertgame.detection import dep_grid, pfa, pm
 from covertgame.experiments import (
     beta_sweep,
     constant_baseline,
-    desk_scenario,
     frontier_rate,
     max_guaranteed_dep,
     uniform_baseline,
@@ -34,7 +33,7 @@ from covertgame.matrixgame import (
     solve_game,
     verify_equilibrium,
 )
-from covertgame.model import default_scenario, prune_negative_rate
+from covertgame.model import default_scenario, desk_scenario, prune_negative_rate
 from covertgame.rate import action_snr, normal_approx_rate
 from covertgame.simkit import estimate_detection
 from covertgame.specfun import gaussian_q_inv, reg_gamma_q_grid

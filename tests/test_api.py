@@ -30,14 +30,14 @@ MODULE_API = {
                   "dep_grid"},
     "rate": {"action_snr", "normal_approx_rate"},
     "model": {"Scenario", "PrunedScenario", "ScenarioError", "default_scenario",
-              "decimal_range", "joint_actions", "prune_negative_rate", "parse_scenario_text",
+              "desk_scenario", "decimal_range", "joint_actions", "prune_negative_rate", "parse_scenario_text",
               "load_scenario", "serialize_scenario", "apply_overrides"},
     "matrixgame": {"PayoffMatrix", "EquilibriumSolution", "GameSolveError", "build_payoff",
                    "solve_game", "verify_equilibrium"},
     "lpsolve": {"LinearProgram", "LpSolution", "LpError", "InfeasibleError", "UnboundedError",
                 "OPTIMAL", "NUMERICAL_FAILURE", "ITERATION_CAP", "solve"},
-    "experiments": {"TradeoffPoint", "BaselineResult", "default_beta_grid", "desk_scenario",
-                    "beta_sweep", "uniform_baseline", "constant_baseline", "frontier_rate",
+    "experiments": {"TradeoffPoint", "BaselineResult", "default_beta_grid", "beta_sweep",
+                    "uniform_baseline", "constant_baseline", "frontier_rate",
                     "max_guaranteed_dep"},
     "simkit": {"EmpiricalDetection", "estimate_detection", "CHUNK_BLOCKS"},
     "cli": {"main"},

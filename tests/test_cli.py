@@ -35,6 +35,21 @@ def scenario_file(tmp_path):
     return path
 
 
+def count_gamma_calls(monkeypatch):
+    """Route every reg_gamma_q_grid call through a wrapper; returns the list
+    that records each call's point shape."""
+    calls = []
+    real = detection.reg_gamma_q_grid
+
+    def counted(n, x):
+        calls.append(x.shape)
+        return real(n, x)
+
+    for module in (specfun, detection):
+        monkeypatch.setattr(module, "reg_gamma_q_grid", counted)
+    return calls
+
+
 def read_manifest(outdir):
     return json.loads((outdir / "manifest.json").read_text(encoding="utf-8"))
 
@@ -173,7 +188,7 @@ def test_too_many_cells_exits_2_before_any_cell_is_built(tmp_path, capsys, monke
 
 
 def test_lp_error_exits_3_with_one_line(tmp_path, scenario_file, capsys, monkeypatch):
-    def unbounded(lp, max_iterations=None):
+    def unbounded(lp):
         raise lpsolve.UnboundedError("no blocking bound or basic variable")
 
     monkeypatch.setattr(lpsolve, "solve", unbounded)
@@ -263,15 +278,7 @@ def test_cell_grids_are_evaluated_once_per_scenario(tmp_path, scenario_file, cap
                                                     monkeypatch, argv):
     """P_FA and P_M cells come from one table, whatever the number of weights
     or baselines: at most one gamma-grid evaluation for each."""
-    calls = []
-    real = detection.reg_gamma_q_grid
-
-    def counted(n, x):
-        calls.append(x.shape)
-        return real(n, x)
-
-    for module in (specfun, detection):
-        monkeypatch.setattr(module, "reg_gamma_q_grid", counted)
+    calls = count_gamma_calls(monkeypatch)
     code = main([*argv, "--scenario", str(scenario_file), "--out", str(tmp_path / "x")])
     assert code == 0
     capsys.readouterr()
@@ -386,6 +393,22 @@ def test_simulate_roundtrip_from_solve_output(tmp_path, scenario_file, capsys):
                  "--blocks", "4000", "--seed", "2", "--out", str(out)])
     assert code == 0
     assert "strategies = files" in capsys.readouterr().out
+
+
+def test_simulate_reads_both_rates_from_one_gamma_call(tmp_path, scenario_file, capsys,
+                                                       monkeypatch):
+    """Strategy files get their P_FA and P_M cells from one table: the
+    kernel runs once for both rates, not once per rate."""
+    solved = tmp_path / "solved"
+    assert main(["solve", "--scenario", str(scenario_file), "--out", str(solved)]) == 0
+    calls = count_gamma_calls(monkeypatch)
+    code = main(["simulate", "--scenario", str(scenario_file),
+                 "--row-strategy", str(solved / "row_strategy.csv"),
+                 "--col-strategy", str(solved / "col_strategy.csv"),
+                 "--blocks", "100", "--out", str(tmp_path / "sim")])
+    assert code == 0
+    capsys.readouterr()
+    assert len(calls) == 1, calls
 
 
 def test_simulate_strategy_flags_must_pair(tmp_path, scenario_file, capsys):

@@ -15,8 +15,7 @@ from covertgame.detection import (
     pm,
     pm_grid,
 )
-from covertgame.experiments import desk_scenario
-from covertgame.model import Scenario, default_scenario, joint_actions
+from covertgame.model import Scenario, default_scenario, desk_scenario, joint_actions
 from covertgame.specfun import _poisson_tables, reg_gamma_q_grid
 
 from oracles import gamma_q_full_sum, gamma_q_reference

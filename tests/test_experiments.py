@@ -13,14 +13,13 @@ from covertgame.experiments import (
     beta_sweep,
     constant_baseline,
     default_beta_grid,
-    desk_scenario,
     frontier_rate,
     max_guaranteed_dep,
     uniform_baseline,
 )
 from covertgame.lpsolve import InfeasibleError
 from covertgame.matrixgame import build_payoff, solve_game
-from covertgame.model import default_scenario, prune_negative_rate
+from covertgame.model import default_scenario, desk_scenario, prune_negative_rate
 from covertgame.rate import action_snr, normal_approx_rate
 
 from oracles import exact_lp_value

@@ -1,9 +1,12 @@
 """Tests for the bounded-variable two-phase simplex solver."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
-from covertgame.experiments import default_beta_grid, desk_scenario
+from covertgame import lpsolve
+from covertgame.experiments import default_beta_grid
 from covertgame.lpsolve import (
     ITERATION_CAP,
     NUMERICAL_FAILURE,
@@ -15,7 +18,7 @@ from covertgame.lpsolve import (
     solve,
 )
 from covertgame.matrixgame import _game_lp, build_payoff
-from covertgame.model import default_scenario, prune_negative_rate
+from covertgame.model import default_scenario, desk_scenario, prune_negative_rate
 
 from oracles import (
     ExactInfeasible,
@@ -122,10 +125,20 @@ def test_validation_errors():
         lp("min", [1.0], [[1.0]], [1.0], ["<="], [(2.0, 1.0)])
 
 
+def solve_capped(problem, cap):
+    """``solve`` with lpsolve's one cap rule, 50 (m + n) iterations, lowered
+    so that ``problem`` stops after ``cap`` iterations, as
+    ``simplex_reference(problem, cap)`` does; ``None`` keeps the rule."""
+    with pytest.MonkeyPatch.context() as patch:
+        if cap is not None:
+            patch.setattr(lpsolve, "_ITERATIONS_PER_DIM", Fraction(cap, sum(problem.lhs.shape)))
+        return solve(problem)
+
+
 def test_iteration_cap_status():
     problem = lp("min", [1.0, 1.0], [[1.0, 2.0], [3.0, 1.0]], [4.0, 6.0],
                  [">=", ">="], [(0.0, None), (0.0, None)])
-    sol = solve(problem, max_iterations=1)
+    sol = solve_capped(problem, 1)
     assert sol.status == ITERATION_CAP
     assert "iteration" in sol.message
 
@@ -340,13 +353,13 @@ def assert_matches_reference(problem, max_iterations=None, status=None):
         want = simplex_reference(problem, max_iterations)
     except ReferenceInfeasible:
         with pytest.raises(InfeasibleError):
-            solve(problem, max_iterations)
+            solve_capped(problem, max_iterations)
         return "infeasible"
     except ReferenceUnbounded:
         with pytest.raises(UnboundedError):
-            solve(problem, max_iterations)
+            solve_capped(problem, max_iterations)
         return "unbounded"
-    got = solve(problem, max_iterations)
+    got = solve_capped(problem, max_iterations)
     if status is None:
         assert (got.status, got.message) == (want.status, want.message)
     else:
@@ -366,7 +379,7 @@ def test_start_inverse_and_values_have_lapack_bits(reference_payoff):
     problems += [_game_lp(reference_payoff.entries, o) for o in ("row", "col")]
     signs = set()
     for problem in problems:
-        sx = _Simplex(problem, None)
+        sx = _Simplex(problem)
         sx.setup()
         inverse = np.linalg.inv(sx.cols[:, sx.basis])
         assert np.array_equal(bits(sx.binv), bits(inverse))

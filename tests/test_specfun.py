@@ -8,8 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from covertgame import specfun
-from covertgame.experiments import desk_scenario
-from covertgame.model import default_scenario
+from covertgame.model import default_scenario, desk_scenario
 from covertgame.specfun import (
     _TABLE_CELLS,
     MAX_SHAPE,
@@ -28,6 +27,8 @@ from oracles import (
     gamma_q_reference,
     gamma_q_windowed_reference,
     gaussian_quantile_reference,
+    poisson_windows,
+    tail_cut_ends,
 )
 
 
@@ -239,13 +240,27 @@ def test_grid_matches_windowed_reference_bit_for_bit(n):
         np.nextafter(n - 1, math.inf) + rng.uniform(0.0, 19.0 * (n - 1), 500),
     ])
     xs = np.unique(x[x > 0.0])
-    want = gamma_q_windowed_reference(xs, *_poisson_tables(n), *_windows(n, xs))
+    want = gamma_q_windowed_reference(xs, *_poisson_tables(n), *poisson_windows(n, xs))
     assert np.array_equal(reg_gamma_q_grid(n, xs).view(np.int64), want.view(np.int64))
     for size in (1, 2, 3, 5, 7, 8):
         for _ in range(20):
             pick = np.sort(rng.choice(xs.size, size, replace=False))
             got = reg_gamma_q_grid(n, xs[pick])
             assert np.array_equal(got.view(np.int64), want[pick].view(np.int64))
+
+
+@pytest.mark.parametrize("n", [200, 2000, 10_000])
+def test_kernel_windows_match_the_oracle(n):
+    # The bit-for-bit tests sum the oracle's windows, so the kernel's own
+    # windows, before and after the tail cut, must be those very integers.
+    x = np.unique(np.concatenate([_scenario_points(s, n) for s in (
+        default_scenario(False), default_scenario(True), desk_scenario(True))]))
+    xs = x[x > 0.0]
+    lo, hi = _windows(n, xs)
+    want_lo, want_hi = poisson_windows(n, xs)
+    assert np.array_equal(lo, want_lo) and np.array_equal(hi, want_hi)
+    assert np.array_equal(_tail_cut(n, xs, lo, hi), tail_cut_ends(n, xs, want_lo, want_hi))
+    assert (xs > n - 1).any() and (tail_cut_ends(n, xs, want_lo, want_hi) < want_hi).any()
 
 
 def test_grid_splits_points_where_window_starts_fall(monkeypatch):
@@ -301,8 +316,8 @@ def test_blocks_cover_each_window_once(n):
     x = np.unique(np.concatenate([_scenario_points(default_scenario(False), n),
                                   _scenario_points(default_scenario(True), n)]))
     xs = x[x > 0.0]
-    lo, hi = _windows(n, xs)
-    for end in (hi, _tail_cut(n, xs, lo, hi)):  # the uncut windows, then the kernel's
+    lo, hi = poisson_windows(n, xs)
+    for end in (hi, tail_cut_ends(n, xs, lo, hi)):  # the uncut windows, then the kernel's
         order = np.lexsort((lo, end))
         _assert_block_contract(lo[order], end[order])
 
