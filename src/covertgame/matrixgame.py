@@ -143,7 +143,7 @@ def _clean_probs(raw: np.ndarray, label: str) -> np.ndarray:
     if float(raw.min(initial=0.0)) < -1e-7:
         raise GameSolveError(f"{label} strategy has negative mass {raw.min():.3e}")
     probs = np.clip(raw, 0.0, None)
-    total = probs.sum()
+    total = float(probs.sum())
     if not math.isfinite(total) or abs(total - 1.0) > 1e-7:
         raise GameSolveError(f"{label} strategy mass {total!r} is not 1")
     return probs / total

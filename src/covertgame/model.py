@@ -152,33 +152,41 @@ class Scenario:
                                 f"more than {MAX_CELLS}")
 
 
+def _decimal(text: str, what: str) -> Decimal:
+    """``text`` as a finite Decimal; anything else raises ScenarioError naming ``what``."""
+    try:
+        value = Decimal(text)
+    except InvalidOperation:
+        raise ScenarioError(f"{what}: not a decimal number: {text!r}") from None
+    if not value.is_finite():
+        raise ScenarioError(f"{what}: not a finite number: {text!r}")
+    return value
+
+
 def decimal_range(start: str, step: str, stop: str) -> tuple[float, ...]:
     """Inclusive arithmetic grid computed in decimal, returned as floats.
 
     Endpoints and step are decimal strings, so e.g. ("0", "0.01", "3.00")
     yields exactly 301 points with no binary drift deciding inclusion of the
-    last one.  A grid of more than MAX_GRID_POINTS points is an input error,
-    raised before any point is built.
+    last one.  Bad or oversized strings raise ScenarioError: a part that is
+    not a finite decimal, a step <= 0, an empty grid, a point beyond the float
+    range, or more than MAX_GRID_POINTS points (counted before any is built).
     """
-    d_start, d_step, d_stop = Decimal(start), Decimal(step), Decimal(stop)
-    if d_step <= 0:
-        raise ScenarioError(f"grid step must be positive, got {step}")
+    text = f"grid {start}:{step}:{stop}"
+    d_start, d_step, d_stop = (_decimal(part, text) for part in (start, step, stop))
     with localcontext() as ctx:
-        ctx.traps[Overflow] = False  # an overflowing span of steps is infinite
+        ctx.traps[Overflow] = False  # an overflowing span or point is infinite
+        if d_step <= 0:
+            raise ScenarioError(f"grid step must be positive, got {step}")
         steps = (d_stop - d_start) / d_step
-    if steps >= MAX_GRID_POINTS:
-        raise ScenarioError(f"grid {start}:{step}:{stop} has more than {MAX_GRID_POINTS} points")
-    values = []
-    k = 0
-    while True:
-        v = d_start + k * d_step
-        if v > d_stop:
-            break
-        values.append(float(v))
-        k += 1
-    if not values:
-        raise ScenarioError(f"empty grid from {start}:{step}:{stop}")
-    return tuple(values)
+        if steps >= MAX_GRID_POINTS:
+            raise ScenarioError(f"{text} has more than {MAX_GRID_POINTS} points")
+        if steps < 0:
+            raise ScenarioError(f"empty grid from {start}:{step}:{stop}")
+        grid = tuple(float(d_start + k * d_step) for k in range(math.floor(steps) + 1))
+    if not math.isfinite(grid[0]) or not math.isfinite(grid[-1]):  # the points rise
+        raise ScenarioError(f"{text} has points beyond the float range")
+    return grid
 
 
 def default_scenario(with_jammer: bool = False) -> Scenario:
@@ -262,20 +270,9 @@ def prune_negative_rate(s: Scenario) -> PrunedScenario:
 # Scenario files: flat key = value text with decimal-string grids.
 # ---------------------------------------------------------------------------
 
-_SCALAR_KEYS = ("blocklength_n", "sigma_b_sq_mw", "sigma_w_sq_mw", "delta", "alpha", "beta")
 _GRID_KEYS = ("power_grid", "jam_grid", "threshold_grid")
-_ALL_KEYS = _SCALAR_KEYS + _GRID_KEYS
+_ALL_KEYS = tuple(f.name for f in fields(Scenario))
 _OPTIONAL = {"alpha": 0.0, "jam_grid": (0.0,)}
-
-
-def _parse_decimal(text: str, key: str) -> float:
-    try:
-        value = Decimal(text)
-    except InvalidOperation:
-        raise ScenarioError(f"{key}: not a decimal number: {text!r}") from None
-    if not value.is_finite():
-        raise ScenarioError(f"{key}: not a finite number: {text!r}")
-    return float(value)
 
 
 def _parse_grid(text: str, key: str) -> tuple[float, ...]:
@@ -284,10 +281,8 @@ def _parse_grid(text: str, key: str) -> tuple[float, ...]:
         parts = [p.strip() for p in text.split(":")]
         if len(parts) != 3:
             raise ScenarioError(f"{key}: grid triple must be start:step:stop, got {text!r}")
-        for p in parts:
-            _parse_decimal(p, key)
         return decimal_range(*parts)
-    return tuple(_parse_decimal(p.strip(), key) for p in text.split(",") if p.strip())
+    return tuple(float(_decimal(p.strip(), key)) for p in text.split(",") if p.strip())
 
 
 def _parse_value(key: str, text: str):
@@ -299,7 +294,7 @@ def _parse_value(key: str, text: str):
             raise ScenarioError(f"blocklength_n must be an integer, got {text!r}") from None
     if key in _GRID_KEYS:
         return _parse_grid(text, key)
-    return _parse_decimal(text, key)
+    return float(_decimal(text, key))
 
 
 def parse_scenario_text(text: str) -> Scenario:

@@ -39,8 +39,7 @@ with a slice each.  A planner finds every k's slice by two vectorized
 binary searches and walks the k in order.  Consecutive rows share one
 row-major (rows x points) table over the union of their slices: its terms
 are computed in one set of numpy calls, then each row, in k order, adds
-only its own slice to the running sums.  A row alone passes its k as a
-scalar through the same steps.
+only its own slice to the running sums.
 
 Above the mode a point's window ends early where the rest of its terms
 cannot move its sum (``_tail_cut``).  Bennett's bound puts every later term
@@ -119,8 +118,7 @@ def _poisson_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
     for i in range(min(_STIRLING_MIN_K, n) - 1):
         kk = i + 1.0
         base[i] = math.lgamma(kk + 1.0) - (kk * math.log(kk) - kk)
-    if n > _STIRLING_MIN_K:
-        base[_STIRLING_MIN_K - 1:] += _stirling_tail(k[_STIRLING_MIN_K - 1:])
+    base[_STIRLING_MIN_K - 1:] += _stirling_tail(k[_STIRLING_MIN_K - 1:])  # empty at n <= 15
     k.flags.writeable = False
     base.flags.writeable = False
     return k, base
@@ -268,8 +266,7 @@ def _blocks(lo: np.ndarray, hi: np.ndarray) -> list[tuple[int, list[tuple[int, i
 def _terms(x: np.ndarray, kk, base, diff: np.ndarray, out: np.ndarray) -> np.ndarray:
     """t_k = exp(k log1p((x - k)/k) - (x - k) - base_k) into ``out``.
 
-    ``kk`` and ``base`` are one k's scalars for a one-row table, or columns
-    of consecutive k for a (rows x points) table.
+    ``kk`` and ``base`` are columns of consecutive k for a (rows x points) table.
     """
     np.subtract(x, kk, out=diff)
     np.divide(diff, kk, out=out)
@@ -282,27 +279,22 @@ def _terms(x: np.ndarray, kk, base, diff: np.ndarray, out: np.ndarray) -> np.nda
 
 def _q_sorted(n: int, xs: np.ndarray) -> np.ndarray:
     """Q(n, x) at sorted, finite, positive points, adding their terms one k at a time."""
-    if n == 1 or not xs.size:
+    if not xs.size:
         return np.exp(-xs)
     k, base = _poisson_tables(n)
     lo, hi = _windows(n, xs)
     hi = _tail_cut(n, xs, lo, hi)
     order = np.lexsort((lo, hi))
     lo, hi, x = lo[order], hi[order], xs[order]
-    blocks = _blocks(lo, hi)
-    size = max(len(spans) * (spans[-1][1] - spans[0][0]) for _, spans in blocks)
+    size = max(_TABLE_CELLS, xs.size)  # a block's table, or one row over every point
     diff_buf, term_buf = np.empty(size), np.empty(size)
-    sums = np.zeros(xs.size)
+    sums = np.zeros(xs.size)  # at n = 1 every window is empty: Q = e^-x
     with np.errstate(divide="ignore"):  # tiny x rounds (x - k)/k to -1: t_k = 0
-        for first, spans in blocks:
+        for first, spans in _blocks(lo, hi):
             rows, c0, c1 = len(spans), spans[0][0], spans[-1][1]
-            m = c1 - c0
-            if rows == 1:  # a scalar k: a broadcast column costs about 1 us more per call
-                kk, bk = k[first - 1], base[first - 1]
-            else:
-                kk, bk = k[first - 1:first - 1 + rows, None], base[first - 1:first - 1 + rows, None]
-            terms = _terms(x[c0:c1], kk, bk, diff_buf[:rows * m].reshape(rows, m),
-                           term_buf[:rows * m].reshape(rows, m))
+            cells, ks = rows * (c1 - c0), slice(first - 1, first - 1 + rows)
+            terms = _terms(x[c0:c1], k[ks, None], base[ks, None],
+                           diff_buf[:cells].reshape(rows, -1), term_buf[:cells].reshape(rows, -1))
             # Each row adds its own slice, in k order; the cells of the union
             # slice outside it are finite and never read.
             for row, (a, b) in zip(terms, spans):

@@ -173,6 +173,26 @@ def test_oversized_grid_exits_2(tmp_path, capsys):
     assert err.startswith("error: ") and "more than 100000 points" in err
 
 
+@pytest.mark.parametrize("source", ["set", "file"])
+@pytest.mark.parametrize("setting", ["threshold_grid=9e999999:1e999999:9.9e999999",
+                                     "power_grid=1e999999999999:1:2"])
+def test_grid_past_decimal_exponent_limit_exits_2(tmp_path, capsys, setting, source):
+    # Decimal's exponent limit used to end these in an Overflow traceback.
+    out = tmp_path / "x"
+    if source == "set":
+        argv = ["solve", "--set", setting]
+    else:
+        key, value = setting.split("=")
+        path = tmp_path / "big.scenario"
+        path.write_text("".join(f"{key} = {value}\n" if line.startswith(key) else f"{line}\n"
+                                for line in SMALL_SCENARIO.splitlines()), encoding="utf-8")
+        argv = ["solve", "--scenario", str(path)]
+    assert main([*argv, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: grid ") or err.startswith("error: empty grid"), err
+    assert not out.exists()
+
+
 def test_too_many_cells_exits_2_before_any_cell_is_built(tmp_path, capsys, monkeypatch):
     # 100,000 powers x 100,000 jam levels x 301 thresholds: pruning alone
     # would need tens of GiB.  The scenario is rejected before it runs.
@@ -436,6 +456,23 @@ def test_malformed_strategy_file_is_named_and_nothing_is_written(tmp_path, scena
     assert not out.exists()
 
 
+@pytest.mark.parametrize("text, message", [
+    ("", "empty strategy file"),
+    ("power,jam,probability\n0.02,0,1\n", "expected header power_mw,jam_mw,probability"),
+], ids=["empty", "wrong-header"])
+def test_strategy_file_without_its_header_exits_2(tmp_path, scenario_file, capsys, text,
+                                                  message):
+    rows, cols = tmp_path / "rows.csv", tmp_path / "cols.csv"
+    rows.write_text(text, encoding="utf-8")
+    cols.write_text("threshold_mw,probability\n0.25,1\n", encoding="utf-8")
+    out = tmp_path / "x"
+    code = main(["simulate", "--scenario", str(scenario_file), "--row-strategy", str(rows),
+                 "--col-strategy", str(cols), "--blocks", "10", "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {rows}: {message}\n"
+    assert not out.exists()
+
+
 def test_simulate_fail_verdict_reports_its_misses_and_writes(tmp_path, scenario_file, capsys):
     # One block per hypothesis: each empirical rate is 0 or 1 with a zero
     # standard error, so the check misses and both z-scores are huge.
@@ -554,8 +591,8 @@ def test_summary_rate_is_read_from_the_table(monkeypatch):
 
 
 # Override values: numbers, limits, non-finite and malformed text.  A grid
-# triple either stays small (stop at most 10, step at least 0.25) or passes
-# the point cap of decimal_range.
+# triple either stays small (stop at most 10, step at least 0.25), passes
+# the point cap of decimal_range, or reaches Decimal's exponent limit.
 _NUMBER = st.one_of(
     st.sampled_from(["0", "-0", "1", "-1", "0.5", "1.6", "3", "200", "1e-320", "1e308",
                      "nan", "inf", "-Infinity", "abc", "", "0x10", "1_0"]),
@@ -565,8 +602,8 @@ _NUMBER = st.one_of(
 )
 _GRID = st.one_of(
     st.lists(_NUMBER, min_size=1, max_size=4).map(", ".join),
-    st.tuples(st.sampled_from(["0", "0.5", "-1", "abc", "1e308"]),
-              st.sampled_from(["0.25", "1", "0", "-1", "x", "1e-300"]),
+    st.tuples(st.sampled_from(["0", "0.5", "-1", "abc", "1e308", "9e999999", "1e999999999999"]),
+              st.sampled_from(["0.25", "1", "0", "-1", "x", "1e-300", "1e999999"]),
               st.sampled_from(["0", "3", "10", "-2", "nan", "1e6", "1e308"])).map(":".join),
 )
 _SETTING = st.one_of(

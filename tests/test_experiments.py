@@ -159,6 +159,24 @@ def test_uniform_baseline_takes_exactly_the_first_k_grid_powers():
     assert len(uniform_baseline(payoff, 3).row_strategy.actions) == 3
 
 
+def test_uniform_baseline_needs_a_surviving_power_among_the_first_k():
+    # 0.001 and 0.005 mW give negative rates at delta = 0.1, as 0.01 mW does.
+    s = dataclasses.replace(default_scenario(), power_grid=(0.001, 0.005, 0.5))
+    payoff = build_payoff(prune_negative_rate(s))
+    with pytest.raises(ValueError, match="all of the first 2 power levels are pruned"):
+        uniform_baseline(payoff, 2)
+    assert uniform_baseline(payoff, 3).row_strategy.actions == ((0.5, 0.0),)
+
+
+def test_baselines_need_a_zero_jam_row():
+    s = dataclasses.replace(default_scenario(True), power_grid=(0.5, 1.0), jam_grid=(0.5,),
+                            threshold_grid=(0.0, 1.0, 2.0))
+    payoff = build_payoff(prune_negative_rate(s))
+    for baseline, parameter in ((uniform_baseline, 2), (constant_baseline, 0.5)):
+        with pytest.raises(ValueError, match="baselines need surviving zero-jam actions"):
+            baseline(payoff, parameter)
+
+
 def test_constant_baseline_takes_the_nearest_grid_power():
     s = dataclasses.replace(default_scenario(), power_grid=(0.5, 0.5000000001))
     payoff = build_payoff(prune_negative_rate(s))

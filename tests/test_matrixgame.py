@@ -160,6 +160,40 @@ def test_solve_game_rejects_an_unverified_lp_answer(monkeypatch, doctor, gap):
         solve_game([[1.0, -1.0], [-1.0, 1.0]])
 
 
+@pytest.mark.parametrize("doctor, message", [
+    (lambda x: np.array([1.5, -0.5, x[-1]]), "col strategy has negative mass -5.000e-01"),
+    (lambda x: np.array([0.6, 0.6, x[-1]]), "col strategy mass 1.2 is not 1"),
+], ids=["negative", "mass"])
+def test_solve_game_rejects_an_lp_answer_that_is_no_mixture(monkeypatch, doctor, message):
+    # As above, x holds matching pennies' column mixture and then the value.
+    real = lpsolve.solve
+
+    def doctored(lp):
+        sol = real(lp)
+        return dataclasses.replace(sol, x=doctor(sol.x))
+
+    monkeypatch.setattr(lpsolve, "solve", doctored)
+    with pytest.raises(GameSolveError, match=message):
+        solve_game([[1.0, -1.0], [-1.0, 1.0]])
+
+
+def test_verify_equilibrium_reads_a_payoff_matrix():
+    payoff = build_payoff(prune_negative_rate(desk_scenario(False)))
+    solution = solve_game(payoff)
+    gaps = verify_equilibrium(payoff, solution)
+    assert gaps == verify_equilibrium(payoff.entries, solution) == (solution.row_gap,
+                                                                      solution.col_gap)
+
+
+def test_expected_rate_needs_one_probability_per_row():
+    payoff = build_payoff(prune_negative_rate(desk_scenario(False)))
+    two = MixedStrategy(payoff.actions[:2], (0.5, 0.5))
+    with pytest.raises(ValueError, match=f"2 probabilities for {len(payoff.actions)} table rows"):
+        payoff.expected_rate(two)
+    rates = payoff.rate_terms
+    assert payoff.expected_rate(two, [0, 1]) == 0.5 * rates[0] + 0.5 * rates[1]
+
+
 def test_build_payoff_entries():
     s = default_scenario()
     pruned = prune_negative_rate(s)

@@ -88,6 +88,26 @@ def test_decimal_range_errors():
             decimal_range(*triple)
 
 
+@pytest.mark.parametrize("triple, message", [
+    (("9e999999", "1e999999", "9.9e999999"), "has points beyond the float range"),
+    (("1e999999999999", "1", "2"), "empty grid"),
+    (("abc", "1", "2"), "grid abc:1:2: not a decimal number: 'abc'"),
+    (("0", "sNaN", "1"), "grid 0:sNaN:1: not a finite number: 'sNaN'"),
+], ids=["point-past-emax", "start-past-emax", "not-decimal", "signaling-nan"])
+def test_decimal_range_raises_only_scenario_error(triple, message):
+    # These used to escape as decimal.Overflow or decimal.InvalidOperation.
+    with pytest.raises(ScenarioError, match=message):
+        decimal_range(*triple)
+
+
+def test_decimal_range_counts_points_before_building_them():
+    # A step below Decimal's smallest exponent, or far below the precision of
+    # the start, rounds each point back to the start, so a loop that stopped
+    # at the first point past the stop never ended.
+    assert decimal_range("0", "1e-999999999", "1e-999999999") == (0.0,)
+    assert decimal_range("1e300", "1", "1e300") == (1e300,)
+
+
 def test_cell_count_limit():
     # Both sides of the bound, on grids of a few thousand points: the count is
     # checked on the grid lengths, before any cell array exists.
@@ -339,6 +359,9 @@ def test_apply_overrides():
         apply_overrides(s, {"gamma": "1"})
     with pytest.raises(ScenarioError, match="must be an integer"):
         apply_overrides(s, {"blocklength_n": "1e2"})
+    for text in ("0:1", "0:1:2:3"):
+        with pytest.raises(ScenarioError, match="power_grid: grid triple must be start:step:stop"):
+            apply_overrides(s, {"power_grid": text})
 
 
 def test_scenario_is_frozen():

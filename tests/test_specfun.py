@@ -50,6 +50,16 @@ def test_known_closed_forms():
     assert _q_at(5, 0.0) == 1.0
 
 
+@pytest.mark.filterwarnings("error")
+def test_shape_one_is_exp_minus_x_bit_for_bit():
+    # n = 1 takes the one table path with every window empty: each sum stays
+    # 0.0 and e^-x is added to it once.
+    x = np.concatenate([np.linspace(0.0, 800.0, 3201), [1e-300, 1e-10, 745.1, 745.2]])
+    assert np.array_equal(reg_gamma_q_grid(1, x).view(np.int64), np.exp(-x).view(np.int64))
+    for n in (1, 5):
+        assert reg_gamma_q_grid(n, np.array([])).shape == (0,)
+
+
 def test_frozen_detection_cell():
     # The no-jammer false-alarm cell at threshold 1.02: Q(200, 200*1.02).
     assert _q_at(200, 204.0) == pytest.approx(0.3803686104663225, abs=1e-13)
