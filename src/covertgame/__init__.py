@@ -10,7 +10,7 @@ Monte Carlo, and traces rate versus covertness tradeoff curves.
 
 __version__ = "0.1.0"
 
-from .detection import MixedStrategy, pfa, pm
+from .detection import MixedStrategy, error_rates
 from .experiments import (
     BaselineResult,
     TradeoffPoint,
@@ -44,7 +44,7 @@ from .simkit import EmpiricalDetection, estimate_detection
 
 __all__ = [
     "__version__",
-    "MixedStrategy", "pfa", "pm",
+    "MixedStrategy", "error_rates",
     "BaselineResult", "TradeoffPoint", "beta_sweep", "constant_baseline",
     "default_beta_grid", "frontier_rate", "max_guaranteed_dep", "uniform_baseline",
     "EquilibriumSolution", "PayoffMatrix", "build_payoff", "solve_game",

@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, lpsolve
-from .detection import SUPPORT_EPS, MixedStrategy, error_grids
+from .detection import MixedStrategy, error_rates
 from .experiments import (
     TradeoffPoint,
     beta_sweep,
@@ -131,9 +131,8 @@ _COLUMN_GRID = {"power_mw": "power_grid", "jam_mw": "jam_grid", "threshold_mw": 
 
 
 def _strategy_csv(header, strategy: MixedStrategy) -> str:
-    return _csv(header, ((*np.ravel(action).tolist(), float(prob))
-                         for action, prob in zip(strategy.actions, strategy.probs)
-                         if prob > SUPPORT_EPS))
+    return _csv(header, ((*np.ravel(strategy.actions[i]).tolist(), strategy.probs[i])
+                         for i in strategy.support()))
 
 
 def _cmd_solve(args, scenario):
@@ -238,9 +237,7 @@ def _cmd_simulate(args, scenario):
     if args.row_strategy:
         joint = _load_strategy_csv(args.row_strategy, scenario, _ROW_HEADER)
         thr = _load_strategy_csv(args.col_strategy, scenario, _COL_HEADER)
-        x, y = joint.prob_array(), thr.prob_array()
-        analytic_pfa, analytic_pm = (float(x @ cells @ y)
-                                     for cells in error_grids(scenario, joint.actions, thr.actions))
+        analytic_pfa, analytic_pm = error_rates(scenario, joint, thr)
     else:
         payoff = build_payoff(prune_negative_rate(scenario))
         point = TradeoffPoint.from_solution(payoff, solve_game(payoff))

@@ -22,8 +22,9 @@ to 1.0 without summing their Poisson windows.  P_FA = Q itself keeps its
 tiny values, so every false-alarm cell is evaluated.
 
 ``error_grids`` is the one cell evaluator: both tables, for any actions and
-thresholds, from one kernel call.  ``pfa_grid``, ``pm_grid``, ``dep_grid``,
-``pfa`` and ``pm`` are views of it.
+thresholds, from one kernel call.  ``pfa_grid``, ``pm_grid``, ``dep_grid``
+and ``error_rates`` (both rates of a strategy pair) are views of it, and
+``pfa`` and ``pm`` views of ``error_rates``.
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ if TYPE_CHECKING:
 __all__ = [
     "MixedStrategy",
     "error_grids",
+    "error_rates",
     "pfa",
     "pm",
     "pfa_grid",
@@ -156,13 +158,19 @@ def dep_grid(s: "Scenario", actions) -> np.ndarray:
     return np.add(*error_grids(s, actions))
 
 
+def error_rates(s: "Scenario", joint: "MixedStrategy",
+                thr: "MixedStrategy") -> tuple[float, float]:
+    """(P_FA, P_M) of mixed strategies, from one table of their own actions'
+    cells: the one strategy-pair path for actions off a payoff's table."""
+    x, y = joint.prob_array(), thr.prob_array()
+    return tuple(float(x @ cells @ y) for cells in error_grids(s, joint.actions, thr.actions))
+
+
 def pfa(s: "Scenario", joint: "MixedStrategy", thr: "MixedStrategy") -> float:
-    """False-alarm probability of mixed strategies, from their own actions' cells."""
-    cells = error_grids(s, joint.actions, thr.actions)[0]
-    return float(joint.prob_array() @ cells @ thr.prob_array())
+    """False-alarm probability of mixed strategies (``error_rates``' first)."""
+    return error_rates(s, joint, thr)[0]
 
 
 def pm(s: "Scenario", joint: "MixedStrategy", thr: "MixedStrategy") -> float:
-    """Miss probability under mixed transmission and mixed threshold."""
-    cells = error_grids(s, joint.actions, thr.actions)[1]
-    return float(joint.prob_array() @ cells @ thr.prob_array())
+    """Miss probability of mixed strategies (``error_rates``' second)."""
+    return error_rates(s, joint, thr)[1]

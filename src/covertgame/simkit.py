@@ -121,45 +121,38 @@ def estimate_detection(s: Scenario, joint: MixedStrategy, thr: MixedStrategy,
     if not 0 <= int(seed) < 2 ** 64:
         raise ValueError("seed must fit in an unsigned 64-bit integer")
     n = s.blocklength_n
-    # Per-action sample powers, by the same formulas as the analytic cells.
-    scale_h0 = np.asarray(_h0_scales(s, joint.actions)) / n
-    scale_h1 = np.asarray(_h1_scales(s, joint.actions)) / n
-    thr_values = np.asarray(thr.actions, dtype=float)
     # The draws of Generator.choice(p=...) and Generator.gamma, made without
     # validating p on every call: gamma(n, scale) is scale * standard_gamma(n),
     # and choice is a search of the cdf (see _rising_cdf, _locate), here
     # restricted to the actions where the cdf rises, so the actions' values
     # are too.
     joint_cdf, rising = _rising_cdf(joint)
-    scale_h0, scale_h1 = scale_h0[rising], scale_h1[rising]
+    actions = [joint.actions[i] for i in rising]
     thr_cdf, rising = _rising_cdf(thr)
-    thr_values = thr_values[rising]
+    thr_values = np.asarray(thr.actions, dtype=float)[rising]
+    # Per hypothesis: the per-action sample powers, by the same formulas as
+    # the analytic cells, and the comparison that counts an error (an alarm
+    # under H0, strictly above threshold; a miss under H1, strictly below).
+    hypotheses = ((np.asarray(_h0_scales(s, actions)) / n, np.greater),
+                  (np.asarray(_h1_scales(s, actions)) / n, np.less))
 
-    false_alarms = 0
-    misses = 0
-    done = 0
-    chunk_index = 0
-    while done < blocks:
+    errors = [0, 0]
+    for chunk_index, done in enumerate(range(0, blocks, CHUNK_BLOCKS)):
         count = min(CHUNK_BLOCKS, blocks - done)
         rng = _chunk_rng(int(seed), chunk_index)
-        a0 = _locate(joint_cdf, rng.random(count))
-        t0 = _locate(thr_cdf, rng.random(count))
-        stat0 = rng.standard_gamma(n, size=count) * scale_h0[a0]
-        false_alarms += np.count_nonzero(stat0 > thr_values[t0])
-        a1 = _locate(joint_cdf, rng.random(count))
-        t1 = _locate(thr_cdf, rng.random(count))
-        stat1 = rng.standard_gamma(n, size=count) * scale_h1[a1]
-        misses += np.count_nonzero(stat1 < thr_values[t1])
-        done += count
-        chunk_index += 1
+        for h, (scale, is_error) in enumerate(hypotheses):
+            a = _locate(joint_cdf, rng.random(count))
+            t = _locate(thr_cdf, rng.random(count))
+            stat = rng.standard_gamma(n, size=count) * scale[a]
+            errors[h] += np.count_nonzero(is_error(stat, thr_values[t]))
 
-    pfa_hat = false_alarms / blocks
-    pm_hat = misses / blocks
+    pfa_hat, pm_hat = (e / blocks for e in errors)
+    pfa_stderr, pm_stderr = (float(np.sqrt(p * (1.0 - p) / blocks)) for p in (pfa_hat, pm_hat))
     return EmpiricalDetection(
         pfa_hat=pfa_hat,
         pm_hat=pm_hat,
-        pfa_stderr=float(np.sqrt(pfa_hat * (1.0 - pfa_hat) / blocks)),
-        pm_stderr=float(np.sqrt(pm_hat * (1.0 - pm_hat) / blocks)),
+        pfa_stderr=pfa_stderr,
+        pm_stderr=pm_stderr,
         blocks=blocks,
         seed=int(seed),
     )

@@ -321,8 +321,9 @@ def gaussian_q_inv(p: float) -> float:
 
     Accuracy domain: MIN_TAIL_PROB <= p < 1, that is every normal float p
     below 1 (|x| up to about 37.5).  There the absolute error is at most
-    1.3e-10 against a 60-digit bisection oracle.  Subnormal p are rejected:
-    the error reaches 1.6e-7 at p = 1e-320 and 3.4e-4 at p = 1e-322.
+    1.31e-10 (1.3007e-10 near p = 1e-229) against a 60-digit bisection
+    oracle.  Subnormal p are rejected: the error reaches 1.6e-7 at
+    p = 1e-320 and 3.4e-4 at p = 1e-322.
 
     Args:
         p: tail probability, MIN_TAIL_PROB <= p < 1.
@@ -343,7 +344,5 @@ def gaussian_q_inv(p: float) -> float:
     x = t - (_C0 + t * (_C1 + t * _C2)) / (1.0 + t * (_D1 + t * (_D2 + t * _D3)))
     for _ in range(2):
         pdf = math.exp(-0.5 * x * x) / _SQRT_2PI
-        if pdf <= 0.0:
-            break
         x += (0.5 * math.erfc(x / math.sqrt(2.0)) - q) / pdf
     return x if p < 0.5 else -x

@@ -11,7 +11,7 @@ MODULES = ("specfun", "detection", "rate", "model", "matrixgame", "lpsolve",
 
 PACKAGE_API = {
     "__version__",
-    "MixedStrategy", "pfa", "pm",
+    "MixedStrategy", "error_rates",
     "BaselineResult", "TradeoffPoint", "beta_sweep", "constant_baseline",
     "default_beta_grid", "desk_scenario", "frontier_rate", "max_guaranteed_dep",
     "uniform_baseline",
@@ -26,8 +26,8 @@ PACKAGE_API = {
 # Each module's __all__, so that any change to the public surface is explicit.
 MODULE_API = {
     "specfun": {"reg_gamma_q_grid", "gaussian_q_inv"},
-    "detection": {"MixedStrategy", "error_grids", "pfa", "pm", "pfa_grid", "pm_grid",
-                  "dep_grid"},
+    "detection": {"MixedStrategy", "error_grids", "error_rates", "pfa", "pm", "pfa_grid",
+                  "pm_grid", "dep_grid"},
     "rate": {"action_snr", "normal_approx_rate"},
     "model": {"Scenario", "PrunedScenario", "ScenarioError", "default_scenario",
               "desk_scenario", "decimal_range", "joint_actions", "prune_negative_rate", "parse_scenario_text",

@@ -8,6 +8,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -217,6 +218,22 @@ def test_lp_error_exits_3_with_one_line(tmp_path, scenario_file, capsys, monkeyp
     assert code == 3
     err = capsys.readouterr().err
     assert err.startswith("numerical failure: UnboundedError")
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_singular_basis_exits_3_with_one_line(tmp_path, scenario_file, capsys, monkeypatch):
+    def singular(*args, **kwargs):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    for name in ("inv", "solve"):
+        monkeypatch.setattr(np.linalg, name, singular)
+    out = tmp_path / "x"
+    code = main(["solve", "--scenario", str(scenario_file), "--out", str(out)])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: GameSolveError: game LP")
+    assert "status numerical-failure: basis matrix singular" in err
     assert err.count("\n") == 1
     assert not out.exists()
 

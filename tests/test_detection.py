@@ -10,12 +10,20 @@ from covertgame.detection import (
     SUPPORT_EPS,
     MixedStrategy,
     dep_grid,
+    error_rates,
     pfa,
     pfa_grid,
     pm,
     pm_grid,
 )
-from covertgame.model import Scenario, default_scenario, desk_scenario, joint_actions
+from covertgame.matrixgame import build_payoff, solve_game
+from covertgame.model import (
+    Scenario,
+    default_scenario,
+    desk_scenario,
+    joint_actions,
+    prune_negative_rate,
+)
 from covertgame.specfun import _poisson_tables, reg_gamma_q_grid
 
 from oracles import gamma_q_full_sum, gamma_q_reference
@@ -180,6 +188,17 @@ def test_mixed_rates_equal_double_sum():
         for m in range(len(thr.actions)))
     assert pfa(s, joint, thr) == pytest.approx(want_fa, abs=1e-13)
     assert pm(s, joint, thr) == pytest.approx(want_md, abs=1e-13)
+    assert error_rates(s, joint, thr) == (pfa(s, joint, thr), pm(s, joint, thr))
+
+
+@pytest.mark.parametrize("with_jammer", [False, True])
+def test_error_rates_equal_the_payoff_tables_rates(with_jammer):
+    # Strategies over a whole payoff: their own cells are the table's, weighed
+    # in the same operand order, so both paths give the same bits.
+    payoff = build_payoff(prune_negative_rate(desk_scenario(with_jammer)))
+    eq = solve_game(payoff)
+    assert error_rates(payoff.scenario, eq.row_strategy, eq.col_strategy) == \
+        payoff.error_rates(eq.row_strategy, eq.col_strategy)
 
 
 def test_pfa_ignores_power_split():

@@ -265,6 +265,27 @@ def test_frontier_past_the_dep_game_solves_the_quiet_game(monkeypatch):
     assert len(games) == 1 and np.array_equal(games[0], quiet_game(payoff, top + 1e-6))
 
 
+def test_frontier_brackets_from_a_feasible_quiet_game(monkeypatch):
+    # With the loudest action standing in for the dep game's strategy, every
+    # level above its guarantee is met by the quiet game's equilibrium, which
+    # then brackets the chord search from the right.
+    s = dataclasses.replace(default_scenario(), power_grid=(0.02, 0.1, 0.3, 0.6, 1.0),
+                            threshold_grid=(0.5, 0.8, 1.0, 1.1, 1.2, 1.5, 2.0))
+    payoff = build_payoff(prune_negative_rate(s))
+    top = max_guaranteed_dep(payoff)
+    loud = int(np.argmax(payoff.rate_terms))
+    payoff.__dict__["_dep_row_strategy"] = np.eye(len(payoff.actions))[loud]
+    k, m = payoff.dep_terms.shape
+    games = record_games(monkeypatch)
+    for level in (0.3 * top, 0.7 * top, 0.95 * top):
+        assert payoff.dep_terms[loud].min() < level
+        games.clear()
+        exact = exact_lp_value("max", payoff.rate_terms, [*payoff.dep_terms.T, np.ones(k)],
+                               [level] * m + [1.0], [">="] * m + ["="], [(0.0, 1.0)] * k)
+        assert frontier_rate(payoff, level) == pytest.approx(float(exact), abs=1e-9)
+        assert np.array_equal(games[0], quiet_game(payoff, level))
+
+
 def test_frontier_is_monotone(no_jam_payoff):
     levels = np.linspace(0.0, 0.88, 12)
     rates = [frontier_rate(no_jam_payoff, float(d)) for d in levels]

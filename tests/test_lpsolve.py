@@ -413,3 +413,36 @@ def test_matches_reference_simplex_on_random_lps():
     assert set(outcomes) == {OPTIMAL, ITERATION_CAP, "infeasible", "unbounded"}
     for problem in (degenerate_lp(), bland_lp()):
         assert assert_matches_reference(problem) == OPTIMAL
+
+
+# A 2 x 3 game, in the orientation solve_game picks for it (fewer rows).
+SMALL_GAME = np.array([[0.9, 0.2, 0.5], [0.1, 0.8, 0.4]])
+
+
+def break_linalg(monkeypatch, *names):
+    """Make each named np.linalg routine raise LinAlgError."""
+    def singular(*args, **kwargs):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    for name in names:
+        monkeypatch.setattr(np.linalg, name, singular)
+
+
+def test_singular_basis_stops_with_finite_duals(monkeypatch):
+    problem = _game_lp(SMALL_GAME, "col")
+    healthy = solve(problem)
+    assert healthy.status == OPTIMAL
+    m = len(problem.rhs)
+    break_linalg(monkeypatch, "inv")
+    stopped = solve(problem)
+    assert stopped.status == NUMERICAL_FAILURE
+    assert stopped.message == "basis matrix singular: Singular matrix"
+    assert np.array_equal(stopped.duals, healthy.duals)
+    # With the dual solve failing too, the duals come from the basis
+    # inverse the pivots kept.
+    break_linalg(monkeypatch, "solve")
+    fallback = solve(problem)
+    assert fallback.status == NUMERICAL_FAILURE
+    assert fallback.message == stopped.message
+    assert fallback.duals.shape == (m,) and np.isfinite(fallback.duals).all()
+    assert fallback.duals == pytest.approx(healthy.duals, abs=1e-12)

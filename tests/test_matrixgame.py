@@ -177,6 +177,16 @@ def test_solve_game_rejects_an_lp_answer_that_is_no_mixture(monkeypatch, doctor,
         solve_game([[1.0, -1.0], [-1.0, 1.0]])
 
 
+def test_solve_game_names_a_singular_basis_stop(monkeypatch):
+    def singular(*args, **kwargs):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(np.linalg, "inv", singular)
+    with pytest.raises(GameSolveError, match="game LP \\(col orientation\\) ended with status "
+                                             "numerical-failure: basis matrix singular"):
+        solve_game([[0.9, 0.2, 0.5], [0.1, 0.8, 0.4]])
+
+
 def test_verify_equilibrium_reads_a_payoff_matrix():
     payoff = build_payoff(prune_negative_rate(desk_scenario(False)))
     solution = solve_game(payoff)

@@ -447,6 +447,19 @@ def test_gaussian_q_inv_matches_bisection():
         assert abs(gaussian_q_inv(p) - gaussian_quantile_reference(p)) <= 1e-9
 
 
+def test_gaussian_q_inv_holds_its_accuracy_up_to_the_domain_edges():
+    # The smallest normal p and its next float put |x| near 37.5, where the
+    # Newton steps' pdf is still about 8e-307; 0.5 +- 2**-53 sit beside the
+    # exact zero, and 1 - 2**-53 is the last float below 1.
+    edges = [MIN_TAIL_PROB, math.nextafter(MIN_TAIL_PROB, 1.0), 0.5 - 2.0 ** -53,
+             0.5 + 2.0 ** -53, 1.0 - 2.0 ** -53, 1.0 - 2.0 ** -52]
+    sweep = np.logspace(math.log10(MIN_TAIL_PROB), math.log10(0.999), 41)
+    for p in [*edges, *np.clip(sweep, MIN_TAIL_PROB, None).tolist()]:
+        x = gaussian_q_inv(p)
+        assert math.isfinite(x), p
+        assert abs(x - gaussian_quantile_reference(p)) <= 1.31e-10, p
+
+
 def test_gaussian_roundtrip():
     for x in [-5.0, -1.3, 0.0, 0.7, 2.0, 6.0]:
         assert gaussian_q_inv(0.5 * math.erfc(x / math.sqrt(2.0))) == pytest.approx(x, abs=1e-10)
