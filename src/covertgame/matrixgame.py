@@ -6,12 +6,13 @@ The row player mixes over surviving (power, jam) actions and receives
 
 against detector threshold t_m; the detector pays that amount.  The value
 and a pair of equilibrium mixed strategies come from a single linear
-program.  Of the two textbook LP formulations (row player maximizes a
-guaranteed payoff U, column player minimizes one) the solver is pointed at
-whichever has fewer constraint rows, and the opponent's strategy is read
-off the dual multipliers of the covering constraints, so one solve yields
-both sides.  ``solve_game`` accepts the pair only when neither player can
-gain more than VERIFY_TOL by deviating to a pure strategy.
+program, written in one form: the column player minimizes the exposure U
+that every row holds it to.  The row player's strategy is read off the dual
+multipliers of those covering constraints, so one solve yields both sides.
+A game with more rows than columns is solved as its swapped game -A^T, so
+the LP always constrains the smaller side.  ``solve_game`` accepts the pair
+only when neither player can gain more than VERIFY_TOL by deviating to a
+pure strategy.
 """
 
 from __future__ import annotations
@@ -149,32 +150,23 @@ def _clean_probs(raw: np.ndarray, label: str) -> np.ndarray:
     return probs / total
 
 
-def _game_lp(entries: np.ndarray, orientation: str) -> lpsolve.LinearProgram:
-    """Build the value LP for one side.
-
-    ``row`` orientation: maximize U subject to (pi^T A)_m >= U for every
-    column m.  ``col`` orientation: minimize U subject to (A pi)_r <= U for
-    every row r.  Either way the last variable is U and the probability
-    simplex closes the constraint list.
+def _game_lp(entries: np.ndarray) -> lpsolve.LinearProgram:
+    """The column player's value LP: minimize U subject to (A pi)_r <= U for
+    every row r, with pi on the probability simplex.  The last variable is U
+    and the simplex row closes the constraint list.
     """
-    if orientation == "row":
-        body, kind, sense = entries.T, ">=", "max"
-    else:
-        body, kind, sense = entries, "<=", "min"
-    covering, k = body.shape
-    lhs = np.zeros((covering + 1, k + 1))
-    lhs[:covering, :k] = body
-    lhs[:covering, k] = -1.0
-    lhs[covering, :k] = 1.0
-    kinds = (kind,) * covering + ("=",)
-    rhs = np.zeros(covering + 1)
+    rows, k = entries.shape
+    lhs = np.zeros((rows + 1, k + 1))
+    lhs[:rows, :k] = entries
+    lhs[:rows, k] = -1.0
+    lhs[rows, :k] = 1.0
+    rhs = np.zeros(rows + 1)
     rhs[-1] = 1.0
     objective = np.zeros(k + 1)
     objective[-1] = 1.0
-    bounds = tuple([(0.0, 1.0)] * k + [(None, None)])
     return lpsolve.LinearProgram(
-        sense=sense, objective=objective, lhs=lhs, rhs=rhs, kinds=kinds, bounds=bounds
-    )
+        sense="min", objective=objective, lhs=lhs, rhs=rhs,
+        kinds=("<=",) * rows + ("=",), bounds=((0.0, 1.0),) * k + ((None, None),))
 
 
 def solve_game(entries) -> EquilibriumSolution:
@@ -200,15 +192,18 @@ def solve_game(entries) -> EquilibriumSolution:
         raise GameSolveError("payoff matrix has non-finite entries")
     rows, cols = A.shape
 
-    # Point the simplex at the orientation with fewer constraint rows; the
-    # opponent's mixture is the negated duals of the covering constraints.
-    orientation = "col" if rows <= cols else "row"
-    sol = lpsolve.solve(_game_lp(A, orientation))
+    # The LP constrains the smaller side: a tall game is solved as -A^T, whose
+    # players are A's swapped and whose value is A's negated.  The LP's primal
+    # is its column player's mixture, the negated covering duals its row
+    # player's.
+    swapped = rows > cols
+    sol = lpsolve.solve(_game_lp(-A.T if swapped else A))
     if sol.status != lpsolve.OPTIMAL:
-        raise GameSolveError(f"game LP ({orientation} orientation) ended with status "
-                             f"{sol.status}: {sol.message}")
-    primal, dual, value = sol.x[:-1], -sol.duals[:-1], float(sol.x[-1])
-    row_raw, col_raw = (dual, primal) if orientation == "col" else (primal, dual)
+        raise GameSolveError(f"game LP (col orientation{' of -A^T' if swapped else ''}) "
+                             f"ended with status {sol.status}: {sol.message}")
+    row_raw, col_raw, value = -sol.duals[:-1], sol.x[:-1], float(sol.x[-1])
+    if swapped:
+        row_raw, col_raw, value = col_raw, row_raw, -value
     x, y = _clean_probs(row_raw, "row"), _clean_probs(col_raw, "col")
     row_gap, col_gap = _gaps(A, x, y, value)
     # The two gaps cannot both go negative by more than roundoff (the row

@@ -269,7 +269,7 @@ def bland_lp():
 
 
 def test_counters_on_the_reference_game(reference_payoff):
-    sol = solve(_game_lp(reference_payoff.entries, "col"))
+    sol = solve(_game_lp(reference_payoff.entries))
     assert sol.status == OPTIMAL
     assert (sol.iterations, sol.phase1_iterations, sol.degenerate_pivots) == (17, 3, 3)
     assert not sol.bland
@@ -285,13 +285,81 @@ def test_counters_on_the_desk_jammer_game(desk_payoff, monkeypatch):
         return inv(a)
 
     monkeypatch.setattr(np.linalg, "inv", counting_inv)
-    sol = solve(_game_lp(desk_payoff.entries, "row"))
+    sol = solve(_game_lp(-desk_payoff.entries.T))
     assert sol.status == OPTIMAL
     assert (sol.iterations, sol.phase1_iterations, sol.degenerate_pivots) == (637, 2, 2)
     assert not sol.bland
     # Four refreshes at multiples of 128 iterations and the final one; the
     # start basis is a diagonal that needs no inversion.
     assert sol.refactorizations == len(inversions) == 5
+
+
+def test_row_player_lp_is_the_col_lp_of_the_swapped_game(desk_payoff):
+    """The ">="/"max" path on a real game LP.
+
+    The desk payoff's row-player LP, max U subject to (pi^T A)_m >= U for
+    every column m with pi on the probability simplex, walks the same
+    pivots as the game LP of -A^T: the same mixture, U and the simplex
+    row's dual negated, the same covering duals (a zero among them may
+    differ in sign, which ``solve_game``'s clip to [0, inf) erases).
+    """
+    A = desk_payoff.entries
+    rows, cols = A.shape
+    lhs = np.zeros((cols + 1, rows + 1))
+    lhs[:cols, :rows] = A.T
+    lhs[:cols, rows] = -1.0
+    lhs[cols, :rows] = 1.0
+    rhs = np.zeros(cols + 1)
+    rhs[-1] = 1.0
+    objective = np.zeros(rows + 1)
+    objective[-1] = 1.0
+    row = solve(lp("max", objective, lhs, rhs, [">="] * cols + ["="],
+                   [(0.0, 1.0)] * rows + [(None, None)]))
+    col = solve(_game_lp(-A.T))
+    assert row.status == col.status == OPTIMAL
+    assert np.array_equal(bits(row.x[:-1]), bits(col.x[:-1]))
+    assert bits(row.x[-1]) == bits(-col.x[-1])
+    assert np.array_equal(row.duals[:-1], col.duals[:-1])
+    assert bits(row.duals[-1]) == bits(-col.duals[-1])
+    assert bits(row.objective) == bits(-col.objective)
+    counters = ("iterations", "phase1_iterations", "degenerate_pivots", "refactorizations")
+    assert [getattr(row, c) for c in counters] == [getattr(col, c) for c in counters]
+    assert row.iterations == 637
+
+
+def test_pricing_skips_a_nan_reduced_cost(monkeypatch):
+    # min -x - 2y + 5z subject to x + y + z <= 4 and x + 3y <= 6: optimum
+    # (3, 1, 0).  z's cost turns NaN after setup, so its reduced cost is NaN
+    # at every pricing; argmax stops at that NaN, and the guard must drop z
+    # and pick y, then x, as the finite cost does.
+    problem = lp("min", [-1.0, -2.0, 5.0], [[1.0, 1.0, 1.0], [1.0, 3.0, 0.0]], [4.0, 6.0],
+                 ["<=", "<="], [(0.0, None)] * 3)
+    want = solve(problem)
+    setup = _Simplex.setup
+    nan_prices = []
+
+    def setup_with_nan_cost(sx):
+        setup(sx)
+        sx.cost[2] = np.nan
+
+    isnan = np.isnan
+
+    def counting_isnan(a, *args, **kwargs):
+        nan_prices.append(a.shape)
+        return isnan(a, *args, **kwargs)
+
+    monkeypatch.setattr(_Simplex, "setup", setup_with_nan_cost)
+    monkeypatch.setattr(np, "isnan", counting_isnan)
+    got = solve(problem)
+    monkeypatch.undo()
+    assert got.status == want.status == OPTIMAL
+    assert got.x == pytest.approx([3.0, 1.0, 0.0], abs=1e-12)
+    assert np.array_equal(bits(got.x), bits(want.x))
+    assert bits(got.objective) == bits(want.objective)
+    assert np.array_equal(bits(got.duals), bits(want.duals))
+    assert got.iterations == want.iterations == 2
+    # The guard ran at each of the three pricings, on the 5-column score.
+    assert nan_prices == [(5,)] * 3
 
 
 def test_counters_on_degenerate_lps():
@@ -376,7 +444,7 @@ def test_start_inverse_and_values_have_lapack_bits(reference_payoff):
     """The +-1 diagonal start basis is inverted without LAPACK, to its bits."""
     rng = np.random.default_rng(11)
     problems = [mixed_lp(rng) for _ in range(100)]
-    problems += [_game_lp(reference_payoff.entries, o) for o in ("row", "col")]
+    problems += [_game_lp(reference_payoff.entries), _game_lp(-reference_payoff.entries.T)]
     signs = set()
     for problem in problems:
         sx = _Simplex(problem)
@@ -390,18 +458,18 @@ def test_start_inverse_and_values_have_lapack_bits(reference_payoff):
 
 
 def test_matches_reference_simplex_on_game_lps(reference_payoff, desk_payoff):
-    for orientation in ("row", "col"):
-        assert_matches_reference(_game_lp(reference_payoff.entries, orientation))
+    for entries in (reference_payoff.entries, -reference_payoff.entries.T):
+        assert_matches_reference(_game_lp(entries))
     for beta in default_beta_grid():
-        assert_matches_reference(_game_lp(reference_payoff.with_beta(beta).entries, "col"))
-    assert_matches_reference(_game_lp(desk_payoff.entries, "row"))
-    # beta = 0.7626, whose row-orientation LP ends 3e-7 past a bound: the
-    # same bits as the reference, which calls them optimal, but reported as
-    # a numerical failure.
-    assert assert_matches_reference(_game_lp(desk_payoff.with_beta(0.7626).entries, "row"),
+        assert_matches_reference(_game_lp(reference_payoff.with_beta(beta).entries))
+    assert_matches_reference(_game_lp(-desk_payoff.entries.T))
+    # beta = 0.7626, whose game LP (of the swapped game) ends 3e-7 past a
+    # bound: the same bits as the reference, which calls them optimal, but
+    # reported as a numerical failure.
+    assert assert_matches_reference(_game_lp(-desk_payoff.with_beta(0.7626).entries.T),
                                     status=NUMERICAL_FAILURE) == NUMERICAL_FAILURE
     # Stopped after the refresh at iteration 256, x holds the updated values.
-    assert assert_matches_reference(_game_lp(desk_payoff.entries, "row"), 300) == ITERATION_CAP
+    assert assert_matches_reference(_game_lp(-desk_payoff.entries.T), 300) == ITERATION_CAP
 
 
 def test_matches_reference_simplex_on_random_lps():
@@ -415,7 +483,7 @@ def test_matches_reference_simplex_on_random_lps():
         assert assert_matches_reference(problem) == OPTIMAL
 
 
-# A 2 x 3 game, in the orientation solve_game picks for it (fewer rows).
+# A 2 x 3 game, whose game LP solve_game builds as is (it has fewer rows than columns).
 SMALL_GAME = np.array([[0.9, 0.2, 0.5], [0.1, 0.8, 0.4]])
 
 
@@ -429,7 +497,7 @@ def break_linalg(monkeypatch, *names):
 
 
 def test_singular_basis_stops_with_finite_duals(monkeypatch):
-    problem = _game_lp(SMALL_GAME, "col")
+    problem = _game_lp(SMALL_GAME)
     healthy = solve(problem)
     assert healthy.status == OPTIMAL
     m = len(problem.rhs)

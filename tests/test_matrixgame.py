@@ -57,20 +57,18 @@ def test_saddle_point_game():
 def test_orientations_agree():
     rng = np.random.default_rng(2)
     for _ in range(20):
-        # Non-square, so A and -A^T (players swapped) are solved in different
-        # orientations: whichever has fewer rows by the col LP, the other by the row LP.
+        # Non-square, so one of A and -A^T (players swapped) has more rows
+        # than columns, and solve_game builds its LP from the other: both
+        # solves run the same LP, so they must agree bit for bit.
         shape = rng.choice(np.arange(2, 7), size=2, replace=False)
         A = rng.uniform(-3.0, 3.0, size=tuple(int(d) for d in shape))
         direct, swapped = solve_game(A), solve_game(-A.T)
-        v_a, v_b = direct.value, -swapped.value
-        row_a, col_a = direct.row_strategy.prob_array(), direct.col_strategy.prob_array()
-        row_b, col_b = swapped.col_strategy.prob_array(), swapped.row_strategy.prob_array()
-        assert abs(v_a - v_b) <= 1e-8
-        # Cross-pair: each orientation's strategies must verify against the
-        # game value computed by the other.
-        for x, y in [(row_a, col_b), (row_b, col_a)]:
-            assert (x @ A).min() >= v_b - 1e-8
-            assert (A @ y).max() <= v_b + 1e-8
+        assert (direct.row_strategy.prob_array().tobytes()
+                == swapped.col_strategy.prob_array().tobytes())
+        assert (direct.col_strategy.prob_array().tobytes()
+                == swapped.row_strategy.prob_array().tobytes())
+        assert np.float64(direct.value).tobytes() == np.float64(-swapped.value).tobytes()
+        assert direct.iterations == swapped.iterations
 
 
 def test_affine_covariance():
@@ -147,8 +145,9 @@ def test_verify_equilibrium_flags_bad_strategies():
     (lambda x: np.array([*x[:-1], x[-1] + 0.5]), "row_gap=5.000e-01"),  # an overstated value
 ], ids=["strategy", "value"])
 def test_solve_game_rejects_an_unverified_lp_answer(monkeypatch, doctor, gap):
-    # Matching pennies is solved in the col orientation: x is the column
-    # mixture, then the value.  solve_game must judge the LP's answer itself.
+    # Matching pennies is square, so its game LP is built from A itself: x is
+    # the column mixture, then the value.  solve_game must judge the LP's
+    # answer itself.
     real = lpsolve.solve
 
     def doctored(lp):
