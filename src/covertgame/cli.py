@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 from datetime import datetime, timezone
 from functools import lru_cache
@@ -199,12 +200,36 @@ def _cmd_baseline(args, scenario):
     return {"baseline.csv": table}, {}, f"wrote {len(results)} baseline points", 0
 
 
+def _nearest_grid_point(grid, column: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Index of each value's nearest point of a sorted grid, and where the
+    value lies farther than 1e-9 from it, and so from every grid point.
+
+    The nearest point is one of the two around the value's place in the
+    grid, so one binary search per value decides it.  NaN is off the grid.
+    """
+    grid = np.asarray(grid)
+    right = np.minimum(np.searchsorted(grid, column), grid.size - 1)
+    left = np.maximum(right - 1, 0)
+    index = np.where(np.abs(grid[right] - column) < np.abs(grid[left] - column), right, left)
+    return index, ~(np.abs(grid[index] - column) <= 1e-9)
+
+
 def _load_strategy_csv(path: str, scenario, header) -> MixedStrategy:
+    """A strategy file's mixture, with each action a distinct scenario grid point.
+
+    A file holds at most one row per grid action (power x jam, or threshold),
+    so a strategy pair's cell table stays within the scenario's MAX_CELLS.
+    """
     lines = Path(path).read_text(encoding="utf-8").strip().splitlines()
     if not lines:
         raise ScenarioError(f"{path}: empty strategy file")
     if tuple(lines[0].split(",")) != header:
         raise ScenarioError(f"{path}: expected header {','.join(header)}")
+    grids = [getattr(scenario, _COLUMN_GRID[name]) for name in header[:-1]]
+    size = math.prod(map(len, grids))
+    if len(lines) - 1 > size:
+        raise ScenarioError(f"{path}: {len(lines) - 1} actions, more than the {size} "
+                            f"of the scenario grid")
     rows = []
     for line in lines[1:]:
         try:
@@ -214,17 +239,23 @@ def _load_strategy_csv(path: str, scenario, header) -> MixedStrategy:
         if len(values) != len(header):
             raise ScenarioError(f"{path}: malformed row {line!r}")
         rows.append(values)
-    # An action is off the grid when a column lies farther than 1e-9 from
-    # every point of its own grid (the joint grid is power x jam).
+    # Each action's grid point, numbered over the joint grid (power x jam).
     table = np.array(rows).reshape(-1, len(header))
+    point = np.zeros(len(rows), dtype=np.int64)
     off = np.zeros(len(rows), dtype=bool)
-    for name, column in zip(header[:-1], table.T):
-        grid = np.asarray(getattr(scenario, _COLUMN_GRID[name]))
-        off |= ~(np.abs(column[:, None] - grid[None, :]) <= 1e-9).any(axis=1)
+    for grid, column in zip(grids, table.T):
+        index, column_off = _nearest_grid_point(grid, column)
+        point = point * len(grid) + index
+        off |= column_off
     actions = [tuple(row[:-1]) if len(row) > 2 else row[0] for row in rows]
     bad = [a for a, o in zip(actions, off.tolist()) if o]
     if bad:
         raise ScenarioError(f"{path}: actions not on the scenario grid: {bad[:3]}")
+    _, first = np.unique(point, return_index=True)
+    if first.size < len(rows):
+        again = np.setdiff1d(np.arange(len(rows)), first)
+        raise ScenarioError(f"{path}: actions repeat a grid point of an earlier row: "
+                            f"{[actions[i] for i in again[:3]]}")
     try:
         return MixedStrategy(tuple(actions), tuple(row[-1] for row in rows))
     except ValueError as exc:

@@ -17,29 +17,40 @@ tail sum,
 
     Q(n, x) = sum_{k=0}^{n-1} x^k e^{-x} / k!,
 
-which is evaluated term by term in log space.  Writing the log term as
+whose terms t_k = x^k e^-x / k! are positive.  Every point adds only the
+O(sqrt(x)) terms in its window (``_windows``), by one of two kernels that
+the shape picks; each cell depends on (n, x) alone, not on the other points.
+
+Up to n = ``_WINDOW_SUM_MAX_SHAPE`` (200), ``_window_sums`` takes every term
+in log space.  Writing the log term as
 
     ln t_k = (k - x) + k*log1p((x - k)/k) - (0.5*ln(2*pi*k) + tail(k))
 
-keeps every contributing piece small near the dominant terms (k close to x).
-``reg_gamma_q_grid`` adds, in increasing k, only the O(sqrt(x)) terms in each
-point's window, and is cross-checked against the full sum in the test suite.
+keeps every contributing piece small near the dominant terms (k close to
+x).  It adds the terms row by row: for each k it computes t_k once, over
+the sorted points whose window holds k, and adds it to their running sums.
+So each point adds its own window's terms one k at a time, in increasing
+k, from 0.0, and then adds that sum to e^-x once; a term outside its window
+never enters.  Ordered by window end, then window start, the points holding
+k are one contiguous slice, because neither bound falls in that order.
+Near points (x <= n-1) have both bounds rising with x.  Far-tail points
+(x > n-1) all end at k = n-1, but their starts do not rise with x, hence
+the second key.  Were a start ever to fall by rounding, the points would
+split there into groups with a slice each.  A planner finds every k's slice
+by two vectorized binary searches and walks the k in order.  Consecutive
+rows share one row-major (rows x points) table over the union of their
+slices: its terms are computed in one set of numpy calls, then each row, in
+k order, adds only its own slice to the running sums.  Every golden output
+pinned at n = 200 rests on these bits; the test suite holds this kernel bit
+for bit to a plain windowed sum.
 
-The kernel adds the terms row by row: for each k it computes t_k once,
-over the sorted points whose window holds k, and adds it to their running
-sums.  So each point still adds its own window's terms one k at a time, in
-increasing k, from 0.0, and then adds that sum to e^-x once; a term outside
-its window never enters, and every cell depends on (n, x) alone.  Ordered
-by window end, then window start, the points holding k are one contiguous
-slice, because neither bound falls in that order.  Near points (x <= n-1)
-have both bounds rising with x.  Far-tail points (x > n-1) all end at
-k = n-1, but their starts do not rise with x, hence the second key.  Were
-a start ever to fall by rounding, the points would split there into groups
-with a slice each.  A planner finds every k's slice by two vectorized
-binary searches and walks the k in order.  Consecutive rows share one
-row-major (rows x points) table over the union of their slices: its terms
-are computed in one set of numpy calls, then each row, in k order, adds
-only its own slice to the running sums.
+Above n = 200, ``_recurrence_sums`` sums the same windows from one anchor
+term per point: at the mode floor(x), or the window end nearest it, in log
+space (``_log_anchor``).  The other terms follow by the ratios
+t_{k-1} = t_k k / x and t_{k+1} = t_k x / (k+1), outward to the window's
+ends, two roundings a step instead of a log1p and an exp a term: about
+1.7 ns a term against 4.7 ns at n = 2000, so a long-block cell table takes
+about a third of the time.
 
 Above the mode a point's window ends early where the rest of its terms
 cannot move its sum (``_tail_cut``).  Bennett's bound puts every later term
@@ -50,8 +61,11 @@ below x - sqrt(x) and does not end at k = n-1.
 
 Accuracy domain: 1 <= n <= MAX_SHAPE and x >= 0.  There Q(n, x) stays
 within 1e-10 absolute error, and 1e-12 relative error wherever Q > 1e-300,
-of a 60-digit oracle (measured: about 1e-13), tested at x < 1, near n - 1,
-n +- 9 sqrt(n) and out to 5n.  Scenarios with a longer block are rejected.
+of a 60-digit oracle, tested at x < 1, near n - 1, n +- 9 sqrt(n) and in
+the far tail out to 20n, densest where Q lies between 1e-300 and 1e-40.
+Measured on those points and denser draws at n = 201, 2000, 10^4 and 10^5,
+the worst errors of either kernel are 5e-13 relative and 6e-15 absolute.
+Scenarios with a longer block are rejected.
 
 Far in the tail Q is too small for 1 - Q to differ from 1.0.  ``_q_negligible``
 marks such points by the Chernoff bound ln Q <= m - x + m ln(x/m), m = n - 1,
@@ -96,6 +110,15 @@ _WINDOW_DECAY = 39.0
 # one-row-per-pass time (CHANGES.md).
 _TABLE_CELLS = 32 * 1024
 
+# Shapes above this take the recurrence (``_recurrence_sums``), about 3x
+# faster at n = 2000 to 10^4; shapes up to it keep the window sums
+# (``_window_sums``) and their bits, which every golden output pinned at
+# n = 200 (both presets) depends on.  The golden change that follows the
+# benchmark change (ROADMAP item 6) hands n <= 200 to the recurrence too
+# (about 15 -> 9 ms a table there) and deletes ``_blocks``, the table loop,
+# ``_terms`` and ``_TABLE_CELLS``.
+_WINDOW_SUM_MAX_SHAPE = 200
+
 
 def _stirling_tail(k: float) -> float:
     """Residual ln k! - (k ln k - k + 0.5*ln(2 pi k)) via the Stirling series."""
@@ -137,9 +160,10 @@ def reg_gamma_q_grid(n: int, x: np.ndarray) -> np.ndarray:
     """Vectorized Q(n, x) over an array of evaluation points.
 
     This is the one evaluation of Q(n, x) in the package; payoff-matrix
-    assembly calls it for many x at once.  Each point sums only the Poisson
-    terms inside its own window (see ``_windows``), O(sqrt(x)) of them, in
-    increasing k; each cell depends on (n, x) alone, not on the other points.
+    assembly calls it for many x at once.  Each distinct point sums only the
+    Poisson terms inside its own window (see ``_windows``), O(sqrt(x)) of
+    them: by ``_window_sums`` up to n = 200 and by ``_recurrence_sums``
+    above it.  Each cell depends on (n, x) alone, not on the other points.
 
     Args:
         n: integer shape, 1 <= n <= MAX_SHAPE.
@@ -156,7 +180,8 @@ def reg_gamma_q_grid(n: int, x: np.ndarray) -> np.ndarray:
     out = np.where(flat == 0.0, 1.0, 0.0)  # Q(n, 0) = 1 and Q(n, inf) = 0
     inner = (flat > 0.0) & (flat < math.inf)
     xs, inverse = np.unique(flat[inner], return_inverse=True)
-    out[inner] = _q_sorted(n, xs)[inverse]
+    sums = _window_sums if n <= _WINDOW_SUM_MAX_SHAPE else _recurrence_sums
+    out[inner] = sums(n, xs)[inverse]
     return out.reshape(x.shape)
 
 
@@ -176,8 +201,11 @@ def _q_negligible(n: int, x: np.ndarray) -> np.ndarray:
     m - x >= 0, which bounds nothing.  x = +inf has Q = 0.  A point is
     negligible where the bound is below ln(2^-54) - 1.  Its true Q is then at
     most 2^-54 / e.  The kernel adds a subset of the positive Poisson terms,
-    each to about 1e-13 relative error, so its value is at most 2^-54 and
-    1 - Q rounds to exactly 1.0 (a tie at 2^-54 rounds to even, 1.0).  The
+    each to a small relative error: about 1e-13 for a term taken in log
+    space, and for a recurrence term W steps from its anchor up to about
+    W * 2^-52 more, under 1e-12 for the W < 3000 steps of any window up to
+    MAX_SHAPE.  So its value is at most 2^-54 and 1 - Q rounds to exactly
+    1.0 (a tie at 2^-54 rounds to even, 1.0).  The
     margin of one e-fold also covers the rounding of the bound itself: near
     the cut-off that is a few ulps of x, under 1e-10 for n <= MAX_SHAPE.
     """
@@ -277,7 +305,7 @@ def _terms(x: np.ndarray, kk, base, diff: np.ndarray, out: np.ndarray) -> np.nda
     return np.exp(out, out=out)
 
 
-def _q_sorted(n: int, xs: np.ndarray) -> np.ndarray:
+def _window_sums(n: int, xs: np.ndarray) -> np.ndarray:
     """Q(n, x) at sorted, finite, positive points, adding their terms one k at a time."""
     if not xs.size:
         return np.exp(-xs)
@@ -304,6 +332,94 @@ def _q_sorted(n: int, xs: np.ndarray) -> np.ndarray:
     out = np.empty_like(sums)
     out[order] = np.clip(sums, 0.0, 1.0, out=sums)
     return out
+
+
+# Terms of the series 2 m v^3 (1/3 + v^2/5 + v^4/7 + ...) that ``_log_anchor``
+# sums: at |v| <= 1/3 the first one left out is below 4e-18 of its result.
+_BD0_TERMS = 16
+
+
+def _log_anchor(x: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """m ln(x/m) - (x - m), the part of ln t_m = m ln x - x - ln m! that depends on x.
+
+    It is -bd0(m, x) in Loader's notation ("Fast and accurate computation of
+    binomial probabilities", 2000).  The log form of ``_terms``,
+    m log1p((x - m)/m) - (x - m), loses about (x - m) ulps of 1 to the
+    rounding of log1p: 1.9e-12 of Q at n = 10^5, x = 109126.  Where
+    |v| <= 1/3, v = (x - m)/(x + m), the series
+
+        m ln(x/m) - (x - m) = 2 m v^3 (1/3 + v^2/5 + v^4/7 + ...) - (x - m) v
+
+    has no such loss: each of its parts is within a few ulps of the result.
+    """
+    d = x - m
+    log_form = d / m
+    with np.errstate(divide="ignore"):  # tiny x rounds d/m to -1: ln t_m = -inf
+        np.log1p(log_form, out=log_form)
+    log_form *= m
+    log_form -= d
+    v = d / (x + m)
+    z = v * v
+    series = np.full_like(v, 1.0 / (2 * _BD0_TERMS + 1))
+    for j in range(_BD0_TERMS - 2, -1, -1):
+        series *= z
+        series += 1.0 / (2 * j + 3)
+    series *= z
+    series *= v
+    series *= 2.0 * m
+    series -= np.multiply(d, v, out=d)  # finite also where |v| > 1/3, as v^2 <= 1
+    np.copyto(log_form, series, where=np.abs(v, out=v) <= 1.0 / 3.0)
+    return log_form
+
+
+def _walk(steps: np.ndarray, up: bool, x: np.ndarray, m: np.ndarray, t: np.ndarray,
+          total: np.ndarray, work: np.ndarray) -> None:
+    """Add to ``total`` the terms ``steps`` ratio steps from each anchor t_m, one way.
+
+    Down, t_{k-1} = t_k k / x; up, t_{k+1} = t_k x / (k+1).  Sorted by step
+    count, the points still walking at step j are a prefix, so each step is
+    one set of numpy calls over it.  ``work`` is five scratch rows of points.
+    """
+    order = np.argsort(-steps, kind="stable")
+    walking = np.cumsum(np.bincount(steps.astype(np.intp))[::-1])[::-1].tolist()  # [j]: steps >= j
+    xw, mw, tw, sums, ratio = work
+    for row, a in ((xw, x), (mw, m), (tw, t)):
+        np.take(a, order, out=row)
+    sums.fill(0.0)
+    for j, c in enumerate(walking[1:], 1):
+        r, tc, sc = ratio[:c], tw[:c], sums[:c]
+        if up:
+            np.divide(xw[:c], np.add(mw[:c], j, out=r), out=r)
+        else:
+            np.divide(np.subtract(mw[:c], j - 1, out=r), xw[:c], out=r)
+        np.add(sc, np.multiply(tc, r, out=tc), out=sc)
+    xw[order] = sums
+    total += xw
+
+
+def _recurrence_sums(n: int, xs: np.ndarray) -> np.ndarray:
+    """Q(n, x) at sorted, finite, positive points, by recurrence from each window's anchor.
+
+    Each point's window is the one ``_window_sums`` adds (``_windows`` with
+    ``_tail_cut``).  Its anchor term, at m = clip(floor(x), lo, hi), is
+    exp(``_log_anchor`` - base_m); the rest follow from it by the ratio
+    t_{k+1} / t_k = x / (k+1) (Fox & Glynn, CACM 31(4), 1988), down to lo
+    and up to hi.  m is the mode where the window holds it, and otherwise
+    the window end nearest to it, so no step makes a term grow.
+    """
+    _, base = _poisson_tables(n)
+    lo, hi = _windows(n, xs)
+    hi = _tail_cut(n, xs, lo, hi)
+    m = np.clip(np.floor(xs), lo, hi)
+    down, up = np.subtract(m, lo, out=lo), np.subtract(hi, m, out=hi)
+    t = _log_anchor(xs, m)
+    t -= base[m.astype(np.intp) - 1]
+    np.exp(t, out=t)
+    total, work = t.copy(), np.empty((5, xs.size))
+    _walk(down, False, xs, m, t, total, work)
+    _walk(up, True, xs, m, t, total, work)
+    total += np.exp(-xs, out=work[0])
+    return np.clip(total, 0.0, 1.0, out=total)
 
 
 # Rational tail approximation constants (Hastings-style initializer).

@@ -2,8 +2,10 @@
 
 import contextlib
 import io
+import itertools
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -690,3 +692,122 @@ def test_strategy_grid_check_is_per_component(tmp_path):
     rows.write_text("power_mw,jam_mw,probability\n", encoding="utf-8")
     with pytest.raises(covertgame.ScenarioError, match="at least one action"):
         cli._load_strategy_csv(str(rows), s, cli._ROW_HEADER)
+
+
+def test_strategy_files_hold_each_grid_action_once(tmp_path):
+    # A file names each grid action at most once: values within 1e-9 of the
+    # same grid point are one action, so a repeat is an input error, and a
+    # file with more rows than the grid has actions is refused unread.
+    s = covertgame.desk_scenario(True)
+    cols = tmp_path / "cols.csv"
+    for body in ("0.25,0.5\n0.25,0.5\n", "0.25,0.5\n0.2500000005,0.5\n"):
+        cols.write_text("threshold_mw,probability\n" + body, encoding="utf-8")
+        with pytest.raises(covertgame.ScenarioError, match="repeat a grid point"):
+            cli._load_strategy_csv(str(cols), s, cli._COL_HEADER)
+    rows = tmp_path / "rows.csv"
+    rows.write_text("power_mw,jam_mw,probability\n0.05,0.05,0.5\n0.05,0.1,0.5\n",
+                    encoding="utf-8")
+    assert len(cli._load_strategy_csv(str(rows), s, cli._ROW_HEADER).actions) == 2
+    size = len(s.threshold_grid)
+    cols.write_text("threshold_mw,probability\n" + "junk\n" * (size + 1), encoding="utf-8")
+    with pytest.raises(covertgame.ScenarioError, match=f"{size + 1} actions, more than the"):
+        cli._load_strategy_csv(str(cols), s, cli._COL_HEADER)
+
+
+# Runs CLI argument lists in one child interpreter that limits its own
+# address space to 3 GB, so an oversized allocation is a MemoryError there
+# instead of memory taken from the host; prints each run's exit code, or
+# the exception that escaped main().
+_LIMITED_CHILD = """\
+import contextlib, io, json, resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))
+from covertgame.cli import main
+codes = []
+for argv in json.load(sys.stdin):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            codes.append(main(argv))
+        except SystemExit as exc:
+            codes.append(exc.code)
+        except Exception as exc:
+            codes.append(f"{type(exc).__name__}: {exc}"[:200])
+print(json.dumps(codes))
+"""
+
+
+def _exit_codes_under_3_gb(argvs):
+    src = str(Path(covertgame.__file__).resolve().parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    done = subprocess.run([sys.executable, "-c", _LIMITED_CHILD], input=json.dumps(argvs),
+                          env=env, capture_output=True, text=True, timeout=600)
+    assert done.returncode == 0, done.stderr[-2000:]
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+def _random_strategy_file(rng, path, header, grids):
+    """A strategy file of distinct on-grid actions (some 1e-9 off their
+    point), half of the time with a few faults: off-grid or non-numeric
+    values, a repeated action, a bad probability or header, too many rows."""
+    points = list(itertools.product(*grids))
+    actions = rng.sample(points, rng.randint(1, len(points)))
+    probs = [repr(1.0 / len(actions))] * len(actions)
+    lines = [[repr(v + rng.choice([0.0, 0.0, 5e-10, -5e-10])) for v in a] for a in actions]
+    head = ",".join(header)
+    for _ in range(rng.choice([0, 0, 0, 1, 2])):
+        fault, row = rng.randrange(6), rng.randrange(len(lines))
+        if fault == 0:
+            lines[row][rng.randrange(len(grids))] = rng.choice(
+                ["nan", "inf", "-inf", "1e308", "-1", "abc", "", repr(rng.uniform(0.0, 5.0))])
+        elif fault == 1:
+            lines.append(list(lines[row]))
+            probs.append("0")
+        elif fault == 2:
+            probs[row] = rng.choice(["nan", "-0.5", "2", "0", "x"])
+        elif fault == 3:
+            head = rng.choice(["", "a,b", "probability", head + ",x"])
+        elif fault == 4:
+            lines += [list(lines[row]) for _ in range(len(points))]
+            probs += ["0"] * len(points)
+        else:
+            probs[row] += ",1"
+    body = "".join(",".join([*line, prob]) + "\n" for line, prob in zip(lines, probs))
+    path.write_text(head + "\n" + body, encoding="utf-8")
+
+
+def test_random_strategy_files_and_betas_exit_0_2_or_3_under_3_gb(tmp_path, scenario_file):
+    # Strategy files and --betas, like --set above, end in exit 0, 2 or 3,
+    # never in a traceback: also where a file would once have asked for a
+    # huge table.  The last two runs are those: 100,000 distinct on-grid
+    # thresholds (a 100000 x 100000 comparison, 74.5 GiB) and 3,000,000
+    # rows of one threshold on the preset's 301-point grid (6.7 GiB).
+    rng = random.Random(0)
+    s = covertgame.load_scenario(scenario_file)
+    common = ["--scenario", str(scenario_file)]
+    argvs = []
+    for i in range(40):
+        rows, cols = tmp_path / f"rows{i}.csv", tmp_path / f"cols{i}.csv"
+        _random_strategy_file(rng, rows, cli._ROW_HEADER, [s.power_grid, s.jam_grid])
+        _random_strategy_file(rng, cols, cli._COL_HEADER, [s.threshold_grid])
+        argvs.append(["simulate", *common, "--row-strategy", str(rows), "--col-strategy",
+                      str(cols), "--blocks", "100", "--out", str(tmp_path / f"sim{i}")])
+    words = ["1", "0.5", "20", "1e-300", "1e300", "1e308", "inf", "nan", "-1", "0", "abc", "",
+             " 2 ", "1e999", "0x10"]
+    for i in range(20):
+        betas = ",".join(rng.choice(words) for _ in range(rng.randint(1, 4)))
+        argvs.append(["sweep", *common, "--betas", betas, "--out", str(tmp_path / f"sw{i}")])
+    rows = tmp_path / "one_row.csv"
+    rows.write_text("power_mw,jam_mw,probability\n0.5,0,1\n", encoding="utf-8")
+    wide, repeated = tmp_path / "wide.csv", tmp_path / "repeated.csv"
+    wide.write_text("threshold_mw,probability\n" + "".join(
+        f"{t / 10_000!r},1e-05\n" for t in range(100_000)), encoding="utf-8")
+    repeated.write_text("threshold_mw,probability\n" + "1.0,3.3333333333333335e-07\n" * 3_000_000,
+                        encoding="utf-8")
+    for cols, grid in ((wide, ["--set", "threshold_grid=0:0.0001:9.9999"]), (repeated, [])):
+        argvs.append(["simulate", *grid, "--row-strategy", str(rows), "--col-strategy", str(cols),
+                      "--blocks", "1000", "--out", str(tmp_path / cols.stem)])
+    codes = _exit_codes_under_3_gb(argvs)
+    repeated.unlink()  # 78 MB: not worth keeping among pytest's last temp dirs
+    assert [(a, c) for a, c in zip(argvs, codes) if c not in (0, 2, 3)] == []
+    assert codes[-1] == 2 and codes[-2] in (0, 3)
+    assert {0, 2} <= set(codes[:40]) and {0, 2} <= set(codes[40:60])

@@ -11,12 +11,15 @@ from covertgame import specfun
 from covertgame.model import default_scenario, desk_scenario
 from covertgame.specfun import (
     _TABLE_CELLS,
+    _WINDOW_SUM_MAX_SHAPE,
     MAX_SHAPE,
     MIN_TAIL_PROB,
     _blocks,
     _poisson_tables,
     _q_negligible,
+    _recurrence_sums,
     _tail_cut,
+    _window_sums,
     _windows,
     gaussian_q_inv,
     reg_gamma_q_grid,
@@ -221,6 +224,15 @@ def test_grid_cells_depend_on_their_point_alone(n):
     assert np.array_equal(reg_gamma_q_grid(n, x1).view(np.int64), union[x0.size:])
 
 
+def _window_q(n, x):
+    """Q(n, x) from the window sums at any shape, as reg_gamma_q_grid takes
+    it up to _WINDOW_SUM_MAX_SHAPE: each distinct positive point once."""
+    out = np.ones_like(x)
+    xs, inverse = np.unique(x[x > 0.0], return_inverse=True)
+    out[x > 0.0] = _window_sums(n, xs)[inverse]
+    return out
+
+
 def test_grid_matches_full_sum_oracle():
     # Summing every Poisson term instead of each point's window.
     for with_jammer in (False, True):
@@ -229,19 +241,15 @@ def test_grid_matches_full_sum_oracle():
     for n, stride in ((2000, 5), (10_000, 15)):
         x = _scenario_points(default_scenario(), n)[::stride]
         full = gamma_q_full_sum(x, *_poisson_tables(n))
-        assert np.all(np.abs(reg_gamma_q_grid(n, x) - full) <= 1e-15 * full)
+        assert np.all(np.abs(_window_q(n, x) - full) <= 1e-15 * full)
 
 
-@pytest.mark.parametrize("n", [2, 15, 200, 2000, 10_000, MAX_SHAPE])
-def test_grid_matches_windowed_reference_bit_for_bit(n):
-    # The same floating-point operations as the reference kernel: no cell
-    # may move by even one ulp, which the relative full-sum bound above
-    # could not see.  Large shapes sample every 16th scenario point; up to
-    # n = 2000 the full jammer grid's 81k points give the widest rows.  Far
-    # points x in (n-1, 20(n-1)], whose window starts do not rise with x,
-    # mix with the near ones, and calls of 1 to 8 points run alone.
+def _window_test_points(n, rng):
+    """Distinct positive points of the window tests at shape n: the scenario
+    grids (every 16th point above n = 2000), uniform points below 3n, edge
+    points, and far points x in (n-1, 20(n-1)], whose window starts do not
+    rise with x."""
     stride = 1 if n <= 2000 else 16
-    rng = np.random.default_rng(n)
     x = np.concatenate([
         _scenario_points(default_scenario(False), n)[::stride],
         _scenario_points(default_scenario(True), n)[::stride],
@@ -249,14 +257,38 @@ def test_grid_matches_windowed_reference_bit_for_bit(n):
         [1e-17, 0.5, n - 1, n, 5 * n, 20 * n],
         np.nextafter(n - 1, math.inf) + rng.uniform(0.0, 19.0 * (n - 1), 500),
     ])
-    xs = np.unique(x[x > 0.0])
+    return np.unique(x[x > 0.0])
+
+
+@pytest.mark.parametrize("n", [2, 15, 200, 2000, 10_000, MAX_SHAPE])
+def test_grid_matches_windowed_reference_bit_for_bit(n):
+    # The same floating-point operations as the reference kernel: no cell
+    # may move by even one ulp, which the relative full-sum bound above
+    # could not see.  Up to n = 2000 the full jammer grid's 81k points give
+    # the widest rows, and calls of 1 to 8 points run alone.
+    rng = np.random.default_rng(n)
+    xs = _window_test_points(n, rng)
     want = gamma_q_windowed_reference(xs, *_poisson_tables(n), *poisson_windows(n, xs))
-    assert np.array_equal(reg_gamma_q_grid(n, xs).view(np.int64), want.view(np.int64))
+    assert np.array_equal(_window_sums(n, xs).view(np.int64), want.view(np.int64))
     for size in (1, 2, 3, 5, 7, 8):
         for _ in range(20):
             pick = np.sort(rng.choice(xs.size, size, replace=False))
-            got = reg_gamma_q_grid(n, xs[pick])
+            got = _window_sums(n, xs[pick])
             assert np.array_equal(got.view(np.int64), want[pick].view(np.int64))
+
+
+def test_grid_takes_the_recurrence_only_above_n_200():
+    # Every golden output pinned at n = 200 rests on the window sums' bits,
+    # so there the grid is the windowed reference bit for bit; one shape
+    # above, it is the recurrence.
+    n = _WINDOW_SUM_MAX_SHAPE
+    xs = _window_test_points(n, np.random.default_rng(n))
+    want = gamma_q_windowed_reference(xs, *_poisson_tables(n), *poisson_windows(n, xs))
+    assert np.array_equal(reg_gamma_q_grid(n, xs).view(np.int64), want.view(np.int64))
+    xs = _window_test_points(n + 1, np.random.default_rng(n + 1))
+    got = reg_gamma_q_grid(n + 1, xs)
+    assert np.array_equal(got.view(np.int64), _recurrence_sums(n + 1, xs).view(np.int64))
+    assert not np.array_equal(got, _window_sums(n + 1, xs))
 
 
 @pytest.mark.parametrize("n", [200, 2000, 10_000])
@@ -282,7 +314,7 @@ def test_grid_splits_points_where_window_starts_fall(monkeypatch):
     lo[2000] = np.floor(xs[2000])
     monkeypatch.setattr(specfun, "_windows", lambda *_: (lo.copy(), hi.copy()))
     want = gamma_q_windowed_reference(xs, *_poisson_tables(n), lo, hi)
-    assert np.array_equal(reg_gamma_q_grid(n, xs).view(np.int64), want.view(np.int64))
+    assert np.array_equal(_window_sums(n, xs).view(np.int64), want.view(np.int64))
 
 
 def test_tail_cut_keeps_windows_that_start_near_x(monkeypatch):
@@ -298,7 +330,7 @@ def test_tail_cut_keeps_windows_that_start_near_x(monkeypatch):
     assert (end < hi).sum() > 2000
     monkeypatch.setattr(specfun, "_windows", lambda *_: (lo.copy(), hi.copy()))
     want = gamma_q_windowed_reference(xs, *_poisson_tables(n), lo, hi)
-    assert np.array_equal(reg_gamma_q_grid(n, xs).view(np.int64), want.view(np.int64))
+    assert np.array_equal(_window_sums(n, xs).view(np.int64), want.view(np.int64))
 
 
 def _assert_block_contract(lo, hi):
@@ -398,12 +430,31 @@ def test_blocks_split_where_window_starts_fall():
     _assert_block_contract(lo, hi)
 
 
-@pytest.mark.parametrize("n", [1000, 10_000, MAX_SHAPE])
+def _x_at_chernoff_level(n, level):
+    """The x > n-1 where the Chernoff exponent (x - m) - m ln(x/m), m = n-1,
+    of ``_q_negligible`` equals ``level``: there ln Q is about -level."""
+    m, low, high = n - 1.0, n - 1.0, 20.0 * n
+    for _ in range(100):
+        mid = 0.5 * (low + high)
+        low, high = (mid, high) if (mid - m) - m * math.log(mid / m) < level else (low, mid)
+    return low
+
+
+@pytest.mark.parametrize("n", [_WINDOW_SUM_MAX_SHAPE + 1, 1000, 2000, 10_000, MAX_SHAPE])
 def test_grid_matches_mpmath_at_large_n(n):
+    # Above n = 200 these are the recurrence's cells.  Most far-tail points
+    # have Q between about 1e-300 and 1e-40, where the anchor term's error
+    # in ln t is every term's and grows with x - (n-1) if not kept down.
     r = math.sqrt(n)
-    x = np.array([0.01, 0.5, 0.999, n - 1.5, n - 1.0, n - 1.0 + 1e-9, n - 0.5, n,
-                  n - 9 * r, n + 9 * r, n + 9 * r + 27, n + 20 * r, n + 30 * r,
-                  1.5 * n, 2 * n, 5 * n])
+    rng = np.random.default_rng(n)
+    x = np.concatenate([
+        [1e-300, 0.01, 0.5, 0.999, n - 1.5, n - 1.0, n - 1.0 + 1e-9, n - 0.5, n,
+         n + 9 * r + 27, n + 20 * r, n + 30 * r, 1.5 * n, 2 * n, 5 * n, 20 * n],
+        rng.uniform(0.0, 1.0, 4),
+        n - 1 + r * np.linspace(-9.0, 9.0, 19),
+        [_x_at_chernoff_level(n, level) for level in rng.uniform(40.0, 690.0, 60)],
+        (n - 1) * np.exp(rng.uniform(0.0, math.log(20.0 * n / (n - 1)), 10)),
+    ])
     got = reg_gamma_q_grid(n, x)
     want = np.array([float(gamma_q_reference(n, v)) for v in x])
     err = np.abs(got - want)
