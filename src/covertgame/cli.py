@@ -164,14 +164,12 @@ def _cmd_solve(args, scenario):
 
 
 def _parse_betas(text: str | None):
-    """Explicit comma-separated weights, or the default grid when empty."""
-    if text is None or not text.strip(","):
-        return default_beta_grid(), "default"
+    """Explicit comma-separated weights, blank parts dropped; the default grid if none is left."""
     try:
-        betas = tuple(float(b) for b in text.split(",") if b.strip())
+        betas = tuple(float(b) for b in (text or "").split(",") if b.strip())
     except ValueError:
         raise ScenarioError(f"--betas expects comma-separated numbers, got {text!r}") from None
-    return betas, "explicit"
+    return (betas, "explicit") if betas else (default_beta_grid(), "default")
 
 
 def _cmd_sweep(args, scenario):

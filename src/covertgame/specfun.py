@@ -36,13 +36,11 @@ k are one contiguous slice, because neither bound falls in that order.
 Near points (x <= n-1) have both bounds rising with x.  Far-tail points
 (x > n-1) all end at k = n-1, but their starts do not rise with x, hence
 the second key.  Were a start ever to fall by rounding, the points would
-split there into groups with a slice each.  A planner finds every k's slice
-by two vectorized binary searches and walks the k in order.  Consecutive
-rows share one row-major (rows x points) table over the union of their
-slices: its terms are computed in one set of numpy calls, then each row, in
-k order, adds only its own slice to the running sums.  Every golden output
-pinned at n = 200 rests on these bits; the test suite holds this kernel bit
-for bit to a plain windowed sum.
+split there into groups with a slice each.  ``_rows`` finds every k's
+slice by two vectorized binary searches, and the kernel walks the k in
+increasing order, one set of numpy calls over each k's slice.  Every golden
+output pinned at n = 200 rests on these bits; the test suite holds this
+kernel bit for bit to a plain windowed sum.
 
 Above n = 200, ``_recurrence_sums`` sums the same windows from one anchor
 term per point: at the mode floor(x), or the window end nearest it, in log
@@ -103,20 +101,13 @@ _WINDOW_SIGMAS = 9.0
 _WINDOW_PAD = 27.0
 _WINDOW_DECAY = 39.0
 
-# Consecutive rows of the sum (one k each) share a (rows x points) table of
-# at most _TABLE_CELLS cells, 256 KiB of float64, and each adds its own slice
-# of it.  With the tail cut, tables of 16 / 32 / 64 Ki cells for the rows of
-# 1024 points or more ran the n = 2000 kernel in 0.93 / 0.87 / 0.88 of its
-# one-row-per-pass time (CHANGES.md).
-_TABLE_CELLS = 32 * 1024
-
 # Shapes above this take the recurrence (``_recurrence_sums``), about 3x
 # faster at n = 2000 to 10^4; shapes up to it keep the window sums
 # (``_window_sums``) and their bits, which every golden output pinned at
 # n = 200 (both presets) depends on.  The golden change that follows the
 # benchmark change (ROADMAP item 6) hands n <= 200 to the recurrence too
-# (about 15 -> 9 ms a table there) and deletes ``_blocks``, the table loop,
-# ``_terms`` and ``_TABLE_CELLS``.
+# (about 15 -> 9 ms a table there) and deletes ``_rows``, the row loop and
+# ``_terms``.
 _WINDOW_SUM_MAX_SHAPE = 200
 
 
@@ -259,42 +250,32 @@ def _tail_cut(n: int, xs: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndar
     return hi
 
 
-def _blocks(lo: np.ndarray, hi: np.ndarray) -> list[tuple[int, list[tuple[int, int]]]]:
-    """Row blocks (first k, each row's point slice) of windows sorted by (hi, lo).
+def _rows(lo: np.ndarray, hi: np.ndarray) -> list[tuple[int, int, int]]:
+    """Rows (k, a_k, b_k) of windows sorted by (hi, lo): points [a_k, b_k) hold k.
 
     The points split into groups where a window start falls.  Within a group
     neither bound falls, so the points whose window holds k are the slice
     [a_k, b_k) with a_k = #(hi < k) and b_k = #(lo <= k), found for every k
-    by one binary search each.  The blocks cover each k held by a group's
-    windows once, in increasing k, as runs of consecutive rows whose table
-    spans the union slice of their points and keeps within _TABLE_CELLS.  A
-    row too wide for the table is a block of its own.
+    by one binary search each.  Each group gives its nonempty rows in
+    increasing k, so each point meets every k of its window once, in order.
     """
     cuts = [0, *(np.flatnonzero(lo[1:] < lo[:-1]) + 1).tolist(), lo.size]
-    blocks = []
+    rows = []
     for start, stop in zip(cuts, cuts[1:]):
         k0, k1 = int(lo[start]), int(hi[stop - 1]) + 1  # lo rises, hi is sorted
         ks = np.arange(k0, k1, dtype=float)
         a = start + np.searchsorted(hi[start:stop], ks, side="left")
         b = start + np.searchsorted(lo[start:stop], ks, side="right")
-        spans = []
-        for k, a_k, b_k in zip(range(k0, k1), a.tolist(), b.tolist()):
-            if spans and (a_k == b_k or (len(spans) + 1) * (b_k - c0) > _TABLE_CELLS):
-                blocks.append((first, spans))
-                spans = []
-            if a_k < b_k:
-                if not spans:
-                    first, c0 = k, a_k
-                spans.append((a_k, b_k))
-        if spans:
-            blocks.append((first, spans))
-    return blocks
+        rows += [(k, a_k, b_k) for k, a_k, b_k in zip(range(k0, k1), a.tolist(), b.tolist())
+                 if a_k < b_k]
+    return rows
 
 
 def _terms(x: np.ndarray, kk, base, diff: np.ndarray, out: np.ndarray) -> np.ndarray:
     """t_k = exp(k log1p((x - k)/k) - (x - k) - base_k) into ``out``.
 
-    ``kk`` and ``base`` are columns of consecutive k for a (rows x points) table.
+    ``kk`` and ``base`` are one k and its base_k for a row of points, or
+    columns of consecutive k for a (rows x points) table.
     """
     np.subtract(x, kk, out=diff)
     np.divide(diff, kk, out=out)
@@ -309,25 +290,18 @@ def _window_sums(n: int, xs: np.ndarray) -> np.ndarray:
     """Q(n, x) at sorted, finite, positive points, adding their terms one k at a time."""
     if not xs.size:
         return np.exp(-xs)
-    k, base = _poisson_tables(n)
+    _, base = _poisson_tables(n)
     lo, hi = _windows(n, xs)
     hi = _tail_cut(n, xs, lo, hi)
     order = np.lexsort((lo, hi))
     lo, hi, x = lo[order], hi[order], xs[order]
-    size = max(_TABLE_CELLS, xs.size)  # a block's table, or one row over every point
-    diff_buf, term_buf = np.empty(size), np.empty(size)
+    diff_buf, term_buf = np.empty(xs.size), np.empty(xs.size)
     sums = np.zeros(xs.size)  # at n = 1 every window is empty: Q = e^-x
     with np.errstate(divide="ignore"):  # tiny x rounds (x - k)/k to -1: t_k = 0
-        for first, spans in _blocks(lo, hi):
-            rows, c0, c1 = len(spans), spans[0][0], spans[-1][1]
-            cells, ks = rows * (c1 - c0), slice(first - 1, first - 1 + rows)
-            terms = _terms(x[c0:c1], k[ks, None], base[ks, None],
-                           diff_buf[:cells].reshape(rows, -1), term_buf[:cells].reshape(rows, -1))
-            # Each row adds its own slice, in k order; the cells of the union
-            # slice outside it are finite and never read.
-            for row, (a, b) in zip(terms, spans):
-                row_sums = sums[a:b]  # add in place: sums[a:b] += would copy back
-                np.add(row_sums, row[a - c0:b - c0], out=row_sums)
+        for k, a, b in _rows(lo, hi):
+            row = _terms(x[a:b], float(k), base[k - 1], diff_buf[:b - a], term_buf[:b - a])
+            row_sums = sums[a:b]  # add in place: sums[a:b] += would copy back
+            np.add(row_sums, row, out=row_sums)
     sums += np.exp(-x, out=x)
     out = np.empty_like(sums)
     out[order] = np.clip(sums, 0.0, 1.0, out=sums)

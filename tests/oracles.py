@@ -136,11 +136,12 @@ def gamma_q_windowed_reference(xs: np.ndarray, k: np.ndarray, base: np.ndarray,
                                lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """Q(n, x) at sorted positive points, summing each point's window [lo, hi].
 
-    The package's windowed kernel as it was before its scratch tables and
-    edge-row masks, kept as the bit-for-bit reference for them: a fresh
-    term table per 32 Ki-cell chunk, every cell masked, the same summation
-    order.  ``k``, ``base`` and the windows are the caller's, as for
-    ``gamma_q_full_sum``.
+    A masked windowed sum, chunked by points: each chunk of at most 32 Ki
+    cells gets a fresh (k x points) term table, every term outside its
+    point's window masked to 0, in the kernel's summation order (each
+    point's terms in increasing k from 0.0, then e^-x once).  It is the
+    bit-for-bit reference for the window sums.  ``k``, ``base`` and the
+    windows are the caller's, as for ``gamma_q_full_sum``.
     """
     chunk_cells = 32 * 1024
     out = np.empty_like(xs)

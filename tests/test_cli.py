@@ -347,10 +347,13 @@ def test_sweep_explicit_betas(tmp_path, scenario_file, capsys):
     assert deps == sorted(deps)
 
 
-def test_sweep_empty_betas_uses_default_grid(tmp_path, scenario_file, capsys):
+@pytest.mark.parametrize("betas", ["", ",,", " ", " , "],
+                         ids=["empty", "commas", "blank", "blank-parts"])
+def test_sweep_empty_betas_uses_default_grid(tmp_path, scenario_file, capsys, betas):
+    # Blank parts are dropped; a list with none left runs the default grid.
     out = tmp_path / "sweep"
     code = main(["sweep", "--scenario", str(scenario_file),
-                 "--betas", "", "--out", str(out)])
+                 "--betas", betas, "--out", str(out)])
     assert code == 0
     capsys.readouterr()
     manifest = read_manifest(out)
