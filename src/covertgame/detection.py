@@ -21,6 +21,12 @@ Chernoff bound ln Q <= m - x + m ln(x/m), m = n - 1, finds those cells
 to 1.0 without summing their Poisson windows.  P_FA = Q itself keeps its
 tiny values, so every false-alarm cell is evaluated.
 
+At the other end, above n = 200, thresholds well below the sample power put
+x = n t / s so far below n that Q(n, x) rounds to 1.0 (below about 0.82 n
+at n = 2000).  The kernel proves those points by the mirror bound on the
+upper tail (``specfun._q_rounds_to_one``) and returns 1.0 exactly, so their
+cells read P_FA = 1.0 and P_M = 0.0 exactly, with no 1 - Q roundoff.
+
 ``error_grids`` is the one cell evaluator: both tables, for any actions and
 thresholds, from one kernel call.  ``pfa_grid``, ``pm_grid``, ``dep_grid``
 and ``error_rates`` (both rates of a strategy pair) are views of it, and

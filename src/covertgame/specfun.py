@@ -57,12 +57,26 @@ would round back to the same value: the cut skips about 5 % of the terms
 at n >= 2000 and changes no bit.  It applies where the window starts at or
 below x - sqrt(x) and does not end at k = n-1.
 
+Above n = 200 a point far enough below n takes no window at all
+(``_q_rounds_to_one``).  The Chernoff bound on the Poisson upper tail,
+ln(1 - Q) <= n - x + n ln(x/n) for x < n, puts 1 - Q below 2^-54 / e
+there, so 1.0 is Q correctly rounded and the kernel returns it exactly,
+where summing the window misses it by up to 6e-15.  On the reference
+preset that is 67 % of a cell table's distinct points at n = 2000 (x
+below about 0.82 n) and 83 % at n = 10^4 (below 0.91 n).
+``_q_negligible`` below is its mirror at the lower tail; both take the
+bound from ``_log_chernoff``.
+
 Accuracy domain: 1 <= n <= MAX_SHAPE and x >= 0.  There Q(n, x) stays
 within 1e-10 absolute error, and 1e-12 relative error wherever Q > 1e-300,
 of a 60-digit oracle, tested at x < 1, near n - 1, n +- 9 sqrt(n) and in
 the far tail out to 20n, densest where Q lies between 1e-300 and 1e-40.
 Measured on those points and denser draws at n = 201, 2000, 10^4 and 10^5,
-the worst errors of either kernel are 5e-13 relative and 6e-15 absolute.
+the recurrence's worst errors are 3e-13 relative and 6e-15 absolute, the
+latter at n = 10^5 just above ``_q_rounds_to_one``'s cut-off, where Q is
+near 1 and the window long (2e-15 at n = 2000).  The window sums' are
+5e-13 relative (measured up to n = 10^5) and 5e-15 absolute (Q(50, 14.43),
+from the lgamma part of ``_poisson_tables``).
 Scenarios with a longer block are rejected.
 
 Far in the tail Q is too small for 1 - Q to differ from 1.0.  ``_q_negligible``
@@ -154,7 +168,8 @@ def reg_gamma_q_grid(n: int, x: np.ndarray) -> np.ndarray:
     assembly calls it for many x at once.  Each distinct point sums only the
     Poisson terms inside its own window (see ``_windows``), O(sqrt(x)) of
     them: by ``_window_sums`` up to n = 200 and by ``_recurrence_sums``
-    above it.  Each cell depends on (n, x) alone, not on the other points.
+    above it, which sums none where Q provably rounds to 1.0.  Each cell
+    depends on (n, x) alone, not on the other points.
 
     Args:
         n: integer shape, 1 <= n <= MAX_SHAPE.
@@ -180,16 +195,26 @@ def reg_gamma_q_grid(n: int, x: np.ndarray) -> np.ndarray:
 _NEGLIGIBLE_LOG_Q = -54.0 * math.log(2.0) - 1.0
 
 
+def _log_chernoff(c: int, x: np.ndarray) -> np.ndarray:
+    """c - x + c ln(x/c), Chernoff's bound (1952) on a Poisson(x) tail at c.
+
+    It bounds ln P(K <= c) for x >= c and ln P(K >= c) for x <= c, and is 0
+    at x = c.  Callers clamp x to the side they bound, so the other side
+    reads 0 and proves nothing.
+    """
+    return c - x + c * np.log(x / c)
+
+
 def _q_negligible(n: int, x: np.ndarray) -> np.ndarray:
     """Where an upper bound proves fl(1 - Q(n, x)) == 1.0, for any shape of x >= 0.
 
     Q(n, x) = P(Poisson(x) <= m) with m = n - 1.  For x > m the Chernoff
-    bound on the Poisson lower tail (Chernoff 1952) gives
+    bound on the Poisson lower tail (``_log_chernoff``) gives
 
         ln Q <= m - x + m ln(x / m),
 
-    and for n = 1, Q = e^-x exactly; at x <= m the same expression is
-    m - x >= 0, which bounds nothing.  x = +inf has Q = 0.  A point is
+    and for n = 1, Q = e^-x exactly; x <= m is clamped to m, where the bound
+    reads 0 and proves nothing.  x = +inf has Q = 0.  A point is
     negligible where the bound is below ln(2^-54) - 1.  Its true Q is then at
     most 2^-54 / e.  The kernel adds a subset of the positive Poisson terms,
     each to a small relative error: about 1e-13 for a term taken in log
@@ -202,8 +227,26 @@ def _q_negligible(n: int, x: np.ndarray) -> np.ndarray:
     """
     m = n - 1
     with np.errstate(invalid="ignore"):  # inf - inf at x = inf, marked below
-        log_bound = -x if m == 0 else m - x + m * np.log(np.maximum(x, m) / m)
+        log_bound = -x if m == 0 else _log_chernoff(m, np.maximum(x, m))
     return (log_bound < _NEGLIGIBLE_LOG_Q) | (x == math.inf)
+
+
+def _q_rounds_to_one(n: int, x: np.ndarray) -> np.ndarray:
+    """Where an upper bound proves fl(Q(n, x)) == 1.0, for any shape of x >= 0.
+
+    The mirror of ``_q_negligible``: 1 - Q(n, x) = P(Poisson(x) >= n), and
+    for x < n the Chernoff bound on the Poisson upper tail gives
+
+        ln(1 - Q) <= n - x + n ln(x / n);
+
+    x >= n is clamped to n, where the bound reads 0 and proves nothing, and
+    an x so small that x/n underflows to 0 reads -inf.  Where the bound is
+    below ln(2^-54) - 1, 1 - Q is at most 2^-54 / e, under half the spacing
+    2^-53 of the floats just below 1, so 1.0 is Q correctly rounded.  The
+    e-fold of margin covers the bound's own rounding, as in ``_q_negligible``.
+    """
+    with np.errstate(divide="ignore"):  # x/n may underflow to 0: ln(1 - Q) = -inf
+        return _log_chernoff(n, np.minimum(x, n)) < _NEGLIGIBLE_LOG_Q
 
 
 def _windows(n: int, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -380,7 +423,15 @@ def _recurrence_sums(n: int, xs: np.ndarray) -> np.ndarray:
     t_{k+1} / t_k = x / (k+1) (Fox & Glynn, CACM 31(4), 1988), down to lo
     and up to hi.  m is the mode where the window holds it, and otherwise
     the window end nearest to it, so no step makes a term grow.
+
+    Points far enough below n that ``_q_rounds_to_one`` proves 1.0 to be
+    Q correctly rounded return exactly 1.0 and take no window, anchor or
+    walk: about two thirds of a long-block cell table's points at n = 2000.
+    Only the rest are summed.
     """
+    out = np.ones_like(xs)
+    live = ~_q_rounds_to_one(n, xs)
+    xs = xs[live]
     _, base = _poisson_tables(n)
     lo, hi = _windows(n, xs)
     hi = _tail_cut(n, xs, lo, hi)
@@ -393,7 +444,8 @@ def _recurrence_sums(n: int, xs: np.ndarray) -> np.ndarray:
     _walk(down, False, xs, m, t, total, work)
     _walk(up, True, xs, m, t, total, work)
     total += np.exp(-xs, out=work[0])
-    return np.clip(total, 0.0, 1.0, out=total)
+    out[live] = np.clip(total, 0.0, 1.0, out=total)
+    return out
 
 
 # Rational tail approximation constants (Hastings-style initializer).

@@ -9,13 +9,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from covertgame import specfun
-from covertgame.model import default_scenario, desk_scenario
+from covertgame.matrixgame import build_payoff
+from covertgame.model import default_scenario, desk_scenario, prune_negative_rate
 from covertgame.specfun import (
     _WINDOW_SUM_MAX_SHAPE,
     MAX_SHAPE,
     MIN_TAIL_PROB,
     _poisson_tables,
     _q_negligible,
+    _q_rounds_to_one,
     _recurrence_sums,
     _rows,
     _tail_cut,
@@ -193,6 +195,77 @@ def test_negligible_points_have_kernel_q_below_2_to_minus_54(n):
     assert skip.sum() > 1000
     assert np.all(q[skip] <= 2.0 ** -54)
     assert np.all(1.0 - q[skip] == 1.0)
+
+
+@pytest.mark.filterwarnings("error")
+def test_q_rounds_to_one_edges():
+    for n in (1, 2, 200, _WINDOW_SUM_MAX_SHAPE + 1, 2000, 10_000, MAX_SHAPE):
+        # From n up the bound reads 0 and proves nothing, out to x = inf;
+        # just below n it is near 0 too.
+        near = np.array([math.nextafter(n, 0.0), float(n), math.nextafter(n, math.inf),
+                         n + math.sqrt(n), 20.0 * n, 1e308, math.inf])
+        assert not _q_rounds_to_one(n, near).any()
+        # Tiny and subnormal x: x/n underflows to 0 and the bound to -inf.
+        assert _q_rounds_to_one(n, np.array([0.0, 5e-324, 1e-310, 1e-300, 1e-18])).all()
+    assert _q_rounds_to_one(2000, np.zeros((2, 3))).shape == (2, 3)
+
+
+def _x_at_upper_cut(n):
+    """The largest x < n that ``_q_rounds_to_one`` proves, by bisection."""
+    low, high = 0.0, float(n)
+    for _ in range(200):
+        mid = 0.5 * (low + high)
+        low, high = (mid, high) if _q_rounds_to_one(n, np.array([mid]))[0] else (low, mid)
+    return low
+
+
+@pytest.mark.parametrize("n", [_WINDOW_SUM_MAX_SHAPE + 1, 2000, 10_000, MAX_SHAPE])
+def test_points_proven_one_are_exactly_one(n):
+    # Above n = 200, wherever the upper-tail bound fires the recurrence
+    # returns 1.0 bit for bit, and the 60-digit Q lies within 2^-54 of 1,
+    # so 1.0 is Q correctly rounded.  The dense sweep crosses the cut-off.
+    cut = _x_at_upper_cut(n)
+    rng = np.random.default_rng(n)
+    x = np.concatenate([
+        _scenario_points(default_scenario(), n),
+        rng.uniform(0.0, n, 3000),
+        cut + math.sqrt(n) * np.linspace(-3.0, 3.0, 3001),
+        [5e-324, 1e-300, 1e-17, 0.5, 14.35, 14.6],
+    ])
+    fired = _q_rounds_to_one(n, x)
+    q = reg_gamma_q_grid(n, x)
+    assert fired.sum() > 1000 and (~fired & (x < n)).sum() > 1000
+    assert np.array_equal(q[fired].view(np.int64), np.ones(fired.sum()).view(np.int64))
+    assert not fired[x > cut].any()
+    # A sum anchored at k < 15 carries the lgamma cancellation of
+    # ``_poisson_tables`` (about 5e-15) into Q(201, 14.35) and Q(2000, 14.6).
+    assert (q[np.isin(x, [14.35, 14.6])] == 1.0).all()
+    # The oracle at the fired points nearest the cut-off and a spread of others.
+    proven = np.sort(x[fired])
+    for v in [*proven[-25:], *rng.choice(proven, 15, replace=False)]:
+        assert float(1 - gamma_q_reference(n, v)) < 2.0 ** -54, v
+
+
+def test_long_block_table_walks_at_most_35_percent_of_its_points(monkeypatch):
+    # A work count, not a timing: on the reference preset at n = 2000 the
+    # bound proves 10,479 of the 15,674 distinct points (67 %), so only the
+    # rest may reach the walk.  Each live point walks down once and up once.
+    points, walked = [], []
+    sums, walk = specfun._recurrence_sums, specfun._walk
+
+    def counting_sums(n, xs):
+        points.append(xs.size)
+        return sums(n, xs)
+
+    def counting_walk(steps, up, *rest):
+        walked.append(0 if up else steps.size)
+        return walk(steps, up, *rest)
+
+    monkeypatch.setattr(specfun, "_recurrence_sums", counting_sums)
+    monkeypatch.setattr(specfun, "_walk", counting_walk)
+    build_payoff(prune_negative_rate(replace(default_scenario(), blocklength_n=2000)))
+    assert points == [15_674]
+    assert sum(walked) <= 0.35 * 15_674
 
 
 def _scenario_points(s, n):
