@@ -26,6 +26,8 @@ x = n t / s so far below n that Q(n, x) rounds to 1.0 (below about 0.82 n
 at n = 2000).  The kernel proves those points by the mirror bound on the
 upper tail (``specfun._q_rounds_to_one``) and returns 1.0 exactly, so their
 cells read P_FA = 1.0 and P_M = 0.0 exactly, with no 1 - Q roundoff.
+From n = 2000 up, the points just past that bound's cut-off, where 1 - Q
+is still below 2^-54, read exactly 1.0 as well, from Temme's expansion.
 
 ``error_grids`` is the one cell evaluator: both tables, for any actions and
 thresholds, from one kernel call.  ``pfa_grid``, ``pm_grid``, ``dep_grid``

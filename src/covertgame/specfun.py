@@ -17,9 +17,11 @@ tail sum,
 
     Q(n, x) = sum_{k=0}^{n-1} x^k e^{-x} / k!,
 
-whose terms t_k = x^k e^-x / k! are positive.  Every point adds only the
-O(sqrt(x)) terms in its window (``_windows``), by one of two kernels that
-the shape picks; each cell depends on (n, x) alone, not on the other points.
+whose terms t_k = x^k e^-x / k! are positive.  A summed point adds only
+the O(sqrt(x)) terms in its window (``_windows``).  The shape picks the
+kernel: window sums up to n = 200; above it, mostly an asymptotic
+expansion that sums no terms.  Each cell depends on (n, x) alone, not on
+the other points.
 
 Up to n = ``_WINDOW_SUM_MAX_SHAPE`` (200), ``_window_sums`` takes every term
 in log space.  Writing the log term as
@@ -42,13 +44,31 @@ increasing order, one set of numpy calls over each k's slice.  Every golden
 output pinned at n = 200 rests on these bits; the test suite holds this
 kernel bit for bit to a plain windowed sum.
 
-Above n = 200, ``_recurrence_sums`` sums the same windows from one anchor
-term per point: at the mode floor(x), or the window end nearest it, in log
-space (``_log_anchor``).  The other terms follow by the ratios
-t_{k-1} = t_k k / x and t_{k+1} = t_k x / (k+1), outward to the window's
-ends, two roundings a step instead of a log1p and an exp a term: about
-1.7 ns a term against 4.7 ns at n = 2000, so a long-block cell table takes
-about a third of the time.
+Above n = 200, ``_long_block_q`` splits the points into three regions.
+
+1. A point far enough below n takes no evaluation at all
+   (``_q_rounds_to_one``).  The Chernoff bound on the Poisson upper tail,
+   ln(1 - Q) <= n - x + n ln(x/n) for x < n, puts 1 - Q below 2^-54 / e
+   there, so 1.0 is Q correctly rounded and the kernel returns it exactly.
+   On the reference preset that is 67 % of a cell table's distinct points
+   at n = 2000 (x below about 0.82 n) and 83 % at n = 10^4 (below 0.91 n).
+   ``_q_negligible`` below is its mirror at the lower tail; both take the
+   bound from ``_log_chernoff``.
+2. A point with x/n in ``_TEMME_BAND`` = [0.7, 1.3] takes Temme's uniform
+   asymptotic expansion (``_temme_q``): an erfc, an exp and one polynomial
+   in eta, the same work at every n, where a Poisson window would take
+   O(sqrt(n)) terms.  That is nearly every other point: 5,025 of the 5,195
+   left at n = 2000 on the reference preset.  Between the Chernoff cut-off
+   and the x where 1 - Q reaches 2^-54 it also returns exactly 1.0 (tested
+   at n = 2000, 10^4 and 10^5), so there too P_M reads 0.0.
+3. The rest, almost all far-tail points x > 1.3 n, take
+   ``_recurrence_sums``, which sums the same windows as the window sums
+   from one anchor term per point: at the mode floor(x), or the window end
+   nearest it, in log space (``_log_anchor``).  The other terms follow by
+   the ratios t_{k-1} = t_k k / x and t_{k+1} = t_k x / (k+1), outward to
+   the window's ends, two roundings a step instead of a log1p and an exp a
+   term.  Up to n = 678, where the Chernoff cut-off lies below 0.7 n, it
+   also takes the points between the two.
 
 Above the mode a point's window ends early where the rest of its terms
 cannot move its sum (``_tail_cut``).  Bennett's bound puts every later term
@@ -57,26 +77,17 @@ would round back to the same value: the cut skips about 5 % of the terms
 at n >= 2000 and changes no bit.  It applies where the window starts at or
 below x - sqrt(x) and does not end at k = n-1.
 
-Above n = 200 a point far enough below n takes no window at all
-(``_q_rounds_to_one``).  The Chernoff bound on the Poisson upper tail,
-ln(1 - Q) <= n - x + n ln(x/n) for x < n, puts 1 - Q below 2^-54 / e
-there, so 1.0 is Q correctly rounded and the kernel returns it exactly,
-where summing the window misses it by up to 6e-15.  On the reference
-preset that is 67 % of a cell table's distinct points at n = 2000 (x
-below about 0.82 n) and 83 % at n = 10^4 (below 0.91 n).
-``_q_negligible`` below is its mirror at the lower tail; both take the
-bound from ``_log_chernoff``.
-
 Accuracy domain: 1 <= n <= MAX_SHAPE and x >= 0.  There Q(n, x) stays
 within 1e-10 absolute error, and 1e-12 relative error wherever Q > 1e-300,
-of a 60-digit oracle, tested at x < 1, near n - 1, n +- 9 sqrt(n) and in
-the far tail out to 20n, densest where Q lies between 1e-300 and 1e-40.
-Measured on those points and denser draws at n = 201, 2000, 10^4 and 10^5,
-the recurrence's worst errors are 3e-13 relative and 6e-15 absolute, the
-latter at n = 10^5 just above ``_q_rounds_to_one``'s cut-off, where Q is
-near 1 and the window long (2e-15 at n = 2000).  The window sums' are
-5e-13 relative (measured up to n = 10^5) and 5e-15 absolute (Q(50, 14.43),
-from the lgamma part of ``_poisson_tables``).
+of a 60-digit oracle, tested at x < 1, near n - 1, n +- 9 sqrt(n), at and
+across the edges of ``_TEMME_BAND`` and in the far tail out to 20n,
+densest where Q lies between 1e-300 and 1e-40.  Measured on those points
+and denser draws at n = 201, 500, 2000, 10^4 and 10^5, Temme's worst
+errors are 1.1e-16 absolute and 2.2e-13 relative (the latter from the
+rounding of n eta^2 / 2, up to about 700, in its exp and erfc), and the
+recurrence's 9e-16 absolute (n = 201, below the band) and 3e-13 relative.
+The window sums' are 5e-13 relative (measured up to n = 10^5) and 5e-15
+absolute (Q(50, 14.43), from the lgamma part of ``_poisson_tables``).
 Scenarios with a longer block are rejected.
 
 Far in the tail Q is too small for 1 - Q to differ from 1.0.  ``_q_negligible``
@@ -115,13 +126,12 @@ _WINDOW_SIGMAS = 9.0
 _WINDOW_PAD = 27.0
 _WINDOW_DECAY = 39.0
 
-# Shapes above this take the recurrence (``_recurrence_sums``), about 3x
-# faster at n = 2000 to 10^4; shapes up to it keep the window sums
-# (``_window_sums``) and their bits, which every golden output pinned at
-# n = 200 (both presets) depends on.  The golden change that follows the
-# benchmark change (ROADMAP item 6) hands n <= 200 to the recurrence too
-# (about 15 -> 9 ms a table there) and deletes ``_rows``, the row loop and
-# ``_terms``.
+# Shapes above this take the long-block kernel (``_long_block_q``: Temme's
+# expansion near x = n, the recurrence elsewhere); shapes up to it keep the
+# window sums (``_window_sums``) and their bits, which every golden output
+# pinned at n = 200 (both presets) depends on.  The golden change that
+# follows the benchmark change (ROADMAP item 6) hands n <= 200 to the
+# long-block kernel too and deletes ``_rows``, the row loop and ``_terms``.
 _WINDOW_SUM_MAX_SHAPE = 200
 
 
@@ -165,10 +175,12 @@ def reg_gamma_q_grid(n: int, x: np.ndarray) -> np.ndarray:
     """Vectorized Q(n, x) over an array of evaluation points.
 
     This is the one evaluation of Q(n, x) in the package; payoff-matrix
-    assembly calls it for many x at once.  Each distinct point sums only the
-    Poisson terms inside its own window (see ``_windows``), O(sqrt(x)) of
-    them: by ``_window_sums`` up to n = 200 and by ``_recurrence_sums``
-    above it, which sums none where Q provably rounds to 1.0.  Each cell
+    assembly calls it for many x at once.  Each distinct point is evaluated
+    once.  Up to n = 200 ``_window_sums`` sums the Poisson terms inside its
+    window (see ``_windows``), O(sqrt(x)) of them.  Above it
+    ``_long_block_q`` returns 1.0 where Q provably rounds to it, takes
+    Temme's expansion (constant work a point) for x/n in [0.7, 1.3], and
+    sums the window by recurrence only outside that band.  Each cell
     depends on (n, x) alone, not on the other points.
 
     Args:
@@ -186,7 +198,7 @@ def reg_gamma_q_grid(n: int, x: np.ndarray) -> np.ndarray:
     out = np.where(flat == 0.0, 1.0, 0.0)  # Q(n, 0) = 1 and Q(n, inf) = 0
     inner = (flat > 0.0) & (flat < math.inf)
     xs, inverse = np.unique(flat[inner], return_inverse=True)
-    sums = _window_sums if n <= _WINDOW_SUM_MAX_SHAPE else _recurrence_sums
+    sums = _window_sums if n <= _WINDOW_SUM_MAX_SHAPE else _long_block_q
     out[inner] = sums(n, xs)[inverse]
     return out.reshape(x.shape)
 
@@ -356,25 +368,17 @@ def _window_sums(n: int, xs: np.ndarray) -> np.ndarray:
 _BD0_TERMS = 16
 
 
-def _log_anchor(x: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """m ln(x/m) - (x - m), the part of ln t_m = m ln x - x - ln m! that depends on x.
+def _bd0_series(x: np.ndarray, m) -> tuple[np.ndarray, np.ndarray]:
+    """The series form of m ln(x/m) - (x - m), and v = (x - m)/(x + m).
 
-    It is -bd0(m, x) in Loader's notation ("Fast and accurate computation of
-    binomial probabilities", 2000).  The log form of ``_terms``,
-    m log1p((x - m)/m) - (x - m), loses about (x - m) ulps of 1 to the
-    rounding of log1p: 1.9e-12 of Q at n = 10^5, x = 109126.  Where
-    |v| <= 1/3, v = (x - m)/(x + m), the series
+    Where |v| <= 1/3 the series
 
         m ln(x/m) - (x - m) = 2 m v^3 (1/3 + v^2/5 + v^4/7 + ...) - (x - m) v
 
-    has no such loss: each of its parts is within a few ulps of the result.
+    has no cancellation: each of its parts is within a few ulps of the
+    result.  Elsewhere it is finite (v^2 <= 1) but truncated.
     """
     d = x - m
-    log_form = d / m
-    with np.errstate(divide="ignore"):  # tiny x rounds d/m to -1: ln t_m = -inf
-        np.log1p(log_form, out=log_form)
-    log_form *= m
-    log_form -= d
     v = d / (x + m)
     z = v * v
     series = np.full_like(v, 1.0 / (2 * _BD0_TERMS + 1))
@@ -384,7 +388,27 @@ def _log_anchor(x: np.ndarray, m: np.ndarray) -> np.ndarray:
     series *= z
     series *= v
     series *= 2.0 * m
-    series -= np.multiply(d, v, out=d)  # finite also where |v| > 1/3, as v^2 <= 1
+    series -= np.multiply(d, v, out=d)
+    return series, v
+
+
+def _log_anchor(x: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """m ln(x/m) - (x - m), the part of ln t_m = m ln x - x - ln m! that depends on x.
+
+    It is -bd0(m, x) in Loader's notation ("Fast and accurate computation of
+    binomial probabilities", 2000).  The log form of ``_terms``,
+    m log1p((x - m)/m) - (x - m), loses about (x - m) ulps of 1 to the
+    rounding of log1p: 1.9e-12 of Q at n = 10^5, x = 109126.  Where
+    |v| <= 1/3, v = (x - m)/(x + m), it is taken from ``_bd0_series``
+    instead, which has no such loss.
+    """
+    series, v = _bd0_series(x, m)
+    d = x - m
+    log_form = d / m
+    with np.errstate(divide="ignore"):  # tiny x rounds d/m to -1: ln t_m = -inf
+        np.log1p(log_form, out=log_form)
+    log_form *= m
+    log_form -= d
     np.copyto(log_form, series, where=np.abs(v, out=v) <= 1.0 / 3.0)
     return log_form
 
@@ -424,14 +448,10 @@ def _recurrence_sums(n: int, xs: np.ndarray) -> np.ndarray:
     and up to hi.  m is the mode where the window holds it, and otherwise
     the window end nearest to it, so no step makes a term grow.
 
-    Points far enough below n that ``_q_rounds_to_one`` proves 1.0 to be
-    Q correctly rounded return exactly 1.0 and take no window, anchor or
-    walk: about two thirds of a long-block cell table's points at n = 2000.
-    Only the rest are summed.
+    ``_long_block_q`` hands it only the points outside ``_TEMME_BAND`` that
+    ``_q_rounds_to_one`` does not settle: about 1 % of a long-block cell
+    table's points at n = 2000, nearly all far-tail false-alarm cells.
     """
-    out = np.ones_like(xs)
-    live = ~_q_rounds_to_one(n, xs)
-    xs = xs[live]
     _, base = _poisson_tables(n)
     lo, hi = _windows(n, xs)
     hi = _tail_cut(n, xs, lo, hi)
@@ -444,7 +464,109 @@ def _recurrence_sums(n: int, xs: np.ndarray) -> np.ndarray:
     _walk(down, False, xs, m, t, total, work)
     _walk(up, True, xs, m, t, total, work)
     total += np.exp(-xs, out=work[0])
-    out[live] = np.clip(total, 0.0, 1.0, out=total)
+    return np.clip(total, 0.0, 1.0, out=total)
+
+
+# The x/n band in which ``_long_block_q`` takes Q(n, x) from ``_temme_q``.
+# There |eta| <= 0.34, where the Taylor rows of ``_TEMME_C`` converge to
+# well under an ulp, and |v| <= 0.18 in ``_bd0_series``.
+_TEMME_BAND = (0.7, 1.3)
+
+# Taylor coefficients of Temme's c_k(eta) = sum_j _TEMME_C[k][j] eta^j,
+# k = 0..5, j = 0..17: c_0 = 1/mu - 1/eta and
+# c_k = c'_{k-1}(eta) / eta + (-1)^k g_k / mu, with mu = x/n - 1 and g_k
+# Stirling's coefficients (DLMF 8.12.8-9; DiDonato & Morris, ACM TOMS
+# 12(4), 1986, tabulate the same rows).  Each float is its exact rational
+# correctly rounded: tests/test_specfun.py rebuilds them with fractions.
+_TEMME_C = (
+    (-0.3333333333333333, 0.08333333333333333, -0.014814814814814815, 0.0011574074074074073,
+     0.0003527336860670194, -0.0001787551440329218, 3.919263178522438e-05,
+     -2.185448510679992e-06, -1.85406221071516e-06, 8.296711340953087e-07,
+     -1.7665952736826078e-07, 6.707853543401498e-09, 1.0261809784240309e-08,
+     -4.382036018453353e-09, 9.14769958223679e-10, -2.5514193994946248e-11,
+     -5.830772132550426e-11, 2.4361948020667415e-11),
+    (-0.001851851851851852, -0.003472222222222222, 0.0026455026455026454,
+     -0.0009902263374485596, 0.00020576131687242798, -4.018775720164609e-07,
+     -1.8098550334489977e-05, 7.64916091608111e-06, -1.6120900894563446e-06,
+     4.647127802807434e-09, 1.378633446915721e-07, -5.752545603517705e-08,
+     1.1951628599778148e-08, -1.7543241719747647e-11, -1.0091543710600413e-09,
+     4.162792991842583e-10, -8.56390702649298e-11, 6.067215101604758e-14),
+    (0.004133597883597883, -0.0026813271604938273, 0.0007716049382716049,
+     2.0093878600823047e-06, -0.0001073665322636516, 5.2923448829120125e-05,
+     -1.2760635188618728e-05, 3.423578734096138e-08, 1.3721957309062934e-06,
+     -6.298992138380055e-07, 1.4280614206064242e-07, -2.0477098421990866e-10,
+     -1.409252991086752e-08, 6.228974084922022e-09, -1.3670488396617114e-09,
+     9.428356159014678e-13, 1.2872252400089318e-10, -5.5645956134363323e-11),
+    (0.0006494341563786008, 0.00022947209362139917, -0.0004691894943952557,
+     0.00026772063206283885, -7.561801671883977e-05, -2.396505113867297e-07,
+     1.1082654115347302e-05, -5.6749528269915965e-06, 1.4230900732435883e-06,
+     -2.7861080291528143e-11, -1.6958404091930278e-07, 8.099464905388083e-08,
+     -1.9111168485973655e-08, 2.3928620439808118e-12, 2.0620131815488797e-09,
+     -9.460496661855133e-10, 2.1541049775774907e-10, -1.388823336813903e-14),
+    (-0.0008618882909167117, 0.0007840392217200666, -0.0002990724803031902,
+     -1.4638452578843418e-06, 6.641498215465122e-05, -3.968365047179435e-05,
+     1.1375726970678419e-05, 2.507497226237533e-10, -1.6954149536558305e-06,
+     8.907507532205309e-07, -2.292934834000805e-07, 2.956794137544049e-11,
+     2.8865829742708783e-08, -1.4189739437803219e-08, 3.4463580499464896e-09,
+     -2.3024517174528067e-13, -3.9409233028046403e-10, 1.86023389685045e-10),
+    (-0.00033679855336635813, -6.972813758365857e-05, 0.0002772753244959392,
+     -0.00019932570516188847, 6.797780477937208e-05, 1.419062920643967e-07,
+     -1.3594048189768693e-05, 8.018470256334202e-06, -2.291481176508095e-06,
+     -3.252473551298454e-10, 3.4652846491085265e-07, -1.8447187191171344e-07,
+     4.8240967037894184e-08, -1.7989466721743514e-14, -6.306194500013523e-09,
+     3.162417628774568e-09, -7.840924253697429e-10, 5.192679165254041e-15),
+)
+
+
+def _temme_q(n: int, xs: np.ndarray) -> np.ndarray:
+    """Q(n, x) at points with x/n in ``_TEMME_BAND``, by Temme's uniform expansion.
+
+    With eta = sign(x - n) sqrt(2 (x/n - 1 - ln(x/n))) (Temme, SIAM J. Math.
+    Anal. 10, 1979; DLMF 8.12),
+
+        Q(n, x) = erfc(eta sqrt(n/2)) / 2
+                  + e^(-n eta^2/2) / sqrt(2 pi n) * sum_{k<=5} c_k(eta) n^-k.
+
+    n eta^2 / 2 is -``_bd0_series``(x, n), so eta sqrt(n/2) is its signed
+    square root.  The c_k sum is one Horner polynomial in eta, its
+    coefficients folded over k in 1/n.  erfc and exp come from ``math``, one
+    call each a point, so no bit depends on numpy's SIMD loops.
+    """
+    half_sq, _ = _bd0_series(xs, n)
+    np.negative(half_sq, out=half_sq)  # n eta^2 / 2 >= 0
+    sign = xs - n
+    eta = np.copysign(np.sqrt(half_sq * (2.0 / n)), sign)
+    root = np.copysign(np.sqrt(half_sq), sign)
+    inv = 1.0 / n
+    poly = [0.0] * len(_TEMME_C[0])
+    for row in reversed(_TEMME_C):
+        poly = [p * inv + c for p, c in zip(poly, row)]
+    series = np.full_like(eta, poly[-1])
+    for c in reversed(poly[:-1]):
+        series *= eta
+        series += c
+    series *= np.fromiter(map(math.exp, np.negative(half_sq).data), float, xs.size)
+    series *= 1.0 / math.sqrt(2.0 * math.pi * n)
+    series += 0.5 * np.fromiter(map(math.erfc, root.data), float, xs.size)
+    return np.clip(series, 0.0, 1.0, out=series)
+
+
+def _long_block_q(n: int, xs: np.ndarray) -> np.ndarray:
+    """Q(n, x) above n = 200 at sorted, finite, positive points, in three regions.
+
+    Points that ``_q_rounds_to_one`` proves return exactly 1.0 and cost no
+    evaluation: about two thirds of a long-block cell table's points at
+    n = 2000.  The rest with x/n in ``_TEMME_BAND`` take ``_temme_q``, a
+    constant amount of work a point; the few outside it (mostly far-tail
+    false-alarm points, x > 1.3 n) take ``_recurrence_sums``.
+    """
+    out = np.ones_like(xs)
+    live = ~_q_rounds_to_one(n, xs)
+    low, high = _TEMME_BAND
+    band = live & (xs >= low * n) & (xs <= high * n)
+    walk = live & ~band
+    out[band] = _temme_q(n, xs[band])
+    out[walk] = _recurrence_sums(n, xs[walk])
     return out
 
 

@@ -179,6 +179,69 @@ def gaussian_quantile_reference(p) -> mp.mpf:
     return (lo + hi) / 2
 
 
+def _series_product(a: list, b: list, size: int) -> list:
+    """The first ``size`` coefficients of the product of two power series."""
+    return [sum(a[i] * b[j - i] for i in range(j + 1) if i < len(a) and j - i < len(b))
+            for j in range(size)]
+
+
+def _series_reciprocal(a: list, size: int) -> list:
+    """The first ``size`` coefficients of 1/a, for a[0] != 0."""
+    out = [1 / a[0]]
+    for j in range(1, size):
+        out.append(-sum(a[i] * out[j - i] for i in range(1, min(j, len(a) - 1) + 1)) / a[0])
+    return out
+
+
+def stirling_coefficients(count: int) -> list[Fraction]:
+    """g_0..g_{count-1} of Gamma*(z) ~ sum_k g_k z^-k (DLMF 5.11.3), exactly.
+
+    ln Gamma*(z) = sum_m B_2m / (2m (2m - 1)) z^(1 - 2m), with the Bernoulli
+    numbers from their defining recurrence, and g = exp of that series by
+    g_j = (1/j) sum_i i s_i g_{j-i}.
+    """
+    bernoulli = [Fraction(1)]
+    for j in range(1, count + 1):
+        bernoulli.append(-sum(math.comb(j + 1, i) * bernoulli[i] for i in range(j)) / (j + 1))
+    log = [Fraction(0)] * count
+    for m in range(1, count // 2 + 1):
+        log[2 * m - 1] = bernoulli[2 * m] / (2 * m * (2 * m - 1))
+    g = [Fraction(1)]
+    for j in range(1, count):
+        g.append(sum(i * log[i] * g[j - i] for i in range(1, j + 1)) / j)
+    return g
+
+
+def temme_coefficients(rows: int, cols: int) -> list[list[Fraction]]:
+    """Taylor coefficients in eta of Temme's c_0..c_{rows-1}, exactly.
+
+    eta^2 / 2 = mu - ln(1 + mu) gives eta = mu h(mu) with h the square root
+    of sum_j 2 (-1)^j mu^j / (j + 2); Lagrange inversion reverts it,
+    [eta^j] mu = [mu^(j-1)] h^-j / j.  Then c_0 = 1/mu - 1/eta and
+    c_k = c'_{k-1} / eta + (-1)^k g_k / mu (DLMF 8.12.8-9), where each
+    1/eta pole cancels; the cancellation is asserted, a check on g_k.
+    """
+    size = cols + 2 * rows + 1
+    f = [Fraction(2 * (-1) ** j, j + 2) for j in range(size)]
+    h = [Fraction(1)]
+    for j in range(1, size):  # h = sqrt(f), f[0] = 1
+        h.append((f[j] - sum(h[i] * h[j - i] for i in range(1, j))) / 2)
+    h_inv = _series_reciprocal(h, size)
+    mu, power = [Fraction(0)], [Fraction(1)]
+    for j in range(1, size):
+        power = _series_product(power, h_inv, size)
+        mu.append(power[j - 1] / j)
+    eta_over_mu = _series_reciprocal(mu[1:], size - 1)
+    g = stirling_coefficients(rows)
+    c = [eta_over_mu[1:]]
+    for k in range(1, rows):
+        sign_g = (-1) ** k * g[k]
+        assert c[-1][1] + sign_g == 0
+        c.append([(j + 2) * c[-1][j + 2] + sign_g * eta_over_mu[j + 1]
+                  for j in range(len(c[-1]) - 2)])
+    return [row[:cols] for row in c]
+
+
 class ExactInfeasible(ValueError):
     pass
 

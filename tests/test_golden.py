@@ -2,8 +2,9 @@
 
 Each command runs on a default preset (``solve-n2000`` and
 ``solve-n10000`` with 2000- and 10^4-use blocks, where the long-block
-recurrence, the P_M cells set to 1.0 unevaluated and the Q cells proven to
-round to 1.0 matter; ``simulate-files`` reads the strategy files that the
+kernel (Temme's expansion near x = n, the recurrence elsewhere), the P_M
+cells set to 1.0 unevaluated and the Q cells proven to round to 1.0
+matter; ``simulate-files`` reads the strategy files that the
 ``solve`` command writes first) and every data file it writes
 must hash to the recorded sha256 prefix (first 12 hex digits, the table in
 ROADMAP.md).  Refactors of the cell table, the solver or the CLI must keep
@@ -67,18 +68,19 @@ GOLDEN = {
     "simulate-jammer": (("simulate", "--jammer", "--blocks", "100000", "--seed", "0"), {
         "simulate.txt": "06d04eafabb4",
     }),
+    # Its summary.txt reads row_gap -2.2e-16 and col_gap 4.4e-16.
     "solve-n2000": (("solve", "--set", "blocklength_n=2000"), {
         "row_strategy.csv": "984670858a0a",
         "col_strategy.csv": "3af9b86edc6d",
-        "summary.txt": "1d5b9a1190f1",
+        "summary.txt": "a8e1e7692c5a",
     }),
     # Most Q cells of a 10^4-use block are proven below 2^-54 (P_M = 1.0) or
     # to round to 1.0 (P_FA = 1.0, P_M = 0.0), and are not summed.  Its
-    # summary.txt reads col_gap 0 after 10 LP iterations.
+    # summary.txt reads row_gap 2.2e-16 and col_gap 0 after 10 LP iterations.
     "solve-n10000": (("solve", "--set", "blocklength_n=10000"), {
         "row_strategy.csv": "363cda50b61e",
         "col_strategy.csv": "2997f539be16",
-        "summary.txt": "87ad3baf0845",
+        "summary.txt": "63706bd4c40a",
     }),
 }
 
@@ -127,8 +129,9 @@ ENVIRONMENT_DEFECTS = [
                           reason="OpenBLAS's AVX2 kernels move the LP's last bits and the "
                                  "printed row_gap (summary.txt 04edea64a65b)"),
     ], id="solve-openblas-haswell"),
-    # Above n = 200 the cells come from the recurrence, which keeps every
-    # pinned byte with numpy's AVX-512 loops disabled: plain cases.
+    # Above n = 200 the cells near x = n come from Temme's expansion, whose
+    # exp and erfc are taken from ``math``, and the rest from the recurrence:
+    # every pinned byte holds with numpy's AVX-512 loops disabled.
     *(pytest.param(name, "NPY_DISABLE_CPU_FEATURES", "X86_V4 AVX512_ICL AVX512_SPR", marks=[
         pytest.mark.skipif(not _cpu_has("X86_V4"), reason="numpy reports no X86_V4 here"),
     ], id=f"{name}-below-avx512") for name in ("solve-n2000", "solve-n10000")),

@@ -3,6 +3,7 @@
 import math
 import sys
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -12,15 +13,19 @@ from covertgame import specfun
 from covertgame.matrixgame import build_payoff
 from covertgame.model import default_scenario, desk_scenario, prune_negative_rate
 from covertgame.specfun import (
+    _TEMME_BAND,
+    _TEMME_C,
     _WINDOW_SUM_MAX_SHAPE,
     MAX_SHAPE,
     MIN_TAIL_PROB,
+    _long_block_q,
     _poisson_tables,
     _q_negligible,
     _q_rounds_to_one,
     _recurrence_sums,
     _rows,
     _tail_cut,
+    _temme_q,
     _window_sums,
     _windows,
     gaussian_q_inv,
@@ -34,6 +39,7 @@ from oracles import (
     gaussian_quantile_reference,
     poisson_windows,
     tail_cut_ends,
+    temme_coefficients,
 )
 
 
@@ -221,7 +227,7 @@ def _x_at_upper_cut(n):
 
 @pytest.mark.parametrize("n", [_WINDOW_SUM_MAX_SHAPE + 1, 2000, 10_000, MAX_SHAPE])
 def test_points_proven_one_are_exactly_one(n):
-    # Above n = 200, wherever the upper-tail bound fires the recurrence
+    # Above n = 200, wherever the upper-tail bound fires the kernel
     # returns 1.0 bit for bit, and the 60-digit Q lies within 2^-54 of 1,
     # so 1.0 is Q correctly rounded.  The dense sweep crosses the cut-off.
     cut = _x_at_upper_cut(n)
@@ -246,26 +252,49 @@ def test_points_proven_one_are_exactly_one(n):
         assert float(1 - gamma_q_reference(n, v)) < 2.0 ** -54, v
 
 
-def test_long_block_table_walks_at_most_35_percent_of_its_points(monkeypatch):
-    # A work count, not a timing: on the reference preset at n = 2000 the
-    # bound proves 10,479 of the 15,674 distinct points (67 %), so only the
-    # rest may reach the walk.  Each live point walks down once and up once.
-    points, walked = [], []
-    sums, walk = specfun._recurrence_sums, specfun._walk
+def _x_at_oracle_upper_cut(n):
+    """The x < n where the 60-digit 1 - Q(n, x) equals 2^-54, by bisection."""
+    low, high = 0.5 * n, float(n)
+    for _ in range(40):
+        mid = 0.5 * (low + high)
+        low, high = (mid, high) if 1 - gamma_q_reference(n, mid) < 2.0 ** -54 else (low, mid)
+    return low
 
-    def counting_sums(n, xs):
+
+@pytest.mark.parametrize("n", [2000, 10_000, MAX_SHAPE])
+def test_q_reads_one_up_to_the_oracle_cut_off(n):
+    # The Chernoff bound stops short of where 1 - Q reaches 2^-54 (about
+    # 18 units at n = 2000, 45 at n = 10^4).  In between, Temme's expansion
+    # still rounds Q to exactly 1.0: its erfc(-z) rounds to 2 and its
+    # remainder term is below 2^-54.
+    cut, true_cut = _x_at_upper_cut(n), _x_at_oracle_upper_cut(n)
+    assert _TEMME_BAND[0] * n < cut < true_cut - 10.0
+    x = np.linspace(cut, true_cut - 0.5, 200)
+    assert not _q_rounds_to_one(n, x[1:]).any()
+    assert (reg_gamma_q_grid(n, x) == 1.0).all()
+
+
+def test_long_block_table_walks_at_most_2_percent_of_its_points(monkeypatch):
+    # A work count, not a timing: on the reference preset at n = 2000 the
+    # upper-tail bound proves 10,479 of the 15,674 distinct points (67 %) and
+    # Temme's expansion takes 5,025 more, so only the 170 left outside its
+    # band (far-tail P_FA points) may reach the walk, down once and up once.
+    points, walked = [], []
+    kernel, walk = specfun._long_block_q, specfun._walk
+
+    def counting_kernel(n, xs):
         points.append(xs.size)
-        return sums(n, xs)
+        return kernel(n, xs)
 
     def counting_walk(steps, up, *rest):
         walked.append(0 if up else steps.size)
         return walk(steps, up, *rest)
 
-    monkeypatch.setattr(specfun, "_recurrence_sums", counting_sums)
+    monkeypatch.setattr(specfun, "_long_block_q", counting_kernel)
     monkeypatch.setattr(specfun, "_walk", counting_walk)
     build_payoff(prune_negative_rate(replace(default_scenario(), blocklength_n=2000)))
     assert points == [15_674]
-    assert sum(walked) <= 0.35 * 15_674
+    assert 0 < sum(walked) <= 0.02 * 15_674
 
 
 def _scenario_points(s, n):
@@ -313,6 +342,12 @@ def test_grid_matches_full_sum_oracle():
     for with_jammer in (False, True):
         x = _scenario_points(default_scenario(with_jammer), 200)
         assert np.array_equal(reg_gamma_q_grid(200, x), gamma_q_full_sum(x, *_poisson_tables(200)))
+    # Above n = 200 this holds the windows, which the recurrence sums too,
+    # through the window sums' terms: those are the full sum's terms bit for
+    # bit.  The grid's own cells there are held to the 60-digit oracle
+    # instead (test_grid_matches_mpmath_at_large_n): with its log1p terms
+    # the full sum itself lies up to 1.5e-13 of Q off that oracle at
+    # n = 10^4 and x = 1.24 n, far more than 1e-15.
     for n, stride in ((2000, 5), (10_000, 15)):
         x = _scenario_points(default_scenario(), n)[::stride]
         full = gamma_q_full_sum(x, *_poisson_tables(n))
@@ -321,13 +356,11 @@ def test_grid_matches_full_sum_oracle():
 
 def _window_test_points(n, rng):
     """Distinct positive points of the window tests at shape n: the scenario
-    grids (every 16th point above n = 2000), uniform points below 3n, edge
-    points, and far points x in (n-1, 20(n-1)], whose window starts do not
-    rise with x."""
-    stride = 1 if n <= 2000 else 16
+    grids, uniform points below 3n, edge points, and far points x in
+    (n-1, 20(n-1)], whose window starts do not rise with x."""
     x = np.concatenate([
-        _scenario_points(default_scenario(False), n)[::stride],
-        _scenario_points(default_scenario(True), n)[::stride],
+        _scenario_points(default_scenario(False), n),
+        _scenario_points(default_scenario(True), n),
         rng.uniform(0.0, 3.0 * n, 2000),
         [1e-17, 0.5, n - 1, n, 5 * n, 20 * n],
         np.nextafter(n - 1, math.inf) + rng.uniform(0.0, 19.0 * (n - 1), 500),
@@ -335,12 +368,13 @@ def _window_test_points(n, rng):
     return np.unique(x[x > 0.0])
 
 
-@pytest.mark.parametrize("n", [2, 15, 200, 2000, 10_000, MAX_SHAPE])
+@pytest.mark.parametrize("n", [2, 15, 200, 2000])
 def test_grid_matches_windowed_reference_bit_for_bit(n):
     # The same floating-point operations as the reference kernel: no cell
     # may move by even one ulp, which the relative full-sum bound above
-    # could not see.  Up to n = 2000 the full jammer grid's 81k points give
-    # the widest rows, and calls of 1 to 8 points run alone.  At n = 200 both
+    # could not see.  The grid sends the window sums shapes up to 200; one
+    # shape past it, n = 2000, has the full jammer grid's 81k points give
+    # the widest rows.  Calls of 1 to 8 points run alone.  At n = 200 both
     # presets' points at the benchmark's noise edges, sigma_w^2 = 0.9 and
     # 1.1, are held too: the golden commands run only at 1.0.
     rng = np.random.default_rng(n)
@@ -359,18 +393,27 @@ def test_grid_matches_windowed_reference_bit_for_bit(n):
             assert np.array_equal(got.view(np.int64), want[pick].view(np.int64))
 
 
-def test_grid_takes_the_recurrence_only_above_n_200():
+def test_grid_takes_the_long_block_kernel_only_above_n_200():
     # Every golden output pinned at n = 200 rests on the window sums' bits,
     # so there the grid is the windowed reference bit for bit; one shape
-    # above, it is the recurrence.
+    # above, it is the long-block kernel: 1.0 where the upper-tail bound
+    # proves it, Temme's expansion inside its band and the recurrence outside.
     n = _WINDOW_SUM_MAX_SHAPE
     xs = _window_test_points(n, np.random.default_rng(n))
     want = gamma_q_windowed_reference(xs, *_poisson_tables(n), *poisson_windows(n, xs))
     assert np.array_equal(reg_gamma_q_grid(n, xs).view(np.int64), want.view(np.int64))
-    xs = _window_test_points(n + 1, np.random.default_rng(n + 1))
-    got = reg_gamma_q_grid(n + 1, xs)
-    assert np.array_equal(got.view(np.int64), _recurrence_sums(n + 1, xs).view(np.int64))
-    assert not np.array_equal(got, _window_sums(n + 1, xs))
+    n += 1
+    xs = _window_test_points(n, np.random.default_rng(n))
+    got = reg_gamma_q_grid(n, xs)
+    assert np.array_equal(got.view(np.int64), _long_block_q(n, xs).view(np.int64))
+    assert not np.array_equal(got, _window_sums(n, xs))
+    live = ~_q_rounds_to_one(n, xs)
+    band = live & (xs >= _TEMME_BAND[0] * n) & (xs <= _TEMME_BAND[1] * n)
+    walk = live & ~band
+    assert band.sum() > 100 and walk.sum() > 100
+    assert (got[~live] == 1.0).all()
+    assert np.array_equal(got[band].view(np.int64), _temme_q(n, xs[band]).view(np.int64))
+    assert np.array_equal(got[walk].view(np.int64), _recurrence_sums(n, xs[walk]).view(np.int64))
 
 
 @pytest.mark.parametrize("n", [200, 2000, 10_000])
@@ -430,7 +473,7 @@ def _assert_row_contract(lo, hi):
     assert np.array_equal(held, hi - lo + 1)
 
 
-@pytest.mark.parametrize("n", [200, 2000, 10_000])
+@pytest.mark.parametrize("n", [200])  # the window sums serve n <= 200 only
 def test_rows_cover_each_window_once(n):
     x = np.unique(np.concatenate([_scenario_points(default_scenario(False), n),
                                   _scenario_points(default_scenario(True), n)]))
@@ -517,16 +560,34 @@ def _x_at_chernoff_level(n, level):
     return low
 
 
+def test_temme_coefficients_are_the_exact_rationals_rounded():
+    # Rebuilt from exact rationals (series reversion, Stirling's g_k from
+    # Bernoulli numbers, DLMF 8.12.8-9): each checked-in float is its
+    # rational correctly rounded.
+    exact = temme_coefficients(len(_TEMME_C), len(_TEMME_C[0]))
+    assert (len(_TEMME_C), len(_TEMME_C[0])) == (6, 18)
+    assert exact[0][:3] == [Fraction(-1, 3), Fraction(1, 12), Fraction(-2, 135)]
+    assert exact[1][0] == Fraction(-1, 540)
+    assert [[float(c) for c in row] for row in exact] == [list(row) for row in _TEMME_C]
+
+
 @pytest.mark.parametrize("n", [_WINDOW_SUM_MAX_SHAPE + 1, 1000, 2000, 10_000, MAX_SHAPE])
 def test_grid_matches_mpmath_at_large_n(n):
-    # Above n = 200 these are the recurrence's cells.  Most far-tail points
-    # have Q between about 1e-300 and 1e-40, where the anchor term's error
-    # in ln t is every term's and grows with x - (n-1) if not kept down.
+    # Above n = 200 these are the long-block kernel's cells.  Most far-tail
+    # points have Q between about 1e-300 and 1e-40, where the recurrence's
+    # anchor error in ln t is every term's and grows with x - (n-1) if not
+    # kept down.  Temme's expansion holds the band around x = n; its edges
+    # are taken at, just below and just above each, and its lower edge at
+    # large n is the upper-tail bound's cut-off.
     r = math.sqrt(n)
     rng = np.random.default_rng(n)
+    edges = [e + d for e in (_TEMME_BAND[0] * n, _TEMME_BAND[1] * n, _x_at_upper_cut(n))
+             for d in (-0.5, 0.0, 0.5)]
     x = np.concatenate([
         [1e-300, 0.01, 0.5, 0.999, n - 1.5, n - 1.0, n - 1.0 + 1e-9, n - 0.5, n,
          n + 9 * r + 27, n + 20 * r, n + 30 * r, 1.5 * n, 2 * n, 5 * n, 20 * n],
+        [n - 3 * r, n + 3 * r],
+        edges, np.nextafter(edges, 0.0), np.nextafter(edges, math.inf),
         rng.uniform(0.0, 1.0, 4),
         n - 1 + r * np.linspace(-9.0, 9.0, 19),
         [_x_at_chernoff_level(n, level) for level in rng.uniform(40.0, 690.0, 60)],
