@@ -19,12 +19,12 @@ tail sum,
 
 whose terms t_k = x^k e^-x / k! are positive.  A summed point adds only
 the O(sqrt(x)) terms in its window (``_windows``).  The shape picks the
-kernel: window sums up to n = 200; above it, mostly an asymptotic
-expansion that sums no terms.  Each cell depends on (n, x) alone, not on
-the other points.
+kernel: window sums at every point up to n = 200; above it, mostly an
+asymptotic expansion that sums no terms.  Each cell depends on (n, x)
+alone, not on the other points.
 
-Up to n = ``_WINDOW_SUM_MAX_SHAPE`` (200), ``_window_sums`` takes every term
-in log space.  Writing the log term as
+``_window_sums``, the one summing kernel, takes every term in log space.
+Writing the log term as
 
     ln t_k = (k - x) + k*log1p((x - k)/k) - (0.5*ln(2*pi*k) + tail(k))
 
@@ -44,7 +44,7 @@ increasing order, one set of numpy calls over each k's slice.  Every golden
 output pinned at n = 200 rests on these bits; the test suite holds this
 kernel bit for bit to a plain windowed sum.
 
-Above n = 200, ``_long_block_q`` splits the points into three regions.
+Above n = 200, ``_long_block_q`` settles most points without a sum.
 
 1. A point far enough below n takes no evaluation at all
    (``_q_rounds_to_one``).  The Chernoff bound on the Poisson upper tail,
@@ -52,41 +52,40 @@ Above n = 200, ``_long_block_q`` splits the points into three regions.
    there, so 1.0 is Q correctly rounded and the kernel returns it exactly.
    On the reference preset that is 67 % of a cell table's distinct points
    at n = 2000 (x below about 0.82 n) and 83 % at n = 10^4 (below 0.91 n).
-   ``_q_negligible`` below is its mirror at the lower tail; both take the
-   bound from ``_log_chernoff``.
-2. A point with x/n in ``_TEMME_BAND`` = [0.7, 1.3] takes Temme's uniform
+   The cut-off lies above 0.5 n at every n > 200 (about 0.502 n at
+   n = 201).  ``_q_negligible`` below is its mirror at the lower tail; both
+   take the bound from ``_log_chernoff``.
+2. A point with x/n in ``_TEMME_BAND`` = [0.5, 2] takes Temme's uniform
    asymptotic expansion (``_temme_q``): an erfc, an exp and one polynomial
    in eta, the same work at every n, where a Poisson window would take
-   O(sqrt(n)) terms.  That is nearly every other point: 5,025 of the 5,195
-   left at n = 2000 on the reference preset.  Between the Chernoff cut-off
-   and the x where 1 - Q reaches 2^-54 it also returns exactly 1.0 (tested
-   at n = 2000, 10^4 and 10^5), so there too P_M reads 0.0.
-3. The rest, almost all far-tail points x > 1.3 n, take
-   ``_recurrence_sums``, which sums the same windows as the window sums
-   from one anchor term per point: at the mode floor(x), or the window end
-   nearest it, in log space (``_log_anchor``).  The other terms follow by
-   the ratios t_{k-1} = t_k k / x and t_{k+1} = t_k x / (k+1), outward to
-   the window's ends, two roundings a step instead of a log1p and an exp a
-   term.  Up to n = 678, where the Chernoff cut-off lies below 0.7 n, it
-   also takes the points between the two.
+   O(sqrt(n)) terms.  By 1. that is every live point below 2 n.  Between
+   the Chernoff cut-off and the x where 1 - Q reaches 2^-54 it also returns
+   exactly 1.0 (tested at n = 2000, 10^4 and 10^5), so there too P_M reads
+   0.0.
+
+The rest, far-tail false-alarm points x > 2 n, take the window sums: 100 of
+the reference preset's 15,674 distinct points at n = 2000, each window at
+most 58 terms deep, since every step down from k = n-1 shrinks a term by
+(n-1)/x < 1/2.
 
 Above the mode a point's window ends early where the rest of its terms
 cannot move its sum (``_tail_cut``).  Bennett's bound puts every later term
 below 2^-54, while the sum already exceeds 1/2, so each of those adds
-would round back to the same value: the cut skips about 5 % of the terms
-at n >= 2000 and changes no bit.  It applies where the window starts at or
-below x - sqrt(x) and does not end at k = n-1.
+would round back to the same value and the cut changes no bit.  It applies
+where the window starts at or below x - sqrt(x) and does not end at
+k = n-1.
 
 Accuracy domain: 1 <= n <= MAX_SHAPE and x >= 0.  There Q(n, x) stays
 within 1e-10 absolute error, and 1e-12 relative error wherever Q > 1e-300,
 of a 60-digit oracle, tested at x < 1, near n - 1, n +- 9 sqrt(n), at and
 across the edges of ``_TEMME_BAND`` and in the far tail out to 20n,
 densest where Q lies between 1e-300 and 1e-40.  Measured on those points
-and denser draws at n = 201, 500, 2000, 10^4 and 10^5, Temme's worst
-errors are 1.1e-16 absolute and 2.2e-13 relative (the latter from the
-rounding of n eta^2 / 2, up to about 700, in its exp and erfc), and the
-recurrence's 9e-16 absolute (n = 201, below the band) and 3e-13 relative.
-The window sums' are 5e-13 relative (measured up to n = 10^5) and 5e-15
+and dense sweeps of [0.5 n, 0.7 n], [1.3 n, 2 n] and (2 n, 3 n] at
+n = 201 to 2200, Temme's worst errors are 1.1e-16 absolute and 2.6e-13
+relative (the latter from the rounding of n eta^2 / 2, up to about 700, in
+its exp and erfc, and near 2 n at small n from the truncation of its Taylor
+rows).  The window sums' are 1.7e-13 relative in the far tail above
+n = 200, 5e-13 relative at any x (measured up to n = 10^5) and 5e-15
 absolute (Q(50, 14.43), from the lgamma part of ``_poisson_tables``).
 Scenarios with a longer block are rejected.
 
@@ -127,11 +126,11 @@ _WINDOW_PAD = 27.0
 _WINDOW_DECAY = 39.0
 
 # Shapes above this take the long-block kernel (``_long_block_q``: Temme's
-# expansion near x = n, the recurrence elsewhere); shapes up to it keep the
-# window sums (``_window_sums``) and their bits, which every golden output
-# pinned at n = 200 (both presets) depends on.  The golden change that
-# follows the benchmark change (ROADMAP item 6) hands n <= 200 to the
-# long-block kernel too and deletes ``_rows``, the row loop and ``_terms``.
+# expansion for 0.5 n <= x <= 2 n, the window sums in the far tail); shapes
+# up to it keep the window sums (``_window_sums``) at every point, and their
+# bits, which every golden output pinned at n = 200 (both presets) depends
+# on.  Handing n <= 200 to the long-block kernel too first needs Temme's
+# accuracy measured below n = 201, and is a golden change (ROADMAP item 23).
 _WINDOW_SUM_MAX_SHAPE = 200
 
 
@@ -179,8 +178,8 @@ def reg_gamma_q_grid(n: int, x: np.ndarray) -> np.ndarray:
     once.  Up to n = 200 ``_window_sums`` sums the Poisson terms inside its
     window (see ``_windows``), O(sqrt(x)) of them.  Above it
     ``_long_block_q`` returns 1.0 where Q provably rounds to it, takes
-    Temme's expansion (constant work a point) for x/n in [0.7, 1.3], and
-    sums the window by recurrence only outside that band.  Each cell
+    Temme's expansion (constant work a point) for x/n in [0.5, 2], and
+    hands only the far-tail points x > 2 n to the window sums.  Each cell
     depends on (n, x) alone, not on the other points.
 
     Args:
@@ -228,14 +227,13 @@ def _q_negligible(n: int, x: np.ndarray) -> np.ndarray:
     and for n = 1, Q = e^-x exactly; x <= m is clamped to m, where the bound
     reads 0 and proves nothing.  x = +inf has Q = 0.  A point is
     negligible where the bound is below ln(2^-54) - 1.  Its true Q is then at
-    most 2^-54 / e.  The kernel adds a subset of the positive Poisson terms,
-    each to a small relative error: about 1e-13 for a term taken in log
-    space, and for a recurrence term W steps from its anchor up to about
-    W * 2^-52 more, under 1e-12 for the W < 3000 steps of any window up to
-    MAX_SHAPE.  So its value is at most 2^-54 and 1 - Q rounds to exactly
-    1.0 (a tie at 2^-54 rounds to even, 1.0).  The
-    margin of one e-fold also covers the rounding of the bound itself: near
-    the cut-off that is a few ulps of x, under 1e-10 for n <= MAX_SHAPE.
+    most 2^-54 / e.  The kernel's value is within a small relative error of
+    it: the window sums add a subset of the positive Poisson terms, each
+    taken in log space to about 1e-13, and Temme's expansion stays within
+    3e-13 in its band.  So its value is at most 2^-54 and 1 - Q rounds to
+    exactly 1.0 (a tie at 2^-54 rounds to even, 1.0).  The margin of one
+    e-fold also covers the rounding of the bound itself: near the cut-off
+    that is a few ulps of x, under 1e-10 for n <= MAX_SHAPE.
     """
     m = n - 1
     with np.errstate(invalid="ignore"):  # inf - inf at x = inf, marked below
@@ -363,15 +361,16 @@ def _window_sums(n: int, xs: np.ndarray) -> np.ndarray:
     return out
 
 
-# Terms of the series 2 m v^3 (1/3 + v^2/5 + v^4/7 + ...) that ``_log_anchor``
+# Terms of the series 2 m v^3 (1/3 + v^2/5 + v^4/7 + ...) that ``_bd0_series``
 # sums: at |v| <= 1/3 the first one left out is below 4e-18 of its result.
 _BD0_TERMS = 16
 
 
-def _bd0_series(x: np.ndarray, m) -> tuple[np.ndarray, np.ndarray]:
-    """The series form of m ln(x/m) - (x - m), and v = (x - m)/(x + m).
+def _bd0_series(x: np.ndarray, m: int) -> np.ndarray:
+    """The series form of m ln(x/m) - (x - m), with v = (x - m)/(x + m).
 
-    Where |v| <= 1/3 the series
+    It is -bd0(m, x) in Loader's notation ("Fast and accurate computation of
+    binomial probabilities", 2000).  Where |v| <= 1/3 the series
 
         m ln(x/m) - (x - m) = 2 m v^3 (1/3 + v^2/5 + v^4/7 + ...) - (x - m) v
 
@@ -389,88 +388,15 @@ def _bd0_series(x: np.ndarray, m) -> tuple[np.ndarray, np.ndarray]:
     series *= v
     series *= 2.0 * m
     series -= np.multiply(d, v, out=d)
-    return series, v
-
-
-def _log_anchor(x: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """m ln(x/m) - (x - m), the part of ln t_m = m ln x - x - ln m! that depends on x.
-
-    It is -bd0(m, x) in Loader's notation ("Fast and accurate computation of
-    binomial probabilities", 2000).  The log form of ``_terms``,
-    m log1p((x - m)/m) - (x - m), loses about (x - m) ulps of 1 to the
-    rounding of log1p: 1.9e-12 of Q at n = 10^5, x = 109126.  Where
-    |v| <= 1/3, v = (x - m)/(x + m), it is taken from ``_bd0_series``
-    instead, which has no such loss.
-    """
-    series, v = _bd0_series(x, m)
-    d = x - m
-    log_form = d / m
-    with np.errstate(divide="ignore"):  # tiny x rounds d/m to -1: ln t_m = -inf
-        np.log1p(log_form, out=log_form)
-    log_form *= m
-    log_form -= d
-    np.copyto(log_form, series, where=np.abs(v, out=v) <= 1.0 / 3.0)
-    return log_form
-
-
-def _walk(steps: np.ndarray, up: bool, x: np.ndarray, m: np.ndarray, t: np.ndarray,
-          total: np.ndarray, work: np.ndarray) -> None:
-    """Add to ``total`` the terms ``steps`` ratio steps from each anchor t_m, one way.
-
-    Down, t_{k-1} = t_k k / x; up, t_{k+1} = t_k x / (k+1).  Sorted by step
-    count, the points still walking at step j are a prefix, so each step is
-    one set of numpy calls over it.  ``work`` is five scratch rows of points.
-    """
-    order = np.argsort(-steps, kind="stable")
-    walking = np.cumsum(np.bincount(steps.astype(np.intp))[::-1])[::-1].tolist()  # [j]: steps >= j
-    xw, mw, tw, sums, ratio = work
-    for row, a in ((xw, x), (mw, m), (tw, t)):
-        np.take(a, order, out=row)
-    sums.fill(0.0)
-    for j, c in enumerate(walking[1:], 1):
-        r, tc, sc = ratio[:c], tw[:c], sums[:c]
-        if up:
-            np.divide(xw[:c], np.add(mw[:c], j, out=r), out=r)
-        else:
-            np.divide(np.subtract(mw[:c], j - 1, out=r), xw[:c], out=r)
-        np.add(sc, np.multiply(tc, r, out=tc), out=sc)
-    xw[order] = sums
-    total += xw
-
-
-def _recurrence_sums(n: int, xs: np.ndarray) -> np.ndarray:
-    """Q(n, x) at sorted, finite, positive points, by recurrence from each window's anchor.
-
-    Each point's window is the one ``_window_sums`` adds (``_windows`` with
-    ``_tail_cut``).  Its anchor term, at m = clip(floor(x), lo, hi), is
-    exp(``_log_anchor`` - base_m); the rest follow from it by the ratio
-    t_{k+1} / t_k = x / (k+1) (Fox & Glynn, CACM 31(4), 1988), down to lo
-    and up to hi.  m is the mode where the window holds it, and otherwise
-    the window end nearest to it, so no step makes a term grow.
-
-    ``_long_block_q`` hands it only the points outside ``_TEMME_BAND`` that
-    ``_q_rounds_to_one`` does not settle: about 1 % of a long-block cell
-    table's points at n = 2000, nearly all far-tail false-alarm cells.
-    """
-    _, base = _poisson_tables(n)
-    lo, hi = _windows(n, xs)
-    hi = _tail_cut(n, xs, lo, hi)
-    m = np.clip(np.floor(xs), lo, hi)
-    down, up = np.subtract(m, lo, out=lo), np.subtract(hi, m, out=hi)
-    t = _log_anchor(xs, m)
-    t -= base[m.astype(np.intp) - 1]
-    np.exp(t, out=t)
-    total, work = t.copy(), np.empty((5, xs.size))
-    _walk(down, False, xs, m, t, total, work)
-    _walk(up, True, xs, m, t, total, work)
-    total += np.exp(-xs, out=work[0])
-    return np.clip(total, 0.0, 1.0, out=total)
+    return series
 
 
 # The x/n band in which ``_long_block_q`` takes Q(n, x) from ``_temme_q``.
-# There |eta| <= 0.34, where the Taylor rows of ``_TEMME_C`` converge to
-# well under an ulp, and |v| <= 0.18 in ``_bd0_series``.
-_TEMME_BAND = (0.7, 1.3)
+# There |eta| <= 0.79, where truncating the Taylor rows of ``_TEMME_C``
+# costs at most 7.5e-14 of Q (n = 201, just below 2 n), and |v| <= 1/3,
+# where ``_bd0_series`` is exact to about 4e-18.  Past 2 n the truncation
+# grows fast: 2.6e-11 of Q at n = 201, x = 2.5 n.
+_TEMME_BAND = (0.5, 2.0)
 
 # Taylor coefficients of Temme's c_k(eta) = sum_j _TEMME_C[k][j] eta^j,
 # k = 0..5, j = 0..17: c_0 = 1/mu - 1/eta and
@@ -532,7 +458,7 @@ def _temme_q(n: int, xs: np.ndarray) -> np.ndarray:
     coefficients folded over k in 1/n.  erfc and exp come from ``math``, one
     call each a point, so no bit depends on numpy's SIMD loops.
     """
-    half_sq, _ = _bd0_series(xs, n)
+    half_sq = _bd0_series(xs, n)
     np.negative(half_sq, out=half_sq)  # n eta^2 / 2 >= 0
     sign = xs - n
     eta = np.copysign(np.sqrt(half_sq * (2.0 / n)), sign)
@@ -552,21 +478,22 @@ def _temme_q(n: int, xs: np.ndarray) -> np.ndarray:
 
 
 def _long_block_q(n: int, xs: np.ndarray) -> np.ndarray:
-    """Q(n, x) above n = 200 at sorted, finite, positive points, in three regions.
+    """Q(n, x) above n = 200 at sorted, finite, positive points.
 
     Points that ``_q_rounds_to_one`` proves return exactly 1.0 and cost no
     evaluation: about two thirds of a long-block cell table's points at
-    n = 2000.  The rest with x/n in ``_TEMME_BAND`` take ``_temme_q``, a
-    constant amount of work a point; the few outside it (mostly far-tail
-    false-alarm points, x > 1.3 n) take ``_recurrence_sums``.
+    n = 2000.  Above n = 200 its cut-off lies above 0.5 n, so every other
+    point below 2 n has x/n in ``_TEMME_BAND`` and takes ``_temme_q``, a
+    constant amount of work a point.  The few left, far-tail false-alarm
+    points with x > 2 n, take ``_window_sums``: at most 58 terms each.
     """
     out = np.ones_like(xs)
     live = ~_q_rounds_to_one(n, xs)
     low, high = _TEMME_BAND
     band = live & (xs >= low * n) & (xs <= high * n)
-    walk = live & ~band
+    tail = live & ~band
     out[band] = _temme_q(n, xs[band])
-    out[walk] = _recurrence_sums(n, xs[walk])
+    out[tail] = _window_sums(n, xs[tail])
     return out
 
 

@@ -2,9 +2,9 @@
 
 Each command runs on a default preset (``solve-n2000`` and
 ``solve-n10000`` with 2000- and 10^4-use blocks, where the long-block
-kernel (Temme's expansion near x = n, the recurrence elsewhere), the P_M
-cells set to 1.0 unevaluated and the Q cells proven to round to 1.0
-matter; ``simulate-files`` reads the strategy files that the
+kernel (Temme's expansion near x = n, the window sums in the far tail),
+the P_M cells set to 1.0 unevaluated and the Q cells proven to round to
+1.0 matter; ``simulate-files`` reads the strategy files that the
 ``solve`` command writes first) and every data file it writes
 must hash to the recorded sha256 prefix (first 12 hex digits, the table in
 ROADMAP.md).  Refactors of the cell table, the solver or the CLI must keep
@@ -130,7 +130,7 @@ ENVIRONMENT_DEFECTS = [
                                  "printed row_gap (summary.txt 04edea64a65b)"),
     ], id="solve-openblas-haswell"),
     # Above n = 200 the cells near x = n come from Temme's expansion, whose
-    # exp and erfc are taken from ``math``, and the rest from the recurrence:
+    # exp and erfc are taken from ``math``, and the rest from the window sums:
     # every pinned byte holds with numpy's AVX-512 loops disabled.
     *(pytest.param(name, "NPY_DISABLE_CPU_FEATURES", "X86_V4 AVX512_ICL AVX512_SPR", marks=[
         pytest.mark.skipif(not _cpu_has("X86_V4"), reason="numpy reports no X86_V4 here"),

@@ -22,7 +22,6 @@ from covertgame.specfun import (
     _poisson_tables,
     _q_negligible,
     _q_rounds_to_one,
-    _recurrence_sums,
     _rows,
     _tail_cut,
     _temme_q,
@@ -243,8 +242,9 @@ def test_points_proven_one_are_exactly_one(n):
     assert fired.sum() > 1000 and (~fired & (x < n)).sum() > 1000
     assert np.array_equal(q[fired].view(np.int64), np.ones(fired.sum()).view(np.int64))
     assert not fired[x > cut].any()
-    # A sum anchored at k < 15 carries the lgamma cancellation of
-    # ``_poisson_tables`` (about 5e-15) into Q(201, 14.35) and Q(2000, 14.6).
+    # A window summed over k < 15 carries the lgamma cancellation of
+    # ``_poisson_tables`` (about 5e-15) into Q(201, 14.35) and Q(2000, 14.6);
+    # the bound returns them as exactly 1.0 instead.
     assert (q[np.isin(x, [14.35, 14.6])] == 1.0).all()
     # The oracle at the fired points nearest the cut-off and a spread of others.
     proven = np.sort(x[fired])
@@ -274,27 +274,35 @@ def test_q_reads_one_up_to_the_oracle_cut_off(n):
     assert (reg_gamma_q_grid(n, x) == 1.0).all()
 
 
-def test_long_block_table_walks_at_most_2_percent_of_its_points(monkeypatch):
+def test_temme_band_starts_below_the_upper_tail_cut_off():
+    # Above n = 200 every point below 0.5 n is proven to round to 1.0, so no
+    # live point below n leaves Temme's band for the window sums.  The cut-off
+    # rises with n from about 0.502 n at n = 201.
+    for n in [*range(_WINDOW_SUM_MAX_SHAPE + 1, 1001), 2000, 10_000, MAX_SHAPE]:
+        assert _x_at_upper_cut(n) >= _TEMME_BAND[0] * n, n
+
+
+def test_long_block_table_sums_at_most_1_percent_of_its_points(monkeypatch):
     # A work count, not a timing: on the reference preset at n = 2000 the
     # upper-tail bound proves 10,479 of the 15,674 distinct points (67 %) and
-    # Temme's expansion takes 5,025 more, so only the 170 left outside its
-    # band (far-tail P_FA points) may reach the walk, down once and up once.
-    points, walked = [], []
-    kernel, walk = specfun._long_block_q, specfun._walk
+    # Temme's expansion takes most of the rest, so only the far-tail P_FA
+    # points x > 2 n, outside its band, may reach the window sums.
+    points, summed = [], []
+    kernel, window_sums = specfun._long_block_q, specfun._window_sums
 
     def counting_kernel(n, xs):
         points.append(xs.size)
         return kernel(n, xs)
 
-    def counting_walk(steps, up, *rest):
-        walked.append(0 if up else steps.size)
-        return walk(steps, up, *rest)
+    def counting_sums(n, xs):
+        summed.append(xs.size if n > _WINDOW_SUM_MAX_SHAPE else 0)
+        return window_sums(n, xs)
 
     monkeypatch.setattr(specfun, "_long_block_q", counting_kernel)
-    monkeypatch.setattr(specfun, "_walk", counting_walk)
+    monkeypatch.setattr(specfun, "_window_sums", counting_sums)
     build_payoff(prune_negative_rate(replace(default_scenario(), blocklength_n=2000)))
     assert points == [15_674]
-    assert 0 < sum(walked) <= 0.02 * 15_674
+    assert 0 < sum(summed) <= 0.01 * 15_674
 
 
 def _scenario_points(s, n):
@@ -342,16 +350,20 @@ def test_grid_matches_full_sum_oracle():
     for with_jammer in (False, True):
         x = _scenario_points(default_scenario(with_jammer), 200)
         assert np.array_equal(reg_gamma_q_grid(200, x), gamma_q_full_sum(x, *_poisson_tables(200)))
-    # Above n = 200 this holds the windows, which the recurrence sums too,
-    # through the window sums' terms: those are the full sum's terms bit for
-    # bit.  The grid's own cells there are held to the 60-digit oracle
-    # instead (test_grid_matches_mpmath_at_large_n): with its log1p terms
-    # the full sum itself lies up to 1.5e-13 of Q off that oracle at
-    # n = 10^4 and x = 1.24 n, far more than 1e-15.
+    # Above n = 200 the grid takes its far-tail cells, x > 2 n, from the
+    # window sums, whose terms are the full sum's terms bit for bit.  This
+    # holds the window sums at every point to the full sum, and the grid's
+    # far-tail cells to the window sums.  Its cells inside Temme's band are
+    # held to the 60-digit oracle instead (test_grid_matches_mpmath_at_large_n):
+    # with its log1p terms the full sum itself lies up to 1.5e-13 of Q off
+    # that oracle at n = 10^4 and x = 1.24 n, far more than 1e-15.
     for n, stride in ((2000, 5), (10_000, 15)):
         x = _scenario_points(default_scenario(), n)[::stride]
         full = gamma_q_full_sum(x, *_poisson_tables(n))
         assert np.all(np.abs(_window_q(n, x) - full) <= 1e-15 * full)
+        tail = x > _TEMME_BAND[1] * n
+        assert tail.any()
+        assert np.array_equal(reg_gamma_q_grid(n, x[tail]), _window_q(n, x[tail]))
 
 
 def _window_test_points(n, rng):
@@ -397,7 +409,7 @@ def test_grid_takes_the_long_block_kernel_only_above_n_200():
     # Every golden output pinned at n = 200 rests on the window sums' bits,
     # so there the grid is the windowed reference bit for bit; one shape
     # above, it is the long-block kernel: 1.0 where the upper-tail bound
-    # proves it, Temme's expansion inside its band and the recurrence outside.
+    # proves it, Temme's expansion inside its band and the window sums outside.
     n = _WINDOW_SUM_MAX_SHAPE
     xs = _window_test_points(n, np.random.default_rng(n))
     want = gamma_q_windowed_reference(xs, *_poisson_tables(n), *poisson_windows(n, xs))
@@ -409,11 +421,11 @@ def test_grid_takes_the_long_block_kernel_only_above_n_200():
     assert not np.array_equal(got, _window_sums(n, xs))
     live = ~_q_rounds_to_one(n, xs)
     band = live & (xs >= _TEMME_BAND[0] * n) & (xs <= _TEMME_BAND[1] * n)
-    walk = live & ~band
-    assert band.sum() > 100 and walk.sum() > 100
+    tail = live & ~band
+    assert band.sum() > 100 and tail.sum() > 100
     assert (got[~live] == 1.0).all()
     assert np.array_equal(got[band].view(np.int64), _temme_q(n, xs[band]).view(np.int64))
-    assert np.array_equal(got[walk].view(np.int64), _recurrence_sums(n, xs[walk]).view(np.int64))
+    assert np.array_equal(got[tail].view(np.int64), _window_sums(n, xs[tail]).view(np.int64))
 
 
 @pytest.mark.parametrize("n", [200, 2000, 10_000])
@@ -571,21 +583,22 @@ def test_temme_coefficients_are_the_exact_rationals_rounded():
     assert [[float(c) for c in row] for row in exact] == [list(row) for row in _TEMME_C]
 
 
-@pytest.mark.parametrize("n", [_WINDOW_SUM_MAX_SHAPE + 1, 1000, 2000, 10_000, MAX_SHAPE])
+@pytest.mark.parametrize("n", [_WINDOW_SUM_MAX_SHAPE + 1, 500, 1000, 2000, 10_000, MAX_SHAPE])
 def test_grid_matches_mpmath_at_large_n(n):
     # Above n = 200 these are the long-block kernel's cells.  Most far-tail
-    # points have Q between about 1e-300 and 1e-40, where the recurrence's
-    # anchor error in ln t is every term's and grows with x - (n-1) if not
-    # kept down.  Temme's expansion holds the band around x = n; its edges
-    # are taken at, just below and just above each, and its lower edge at
-    # large n is the upper-tail bound's cut-off.
+    # points have Q between about 1e-300 and 1e-40, where the log-space
+    # error of every term grows with x - (n-1).  Temme's expansion holds
+    # the band 0.5 n <= x <= 2 n; its edges are taken at, just below and
+    # just above each, and its lower edge lies below the upper-tail bound's
+    # cut-off.  Its Taylor truncation is largest just below 2 n at small n.
     r = math.sqrt(n)
     rng = np.random.default_rng(n)
     edges = [e + d for e in (_TEMME_BAND[0] * n, _TEMME_BAND[1] * n, _x_at_upper_cut(n))
              for d in (-0.5, 0.0, 0.5)]
     x = np.concatenate([
         [1e-300, 0.01, 0.5, 0.999, n - 1.5, n - 1.0, n - 1.0 + 1e-9, n - 0.5, n,
-         n + 9 * r + 27, n + 20 * r, n + 30 * r, 1.5 * n, 2 * n, 5 * n, 20 * n],
+         n + 9 * r + 27, n + 20 * r, n + 30 * r, 1.5 * n, 1.9 * n, 1.99 * n, 2 * n, 5 * n,
+         20 * n],
         [n - 3 * r, n + 3 * r],
         edges, np.nextafter(edges, 0.0), np.nextafter(edges, math.inf),
         rng.uniform(0.0, 1.0, 4),
